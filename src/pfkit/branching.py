@@ -22,8 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .errors import CapExceededError, InvalidInputError
-from .parafermion import PfLabel, pf_canonicalize, pf_weight
+from .errors import CapExceededError, InvalidInputError, check_level
+from .parafermion import PfLabel, pf_canonicalize, pf_weight, presentations
 
 BRANCH_MAX_LEVEL = 10
 
@@ -57,7 +57,7 @@ def vir_c(m: int) -> Fraction:
     return 1 - Fraction(6, (m + 2) * (m + 3))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def vir_h(m: int, r: int, s: int) -> Fraction:
     """Kac-table highest weight h^m_{r,s}; exact."""
     _check_kac(m, r, s)
@@ -92,8 +92,7 @@ def branch(k: int, j: int, bits) -> tuple[BranchComponent, ...]:
     Deterministic lexicographic order in the index tuples.  Capped at
     rank 10; the component count grows like prod(s/2).
     """
-    if not isinstance(k, int) or k < 2:
-        raise InvalidInputError(f"rank must be an integer >= 2, got {k!r}")
+    check_level(k)
     if k > BRANCH_MAX_LEVEL:
         raise CapExceededError(
             f"branching is capped at rank {BRANCH_MAX_LEVEL}, got {k}"
@@ -130,8 +129,7 @@ def branch_tail(k: int, j: int, d: int) -> tuple[tuple[VirasoroLabel, PfLabel], 
     """Last-factor specialization: components of the coset (j, (0,...,0,d))
     visible as pairs (h^{k-1}_{1, i+1}, parafermion (i, j + (i-d)/2)) over
     i = d (mod 2), 0 <= i <= k.  No rank cap; the list has ~k/2 entries."""
-    if not isinstance(k, int) or k < 2:
-        raise InvalidInputError(f"rank must be an integer >= 2, got {k!r}")
+    check_level(k)
     if d not in (0, 1):
         raise InvalidInputError(f"tail bit must be 0 or 1, got {d}")
     return tuple(
@@ -154,7 +152,7 @@ def locate_pf(x: PfLabel, d: int) -> int:
     if d not in (0, 1):
         raise InvalidInputError(f"tail bit must be 0 or 1, got {d}")
     k = x.k
-    for i, j in sorted({(x.i, x.j), (k - x.i, (x.j - x.i) % k)}):
+    for i, j in sorted(presentations(x)):
         if i % 2 == d:
             eta = (j - (i - d) // 2) % k
             assert any(pf == x for _, pf in branch_tail(k, eta, d))

@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 2 invalid input, 3 unsupported code, 4 cap exceeded,
 5 verification failure.  The only environment variable consulted is
-PFKIT_THREADS, an optional worker-count override for the verification
-suites.
+PFKIT_THREADS: it must be an integer >= 1 when set, and has no other effect.
 """
 
 from __future__ import annotations
@@ -77,17 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_generators(rows: list[str], k: int) -> tuple[tuple[int, ...], ...]:
+def _parse_generators(rows: list[str]) -> tuple[tuple[int, ...], ...]:
     out = []
     for row in rows:
         try:
             entries = tuple(int(x.strip()) for x in row.split(","))
         except ValueError:
             raise InvalidInputError(f"generator row {row!r} is not integers")
-        if any(not 0 <= x < k for x in entries):
-            raise InvalidInputError(
-                f"generator row {row!r} has entries outside [0, {k})"
-            )
         out.append(entries)
     return tuple(out)
 
@@ -104,23 +99,22 @@ def _parse_coset(text: str, k: int) -> tuple[int, tuple[int, ...]]:
     return j, bit_tuple
 
 
-def _workers_from_env() -> int:
+def _check_threads_env() -> None:
     raw = os.environ.get("PFKIT_THREADS")
     if raw is None:
-        return 1
+        return
     try:
         value = int(raw)
     except ValueError:
         raise InvalidInputError(f"PFKIT_THREADS must be an integer, got {raw!r}")
     if value < 1:
         raise InvalidInputError(f"PFKIT_THREADS must be >= 1, got {value}")
-    return value
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        generators = _parse_generators(args.gen, args.k) if args.k >= 2 else ()
+        generators = _parse_generators(args.gen)
         coset = _parse_coset(args.coset, args.k) if args.coset else None
         analyses = tuple(args.analysis) if args.analysis else ("classify",)
         job = JobSpec(
@@ -133,7 +127,8 @@ def main(argv=None) -> int:
             orbit_cap=args.orbit_cap,
             verify_max_k=args.verify_max_k,
         )
-        report = run(job, workers=_workers_from_env())
+        _check_threads_env()
+        report = run(job)
     except InvalidInputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

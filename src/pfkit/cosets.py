@@ -31,6 +31,7 @@ from .errors import (
     InvalidInputError,
     UnsupportedCodeError,
     VerificationError,
+    check_level,
 )
 from .zkcodes import Case, Code, Codeword, check_word, inner
 
@@ -149,8 +150,7 @@ def canonicalize(k: int, j: int, bits) -> CosetLabel:
     """Canonical label: reduce j mod k, then flip to the complement when
     j >= weight(bits).  The two presentations (j, bits) and
     (j - weight, ~bits) name the same coset."""
-    if not isinstance(k, int) or k < 2:
-        raise InvalidInputError(f"rank must be an integer >= 2, got {k!r}")
+    check_level(k)
     bits = _check_bits(k, bits)
     j %= k
     w = sum(bits)
@@ -167,8 +167,7 @@ def identity_label(k: int) -> CosetLabel:
 @lru_cache(maxsize=None)
 def all_labels(k: int) -> tuple[CosetLabel, ...]:
     """All 2^(k-1) k canonical labels, sorted."""
-    if not isinstance(k, int) or k < 2:
-        raise InvalidInputError(f"rank must be an integer >= 2, got {k!r}")
+    check_level(k)
     out = []
     for j in range(k):
         for bits in product((0, 1), repeat=k):
@@ -261,8 +260,7 @@ def min_norm_data(k: int, j: int, bits) -> tuple[Fraction, int]:
     it is (k(k - w) - (k + w - 2j)^2)/2k attained C(k - w, j - w) times.
     Both branches agree on the common coset under relabeling.
     """
-    if not isinstance(k, int) or k < 2:
-        raise InvalidInputError(f"rank must be an integer >= 2, got {k!r}")
+    check_level(k)
     bits = _check_bits(k, bits)
     j %= k
     w = sum(bits)

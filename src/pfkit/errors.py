@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy and input checks shared across the package.
 
 Each subclass corresponds to one failure mode of the public API and, through
 the command line front end, to one process exit code.
@@ -23,3 +23,16 @@ class CapExceededError(PfkitError):
 
 class VerificationError(PfkitError):
     """A cross-check between two independent computations disagreed."""
+
+
+def check_level(k: int) -> None:
+    """Reject a level (modulus, rank) that is not an integer >= 2."""
+    if not isinstance(k, int) or k < 2:
+        raise InvalidInputError(f"level must be an integer >= 2, got {k!r}")
+
+
+def check_shape(k: int, ell: int) -> None:
+    """Reject a bad level or a length that is not an integer >= 1."""
+    check_level(k)
+    if not isinstance(ell, int) or ell < 1:
+        raise InvalidInputError(f"length must be an integer >= 1, got {ell!r}")

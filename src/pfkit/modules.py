@@ -26,12 +26,14 @@ from .errors import (
     InvalidInputError,
     PfkitError,
     VerificationError,
+    check_shape,
 )
 from .parafermion import (
     PfLabel,
     all_labels,
     irr_count,
     pf_weight,
+    presentations,
     sc_fuse,
 )
 from .zkcodes import (
@@ -64,22 +66,15 @@ class IrrLabel:
         return "x".join(str(f) for f in self.factors)
 
 
-def _check_shape(k: int, ell: int) -> None:
-    if not isinstance(k, int) or k < 2:
-        raise InvalidInputError(f"level must be an integer >= 2, got {k!r}")
-    if not isinstance(ell, int) or ell < 1:
-        raise InvalidInputError(f"length must be an integer >= 1, got {ell!r}")
-
-
 def iter_irr_labels(k: int, ell: int) -> Iterator[IrrLabel]:
     """All labels in lexicographic order, streamed."""
-    _check_shape(k, ell)
+    check_shape(k, ell)
     for factors in product(all_labels(k), repeat=ell):
         yield IrrLabel(k, factors)
 
 
 def all_irr_labels(k: int, ell: int, cap: int = DEFAULT_ORBIT_CAP) -> tuple[IrrLabel, ...]:
-    _check_shape(k, ell)
+    check_shape(k, ell)
     total = irr_count(k) ** ell
     if total > cap:
         raise CapExceededError(
@@ -150,9 +145,7 @@ def character_of(x: IrrLabel, code: Code) -> Character:
     k = code.k
     if x.k != k or x.ell != code.ell:
         raise InvalidInputError("label shape does not match the code")
-    t = tuple((f.i - 2 * f.j) % k for f in x.factors)
-    rep = min(word_add(t, w, k) for w in _dual_words(code))
-    return Character(k, rep)
+    return _reduce(code, tuple((f.i - 2 * f.j) % k for f in x.factors))
 
 
 def _as_character(code: Code, chi) -> Character:
@@ -160,9 +153,12 @@ def _as_character(code: Code, chi) -> Character:
         word = chi.rep
     else:
         word = tuple(int(c) % code.k for c in chi)
-    word = check_word(word, code.k, code.ell)
-    rep = min(word_add(word, w, code.k) for w in _dual_words(code))
-    return Character(code.k, rep)
+    return _reduce(code, check_word(word, code.k, code.ell))
+
+
+def _reduce(code: Code, word: Codeword) -> Character:
+    """The character whose coset modulo the dual code contains `word`."""
+    return Character(code.k, min(word_add(word, w, code.k) for w in _dual_words(code)))
 
 
 def stabilizer(x: IrrLabel, code: Code) -> tuple[Codeword, ...]:
@@ -339,7 +335,7 @@ def realize(x: IrrLabel, code: Code) -> tuple[ProductCoset, bool]:
     eta = []
     delta = []
     for f in x.factors:
-        i, j = min({(f.i, f.j), (f.k - f.i, (f.j - f.i) % f.k)})
+        i, j = min(presentations(f))
         d = i % 2
         eta.append((j - (i - d) // 2) % f.k)
         delta.append(d)
@@ -376,7 +372,7 @@ def even_part_code(code: Code) -> Code:
     return even
 
 
-def caseB_modules(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[CaseBRecord, ...]:
+def caseB_modules(code: Code, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP) -> tuple[CaseBRecord, ...]:
     """Pair up the even-part modules under the odd coset and report verdicts.
 
     Every irreducible module of the superalgebra restricts to the even part
@@ -389,12 +385,16 @@ def caseB_modules(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[CaseBRecord
     are reported Indeterminate.
 
     Only trivial-character orbits are processed: those are the ones carrying
-    untwisted even-part modules.  Each unordered pair appears once.
+    untwisted even-part modules.  Each unordered pair appears once.  A
+    caller that already holds the orbits of the even part passes them as
+    `orbit_list`.
     """
     even = even_part_code(code)
+    if orbit_list is None:
+        orbit_list = orbits(even, cap)
     odd_rep = min(code.odd_part)
     out = []
-    for orb in orbits(even, cap):
+    for orb in orbit_list:
         if not orb.character.trivial:
             continue
         mate = min(fuse(odd_rep, y) for y in orb.members)

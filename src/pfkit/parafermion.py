@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_level
 
 SimpleCurrent = int
 
@@ -36,18 +36,13 @@ class PfLabel:
         return f"({self.i},{self.j})"
 
 
-def _check_level(k: int) -> None:
-    if not isinstance(k, int) or k < 2:
-        raise InvalidInputError(f"level must be an integer >= 2, got {k!r}")
-
-
 def pf_canonicalize(k: int, i: int, j: int) -> PfLabel:
     """Canonical representative of the class of (i, j).
 
     Reduces j mod k, then applies (i, j) -> (k - i, j - i) when j >= i.
     The result always satisfies 0 <= j < i <= k.
     """
-    _check_level(k)
+    check_level(k)
     if not 0 <= i <= k:
         raise InvalidInputError(f"first label index must lie in [0, {k}], got {i}")
     j %= k
@@ -56,7 +51,7 @@ def pf_canonicalize(k: int, i: int, j: int) -> PfLabel:
     return PfLabel(k, k - i, j - i)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def pf_weight(k: int, i: int, j: int) -> Fraction:
     """Conformal weight of the module labeled (i, j).
 
@@ -65,7 +60,7 @@ def pf_weight(k: int, i: int, j: int) -> Fraction:
     over 2k(k + 2); otherwise the identified label (k - i, j - i) is used.
     Both formulas agree where their ranges overlap.
     """
-    _check_level(k)
+    check_level(k)
     if not 0 <= i <= k:
         raise InvalidInputError(f"first label index must lie in [0, {k}], got {i}")
     j %= k
@@ -78,7 +73,7 @@ def pf_weight(k: int, i: int, j: int) -> Fraction:
 
 def sc_weight(k: int, p: int) -> Fraction:
     """Conformal weight p(k - p)/k of the simple current indexed by p mod k."""
-    _check_level(k)
+    check_level(k)
     p %= k
     return Fraction(p * (k - p), k)
 
@@ -89,8 +84,13 @@ def sc_label(k: int, p: int) -> PfLabel:
 
 
 def vacuum(k: int) -> PfLabel:
-    _check_level(k)
+    check_level(k)
     return PfLabel(k, k, 0)
+
+
+def presentations(x: PfLabel) -> set[tuple[int, int]]:
+    """The two raw pairs (i, j) and (k - i, j - i mod k) naming the class of x."""
+    return {(x.i, x.j), (x.k - x.i, (x.j - x.i) % x.k)}
 
 
 def sc_fuse(p: int, x: PfLabel) -> PfLabel:
@@ -104,7 +104,7 @@ def pf_b(p: int, x: PfLabel) -> Fraction:
     Closed form p(i - 2j)/k mod 1; equals h(fusion) - h(current) - h(x)
     mod 1.
     """
-    _check_level(x.k)
+    check_level(x.k)
     return Fraction((p * (x.i - 2 * x.j)) % x.k, x.k)
 
 
@@ -118,7 +118,7 @@ def pf_fixed(p: int, x: PfLabel) -> bool:
 
     True exactly when p = 0 mod k, or k is even, p = k/2 mod k and i = k/2.
     """
-    _check_level(x.k)
+    check_level(x.k)
     p %= x.k
     if p == 0:
         return True
@@ -127,20 +127,20 @@ def pf_fixed(p: int, x: PfLabel) -> bool:
 
 def central_charge(k: int) -> Fraction:
     """Central charge 2(k - 1)/(k + 2) of one parafermion factor."""
-    _check_level(k)
+    check_level(k)
     return Fraction(2 * (k - 1), k + 2)
 
 
 def irr_count(k: int) -> int:
     """Number of irreducible modules: k(k + 1)/2."""
-    _check_level(k)
+    check_level(k)
     return k * (k + 1) // 2
 
 
 @lru_cache(maxsize=None)
 def all_labels(k: int) -> tuple[PfLabel, ...]:
     """All canonical labels, sorted: (i, j) with 0 <= j < i <= k."""
-    _check_level(k)
+    check_level(k)
     return tuple(
         PfLabel(k, i, j) for i in range(1, k + 1) for j in range(i)
     )

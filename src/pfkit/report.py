@@ -13,7 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import branching, cosets, modules, verify
-from .errors import CapExceededError, InvalidInputError, UnsupportedCodeError
+from .errors import (
+    CapExceededError,
+    InvalidInputError,
+    UnsupportedCodeError,
+    check_shape,
+)
 from .parafermion import central_charge
 from .zkcodes import Case, Code, Codeword, span
 
@@ -44,12 +49,7 @@ def rat(x) -> str:
 
 
 def _validate(job: JobSpec) -> None:
-    if not isinstance(job.k, int) or job.k < 2:
-        raise InvalidInputError(f"level must be an integer >= 2, got {job.k!r}")
-    if not isinstance(job.ell, int) or job.ell < 1:
-        raise InvalidInputError(
-            f"length must be an integer >= 1, got {job.ell!r}"
-        )
+    check_shape(job.k, job.ell)
     for name in job.analyses:
         if name not in ANALYSES:
             raise InvalidInputError(
@@ -134,10 +134,10 @@ def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None
         raise UnsupportedCodeError(
             "the module census is defined for even or half-period codes only"
         )
-    basis = code
+    basis = modules.even_part_code(code) if code.case is Case.B else code
+    orbit_list = modules.orbits(basis, job.orbit_cap)
     case_b: list | None = None
     if code.case is Case.B:
-        basis = modules.even_part_code(code)
         case_b = [
             {
                 "pair": [str(rec.pair[0]), str(rec.pair[1])],
@@ -146,9 +146,8 @@ def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None
                 "num_irreducibles": rec.induced.num_irreducibles,
                 "multiplicity": rec.induced.multiplicity,
             }
-            for rec in modules.caseB_modules(code, job.orbit_cap)
+            for rec in modules.caseB_modules(code, orbit_list)
         ]
-    orbit_list = modules.orbits(basis, job.orbit_cap)
     rows = []
     for orb in orbit_list:
         induced = modules.induced_decomposition(orb, basis)
@@ -179,7 +178,7 @@ def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None
     )
 
 
-def run(job: JobSpec, workers: int = 1) -> dict:
+def run(job: JobSpec) -> dict:
     """Execute the requested analyses; returns the report dict.
 
     Analyses not requested appear as null sections so the schema is stable.
@@ -227,7 +226,7 @@ def run(job: JobSpec, workers: int = 1) -> dict:
             raise CapExceededError(
                 f"verification is capped at level {job.verify_max_k}, job has {job.k}"
             )
-        results = verify.run_suites(code, job.orbit_cap, workers)
+        results = verify.run_suites(code, job.orbit_cap)
         report["verify"] = [
             {"name": r.name, "pass": r.passed, "detail": r.detail}
             for r in results

@@ -1,22 +1,18 @@
 """Cross-check suites behind the `verify` analysis.
 
 Each suite recomputes a family of results by an independent method and
-reports pass/fail with the first counterexample.  Suites are deterministic;
-the minimal-norm suite can be partitioned across a process pool.
+reports pass/fail with the first counterexample.  Suites are deterministic.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cosets import (
-    CosetLabel,
     ProductCoset,
     all_labels,
-    canonicalize,
     build_code_lattice,
     coset_add,
     coset_neg,
@@ -29,10 +25,19 @@ from .cosets import (
     representative,
 )
 from .errors import VerificationError
-from .modules import all_irr_labels, b_ext, character_of, fuse, realize, tensor_weight
+from .modules import (
+    IrrLabel,
+    all_irr_labels,
+    b_ext,
+    character_of,
+    even_part_code,
+    fuse,
+    realize,
+    tensor_weight,
+)
 from .parafermion import all_labels as pf_all_labels
 from .parafermion import pf_b
-from .parafermion import pf_weight, sc_fuse, sc_weight
+from .parafermion import pf_weight, sc_fuse, sc_weight, vacuum
 from .zkcodes import Case, Code, word_add
 
 
@@ -43,31 +48,18 @@ class VerifyResult:
     detail: str | None = None
 
 
-def _chunk_mismatch(k: int, batch: tuple[tuple[int, tuple[int, ...]], ...]) -> str | None:
-    for j, bits in batch:
-        closed = min_norm_data(k, j, bits)
-        searched = min_norm_oracle(CosetLabel(k, j, bits))
-        if closed != searched:
-            return (
-                f"label ({j}, {bits}): closed form {closed}, search {searched}"
-            )
-    return None
-
-
-def verify_minimal_norms(k: int, workers: int = 1) -> VerifyResult:
+def verify_minimal_norms(k: int) -> VerifyResult:
     """Closed-form minimal norms and counts vs exhaustive search, every
     canonical coset."""
-    items = tuple((lab.j, lab.bits) for lab in all_labels(k))
-    if workers > 1:
-        size = (len(items) + workers - 1) // workers
-        batches = [items[p : p + size] for p in range(0, len(items), size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_chunk_mismatch, [k] * len(batches), batches))
-    else:
-        results = [_chunk_mismatch(k, items)]
-    for detail in results:
-        if detail is not None:
-            return VerifyResult("minimal_norms", False, detail)
+    for lab in all_labels(k):
+        closed = min_norm_data(k, lab.j, lab.bits)
+        searched = min_norm_oracle(lab)
+        if closed != searched:
+            return VerifyResult(
+                "minimal_norms",
+                False,
+                f"label ({lab.j}, {lab.bits}): closed form {closed}, search {searched}",
+            )
     return VerifyResult("minimal_norms", True)
 
 
@@ -199,11 +191,7 @@ def verify_monodromy_laws(k: int) -> VerifyResult:
 def verify_realization(code: Code, cap: int) -> VerifyResult:
     """Dual membership of the realization coset must equal character
     triviality, for every label."""
-    basis = code
-    if code.case is Case.B:
-        from .modules import even_part_code
-
-        basis = even_part_code(code)
+    basis = even_part_code(code) if code.case is Case.B else code
     for x in all_irr_labels(basis.k, basis.ell, cap):
         coset, member = realize(x, basis)
         trivial = character_of(x, basis).trivial
@@ -244,7 +232,7 @@ def verify_extension_monodromy(code: Code, cap: int) -> VerifyResult:
     if code.case is Case.A:
         for xi in code.words:
             for eta in code.words:
-                x = fuse(eta, _vacuum_label(k, ell))
+                x = fuse(eta, IrrLabel(k, (vacuum(k),) * ell))
                 if b_ext(xi, x) != 0:
                     return VerifyResult(
                         "extension_monodromy",
@@ -252,13 +240,6 @@ def verify_extension_monodromy(code: Code, cap: int) -> VerifyResult:
                         f"nonzero monodromy {xi} against code current {eta}",
                     )
     return VerifyResult("extension_monodromy", True)
-
-
-def _vacuum_label(k: int, ell: int):
-    from .modules import IrrLabel
-    from .parafermion import vacuum
-
-    return IrrLabel(k, (vacuum(k),) * ell)
 
 
 def verify_lattice_discriminant(code: Code) -> VerifyResult:
@@ -274,11 +255,11 @@ def verify_lattice_discriminant(code: Code) -> VerifyResult:
     )
 
 
-def run_suites(code: Code, orbit_cap: int, workers: int = 1) -> tuple[VerifyResult, ...]:
+def run_suites(code: Code, orbit_cap: int) -> tuple[VerifyResult, ...]:
     """The full battery for one job, in fixed order."""
     k = code.k
     out = [
-        verify_minimal_norms(k, workers),
+        verify_minimal_norms(k),
         verify_group_laws(k),
         verify_pairing_forms(k),
         verify_monodromy_laws(k),

@@ -18,7 +18,7 @@ from enum import Enum
 from itertools import product
 from math import isqrt
 
-from .errors import CapExceededError, InvalidInputError
+from .errors import CapExceededError, InvalidInputError, check_shape
 
 Codeword = tuple[int, ...]
 BinaryCode = tuple[tuple[int, ...], ...]
@@ -32,13 +32,6 @@ class Case(Enum):
     A = "CaseA"
     B = "CaseB"
     UNSUPPORTED = "Unsupported"
-
-
-def check_params(k: int, ell: int) -> None:
-    if not isinstance(k, int) or k < 2:
-        raise InvalidInputError(f"modulus must be an integer >= 2, got {k!r}")
-    if not isinstance(ell, int) or ell < 1:
-        raise InvalidInputError(f"length must be an integer >= 1, got {ell!r}")
 
 
 def check_word(word: Codeword, k: int, ell: int) -> Codeword:
@@ -135,7 +128,7 @@ def span(generators, k: int, ell: int, cap: int = DEFAULT_ENUM_CAP) -> Code:
     Breadth-first closure; raises CapExceededError when the subgroup would
     exceed `cap` members.
     """
-    check_params(k, ell)
+    check_shape(k, ell)
     gens = tuple(check_word(g, k, ell) for g in generators)
     zero = (0,) * ell
     words = {zero}
@@ -185,13 +178,14 @@ def _reduce_generators(words: tuple[Codeword, ...], k: int) -> tuple[Codeword, .
 
 def code_from_words(k: int, ell: int, words) -> Code:
     """Build a Code from an explicit member list (must be a subgroup)."""
-    check_params(k, ell)
-    members = tuple(sorted({check_word(w, k, ell) for w in words}))
-    if (0,) * ell not in members:
+    check_shape(k, ell)
+    member_set = {check_word(w, k, ell) for w in words}
+    if (0,) * ell not in member_set:
         raise InvalidInputError("a code must contain the zero word")
+    members = tuple(sorted(member_set))
     for x in members:
         for y in members:
-            if word_add(x, y, k) not in set(members):
+            if word_add(x, y, k) not in member_set:
                 raise InvalidInputError(
                     f"word list is not closed under addition: {x} + {y}"
                 )

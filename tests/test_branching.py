@@ -58,6 +58,10 @@ def test_vir_h_range_check():
         vir_h(1, 0, 1)
     with pytest.raises(InvalidInputError):
         vir_h(1, 1, 5)
+    # a float index must not hit the cache entry of the equal integer
+    vir_h(2, 1, 1)
+    with pytest.raises(InvalidInputError):
+        vir_h(2.0, 1, 1)
 
 
 def test_branch_k2_vacuum_coset():

@@ -10,9 +10,11 @@ import json
 
 import pytest
 
+from pfkit import modules
 from pfkit.cli import main
 from pfkit.report import JobSpec, rat, run, to_json, to_text, verify_passed
 from pfkit.verify import VerifyResult
+from pfkit.zkcodes import span
 
 TOP_KEYS = [
     "input",
@@ -130,6 +132,31 @@ class TestRunSchema:
         assert report["counts"]["acting_code"] == "even_part"
         verdicts = {row["verdict"] for row in report["case_b"]}
         assert verdicts == {"Fused", "Split"}
+
+    def test_case_b_sweeps_even_part_orbits_once(self, monkeypatch):
+        calls = []
+        sweep = modules.orbits
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(modules, "orbits", counted)
+        report = run(
+            JobSpec(k=6, ell=3, generators=((1, 1, 1),), analyses=("modules",))
+        )
+        assert len(calls) == 1
+        alone = modules.caseB_modules(span([(1, 1, 1)], 6, 3))
+        assert report["case_b"] == [
+            {
+                "pair": [str(rec.pair[0]), str(rec.pair[1])],
+                "verdict": rec.verdict.value,
+                "regime": rec.induced.regime.value,
+                "num_irreducibles": rec.induced.num_irreducibles,
+                "multiplicity": rec.induced.multiplicity,
+            }
+            for rec in alone
+        ]
 
     def test_verify_section_and_gate(self):
         report = run(JobSpec(k=3, ell=1, analyses=("verify",)))
@@ -282,7 +309,7 @@ class TestCli:
     def test_forced_verify_failure_exits_five(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "pfkit.verify.run_suites",
-            lambda code, cap, workers: [
+            lambda code, cap: [
                 VerifyResult("minimal_norms", False, "forced")
             ],
         )

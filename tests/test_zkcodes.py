@@ -1,5 +1,6 @@
 """Codes over Z_k: spans, duals, classification, binary reduction."""
 
+import time
 from itertools import product
 
 import pytest
@@ -173,3 +174,19 @@ def test_radical_data_rejects_non_square_index():
     # a length-1 code {0,1} has trivial radical and index 2
     with pytest.raises(InvalidInputError):
         radical_data(((0,), (1,)))
+
+
+def test_code_from_words_full_binary_code_within_budget():
+    # the closure check is quadratic in the word count; 512 words must stay fast
+    start = time.perf_counter()
+    code = code_from_words(2, 9, product(range(2), repeat=9))
+    elapsed = time.perf_counter() - start
+    units = [tuple(int(r == c) for c in range(9)) for r in range(9)]
+    full = span(units, 2, 9)
+    assert (code.words, code.case, code.even_part, code.odd_part) == (
+        full.words,
+        full.case,
+        full.even_part,
+        full.odd_part,
+    )
+    assert elapsed < 5.0, f"code_from_words took {elapsed:.2f}s, budget 5s"
