@@ -64,7 +64,6 @@ from .modules import (
     b_ext,
     fuse,
     induced_decomposition,
-    iter_orbits,
     orbits,
     realize,
     stabilizer,

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .errors import CapExceededError, InvalidInputError, check_level
+from .errors import CapExceededError, InvalidInputError, check_bits, check_level
 from .parafermion import PfLabel, pf_canonicalize, pf_weight, presentations
 
 BRANCH_MAX_LEVEL = 10
@@ -97,9 +97,7 @@ def branch(k: int, j: int, bits) -> tuple[BranchComponent, ...]:
         raise CapExceededError(
             f"branching is capped at rank {BRANCH_MAX_LEVEL}, got {k}"
         )
-    bits = tuple(bits)
-    if len(bits) != k or any(b not in (0, 1) for b in bits):
-        raise InvalidInputError(f"expected {k} bits of 0/1, got {bits}")
+    bits = check_bits(k, bits)
     partial = []
     total = 0
     for b in bits:

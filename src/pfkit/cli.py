@@ -1,8 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 invalid input, 3 unsupported code, 4 cap exceeded,
-5 verification failure.  The only environment variable consulted is
-PFKIT_THREADS: it must be an integer >= 1 when set, and has no other effect.
+Exit codes, carried by the error classes: 0 success, 2 invalid input,
+3 unsupported code, 4 cap exceeded, 5 verification failure (a verify suite
+failed, or an internal cross-check failed mid-analysis).  The only
+environment variable consulted is PFKIT_THREADS: it must be an integer >= 1
+when set, and has no other effect.
 """
 
 from __future__ import annotations
@@ -11,12 +13,7 @@ import argparse
 import os
 import sys
 
-from .errors import (
-    CapExceededError,
-    InvalidInputError,
-    PfkitError,
-    UnsupportedCodeError,
-)
+from .errors import InvalidInputError, PfkitError
 from .report import ANALYSES, JobSpec, run, to_json, to_text, verify_passed
 
 
@@ -87,7 +84,7 @@ def _parse_generators(rows: list[str]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _parse_coset(text: str, k: int) -> tuple[int, tuple[int, ...]]:
+def _parse_coset(text: str) -> tuple[int, tuple[int, ...]]:
     shift, sep, bits = text.partition(":")
     if not sep or not bits:
         raise InvalidInputError(f"coset selector {text!r} is not J:BITS")
@@ -115,7 +112,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         generators = _parse_generators(args.gen)
-        coset = _parse_coset(args.coset, args.k) if args.coset else None
+        coset = _parse_coset(args.coset) if args.coset else None
         analyses = tuple(args.analysis) if args.analysis else ("classify",)
         job = JobSpec(
             k=args.k,
@@ -129,18 +126,9 @@ def main(argv=None) -> int:
         )
         _check_threads_env()
         report = run(job)
-    except InvalidInputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except UnsupportedCodeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except CapExceededError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
     except PfkitError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return err.exit_code
 
     text = to_json(report) if args.fmt == "json" else to_text(report)
     if args.output:

@@ -31,6 +31,7 @@ from .errors import (
     InvalidInputError,
     UnsupportedCodeError,
     VerificationError,
+    check_bits,
     check_level,
 )
 from .zkcodes import Case, Code, Codeword, check_word, inner
@@ -137,21 +138,12 @@ class CosetLabel:
         return f"{self.j}:{''.join(str(b) for b in self.bits)}"
 
 
-def _check_bits(k: int, bits) -> tuple[int, ...]:
-    bits = tuple(bits)
-    if len(bits) != k:
-        raise InvalidInputError(f"expected {k} bits, got {len(bits)}")
-    if any(b not in (0, 1) for b in bits):
-        raise InvalidInputError(f"bits must be 0 or 1, got {bits}")
-    return bits
-
-
 def canonicalize(k: int, j: int, bits) -> CosetLabel:
     """Canonical label: reduce j mod k, then flip to the complement when
     j >= weight(bits).  The two presentations (j, bits) and
     (j - weight, ~bits) name the same coset."""
     check_level(k)
-    bits = _check_bits(k, bits)
+    bits = check_bits(k, bits)
     j %= k
     w = sum(bits)
     if j < w:
@@ -261,7 +253,7 @@ def min_norm_data(k: int, j: int, bits) -> tuple[Fraction, int]:
     Both branches agree on the common coset under relabeling.
     """
     check_level(k)
-    bits = _check_bits(k, bits)
+    bits = check_bits(k, bits)
     j %= k
     w = sum(bits)
     if j < w:

@@ -1,12 +1,14 @@
 """Exception hierarchy and input checks shared across the package.
 
 Each subclass corresponds to one failure mode of the public API and, through
-the command line front end, to one process exit code.
+the command line front end, to the process exit code in its `exit_code`.
 """
 
 
 class PfkitError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 2
 
 
 class InvalidInputError(PfkitError):
@@ -16,13 +18,19 @@ class InvalidInputError(PfkitError):
 class UnsupportedCodeError(PfkitError):
     """The code is neither even (Case A) nor half-period (Case B)."""
 
+    exit_code = 3
+
 
 class CapExceededError(PfkitError):
     """An enumeration would exceed its configured size cap."""
 
+    exit_code = 4
+
 
 class VerificationError(PfkitError):
     """A cross-check between two independent computations disagreed."""
+
+    exit_code = 5
 
 
 def check_level(k: int) -> None:
@@ -36,3 +44,11 @@ def check_shape(k: int, ell: int) -> None:
     check_level(k)
     if not isinstance(ell, int) or ell < 1:
         raise InvalidInputError(f"length must be an integer >= 1, got {ell!r}")
+
+
+def check_bits(k: int, bits) -> tuple[int, ...]:
+    """Reject a bit vector that is not k entries of 0 or 1; return it as a tuple."""
+    bits = tuple(bits)
+    if len(bits) != k or any(b not in (0, 1) for b in bits):
+        raise InvalidInputError(f"expected {k} bits of 0/1, got {bits}")
+    return bits

@@ -24,7 +24,6 @@ from .cosets import ProductCoset, dual_membership
 from .errors import (
     CapExceededError,
     InvalidInputError,
-    PfkitError,
     VerificationError,
     check_shape,
 )
@@ -66,21 +65,20 @@ class IrrLabel:
         return "x".join(str(f) for f in self.factors)
 
 
-def iter_irr_labels(k: int, ell: int) -> Iterator[IrrLabel]:
-    """All labels in lexicographic order, streamed."""
-    check_shape(k, ell)
-    for factors in product(all_labels(k), repeat=ell):
-        yield IrrLabel(k, factors)
-
-
-def all_irr_labels(k: int, ell: int, cap: int = DEFAULT_ORBIT_CAP) -> tuple[IrrLabel, ...]:
+def iter_irr_labels(k: int, ell: int, cap: int = DEFAULT_ORBIT_CAP) -> Iterator[IrrLabel]:
+    """All labels in lexicographic order, streamed; raises CapExceededError
+    before the first label when the label space exceeds the cap."""
     check_shape(k, ell)
     total = irr_count(k) ** ell
     if total > cap:
         raise CapExceededError(
-            f"{total} labels exceed the cap of {cap}"
+            f"label space of size {total} exceeds the cap of {cap}"
         )
-    return tuple(iter_irr_labels(k, ell))
+    return (IrrLabel(k, factors) for factors in product(all_labels(k), repeat=ell))
+
+
+def all_irr_labels(k: int, ell: int, cap: int = DEFAULT_ORBIT_CAP) -> tuple[IrrLabel, ...]:
+    return tuple(iter_irr_labels(k, ell, cap))
 
 
 def tensor_weight(x: IrrLabel) -> Fraction:
@@ -209,33 +207,30 @@ class OrbitRecord:
         return len(self.members)
 
 
-def iter_orbits(code: Code) -> Iterator[OrbitRecord]:
-    """Stream the fusion orbits in order of their smallest member.
-
-    Memory stays O(orbit size): each label is visited once and the orbit is
-    emitted only from its lexicographically smallest member.
-    """
-    for x in iter_irr_labels(code.k, code.ell):
-        members = sorted({fuse(xi, x) for xi in code.words})
-        if members[0] != x:
-            continue
-        yield OrbitRecord(
-            tuple(members),
-            stabilizer(x, code),
-            character_of(x, code),
-            min(tensor_weight(y) for y in members),
-        )
-
-
 def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
-    """All fusion orbits; raises CapExceededError when the label space
-    exceeds the cap."""
-    total = irr_count(code.k) ** code.ell
-    if total > cap:
-        raise CapExceededError(
-            f"label space of size {total} exceeds the cap of {cap}"
+    """All fusion orbits, in order of their smallest member; raises
+    CapExceededError when the label space exceeds the cap.
+
+    One sweep over the labels in lexicographic order: the first label not
+    yet seen is the smallest member of a new orbit, which is built once and
+    marked seen.
+    """
+    seen: set[IrrLabel] = set()
+    out = []
+    for x in iter_irr_labels(code.k, code.ell, cap):
+        if x in seen:
+            continue
+        members = sorted({fuse(xi, x) for xi in code.words})
+        seen.update(members)
+        out.append(
+            OrbitRecord(
+                tuple(members),
+                stabilizer(x, code),
+                character_of(x, code),
+                min(tensor_weight(y) for y in members),
+            )
         )
-    return tuple(iter_orbits(code))
+    return tuple(out)
 
 
 class Regime(Enum):
@@ -276,7 +271,7 @@ def induced_decomposition(orbit: OrbitRecord, code: Code) -> InducedReport:
         regime, num, mult = Regime.FREE, 1, 1
     else:
         if code.k % 2:
-            raise PfkitError(
+            raise VerificationError(
                 "internal inconsistency: nontrivial stabilizer at odd level"
             )
         if code.k % 4 == 0:

@@ -17,6 +17,7 @@ from .errors import (
     CapExceededError,
     InvalidInputError,
     UnsupportedCodeError,
+    check_bits,
     check_shape,
 )
 from .parafermion import central_charge
@@ -61,10 +62,7 @@ def _validate(job: JobSpec) -> None:
         raise InvalidInputError("caps must be positive (verify max level >= 2)")
     if job.coset is not None:
         j, bits = job.coset
-        if len(bits) != job.k or any(b not in (0, 1) for b in bits):
-            raise InvalidInputError(
-                f"coset selector needs {job.k} bits of 0/1, got {bits}"
-            )
+        check_bits(job.k, bits)
         if not isinstance(j, int):
             raise InvalidInputError(f"coset shift must be an integer, got {j!r}")
 

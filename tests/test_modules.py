@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from pfkit import modules
 from pfkit import (
     CapExceededError,
     Case,
@@ -153,6 +154,31 @@ def test_orbits_partition_and_counting_identity():
 def test_orbits_trivial_code():
     code = span([], 2, 1)
     assert [o.size for o in orbits(code)] == [1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        span([(2,)], 4, 1),
+        span([(3, 3)], 6, 2),
+        even_part_code(span([(1, 1, 1)], 6, 3)),
+    ],
+    ids=["k4", "k6", "k6-even-part"],
+)
+def test_orbits_fuse_each_orbit_once(monkeypatch, code):
+    # |D| fusions build each orbit and |D| more test its stabilizer; the
+    # sweep never rebuilds an orbit from a label it has already seen
+    calls = 0
+    real = modules.fuse
+
+    def counted(xi, x):
+        nonlocal calls
+        calls += 1
+        return real(xi, x)
+
+    monkeypatch.setattr(modules, "fuse", counted)
+    orbs = orbits(code)
+    assert calls <= 2 * len(orbs) * code.size
 
 
 def test_orbit_cap():

@@ -4,11 +4,13 @@ The example-based suites pin exact values; these tests draw random labels
 and codes and check the algebraic identities that must hold everywhere:
 canonical forms are idempotent, group laws agree with vector arithmetic,
 closed-form norms agree with the search oracle, and the monodromy pairing
-is biadditive and consistent with conformal weights.
+is biadditive and consistent with conformal weights.  The orbit sweep is
+compared with a reference enumerator that rebuilds the orbit of every label.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,8 +30,11 @@ from pfkit.modules import (
     all_irr_labels,
     b_ext,
     character_of,
+    even_part_code,
     fuse,
+    orbits,
     sc_ext_weight,
+    stabilizer,
     tensor_weight,
 )
 from pfkit.parafermion import (
@@ -43,7 +48,7 @@ from pfkit.parafermion import (
     theta_act,
     vacuum,
 )
-from pfkit.zkcodes import classify_code, span
+from pfkit.zkcodes import Case, classify_code, span
 
 
 @st.composite
@@ -93,6 +98,62 @@ def small_codes(draw, max_k=6, max_ell=2):
         for _ in range(rows)
     )
     return k, ell, gens
+
+
+@st.composite
+def census_codes(draw):
+    k = draw(st.integers(2, 6))
+    ell = draw(st.integers(1, 3 if k <= 4 else 2))
+    rows = draw(st.integers(0, 2))
+    gens = tuple(
+        tuple(draw(st.integers(0, k - 1)) for _ in range(ell))
+        for _ in range(rows)
+    )
+    return span(gens, k, ell)
+
+
+def orbits_by_minimum(code):
+    """Reference census: build the orbit of every label and keep it only
+    when the label is the orbit's smallest member."""
+    out = []
+    for x in all_irr_labels(code.k, code.ell):
+        members = sorted({fuse(xi, x) for xi in code.words})
+        if members[0] == x:
+            out.append(
+                (
+                    tuple(members),
+                    stabilizer(x, code),
+                    character_of(x, code),
+                    min(tensor_weight(y) for y in members),
+                )
+            )
+    return out
+
+
+def assert_census_matches_reference(code):
+    got = [(o.members, o.stabilizer, o.character, o.min_weight) for o in orbits(code)]
+    assert got == orbits_by_minimum(code)
+
+
+class TestOrbitSweep:
+    @settings(max_examples=40, deadline=None)
+    @given(census_codes())
+    def test_matches_reference_enumerator(self, code):
+        assert_census_matches_reference(code)
+        if code.case is Case.B:
+            assert_census_matches_reference(even_part_code(code))
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            span([(2,)], 4, 1),  # fixed points at k = 0 (mod 4)
+            span([(3, 3)], 6, 2),  # fixed points at k = 2 (mod 4)
+            even_part_code(span([(1, 1, 1)], 6, 3)),
+        ],
+        ids=["k4", "k6", "k6-even-part"],
+    )
+    def test_matches_reference_on_fixed_point_codes(self, code):
+        assert_census_matches_reference(code)
 
 
 class TestCosetCanonicalForm:
@@ -154,6 +215,14 @@ class TestMinimalNorms:
     def test_closed_form_matches_oracle(self, single):
         (x,) = single
         assert (min_norm_data(x.k, x.j, x.bits)) == min_norm_oracle(x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(coset_labels(max_k=8), st.randoms(use_true_random=False))
+    def test_oracle_ignores_bit_order(self, single, rng):
+        (x,) = single
+        bits = list(x.bits)
+        rng.shuffle(bits)
+        assert min_norm_oracle(canonicalize(x.k, x.j, bits)) == min_norm_oracle(x)
 
     @given(coset_labels(max_k=7))
     def test_negation_preserves_norm_data(self, single):

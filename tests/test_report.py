@@ -274,6 +274,17 @@ class TestCli:
         )
         assert rc == 3
 
+    def test_verification_error_mid_analysis_exits_five(self, capsys, monkeypatch):
+        from pfkit.errors import VerificationError
+
+        def forced(x, code):
+            raise VerificationError("forced")
+
+        monkeypatch.setattr(modules, "stabilizer", forced)
+        rc = main(["--k", "4", "--ell", "1", "--gen", "2", "--analysis", "modules"])
+        assert rc == 5
+        assert "forced" in capsys.readouterr().err
+
     def test_orbit_cap_exits_four(self, capsys):
         rc = main(
             [
