@@ -108,6 +108,21 @@ def _check_threads_env() -> None:
         raise InvalidInputError(f"PFKIT_THREADS must be >= 1, got {value}")
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to a temporary file next to path, then rename it over
+    path, so a failed write leaves no partial report behind."""
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    handle = open(tmp, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -132,10 +147,7 @@ def main(argv=None) -> int:
 
     text = to_json(report) if args.fmt == "json" else to_text(report)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
+        _write_atomic(args.output, text if text.endswith("\n") else text + "\n")
     else:
         print(text, end="" if text.endswith("\n") else "\n")
     if not verify_passed(report):

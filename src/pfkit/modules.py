@@ -65,15 +65,21 @@ class IrrLabel:
         return "x".join(str(f) for f in self.factors)
 
 
-def iter_irr_labels(k: int, ell: int, cap: int = DEFAULT_ORBIT_CAP) -> Iterator[IrrLabel]:
-    """All labels in lexicographic order, streamed; raises CapExceededError
-    before the first label when the label space exceeds the cap."""
+def label_space_size(k: int, ell: int, cap: int = DEFAULT_ORBIT_CAP) -> int:
+    """irr_count(k) ** ell; raises CapExceededError when it exceeds the cap."""
     check_shape(k, ell)
     total = irr_count(k) ** ell
     if total > cap:
         raise CapExceededError(
             f"label space of size {total} exceeds the cap of {cap}"
         )
+    return total
+
+
+def iter_irr_labels(k: int, ell: int, cap: int = DEFAULT_ORBIT_CAP) -> Iterator[IrrLabel]:
+    """All labels in lexicographic order, streamed; raises CapExceededError
+    before the first label when the label space exceeds the cap."""
+    label_space_size(k, ell, cap)
     return (IrrLabel(k, factors) for factors in product(all_labels(k), repeat=ell))
 
 
@@ -116,7 +122,56 @@ def b_ext(xi: Codeword, x: IrrLabel) -> Fraction:
     return Fraction(t % k, k)
 
 
-@lru_cache(maxsize=None)
+@dataclass(frozen=True)
+class LabelTable:
+    """Integer data of the factor labels at one level.
+
+    Factor `a` is `labels[a]`, in the order of `parafermion.all_labels(k)`,
+    so index tuples from `product(range(n), repeat=ell)` run through the
+    labels in the order of `iter_irr_labels`.  Per factor: `t[a]` is
+    (i - 2j) mod k, `fuse[p][a]` the factor of `sc_fuse(p, labels[a])`,
+    `weight[a]` the conformal weight times `weight_den` = 2k(k + 2), and
+    `tail[a]` the realization tail (eta, d) used by `realize`.
+    """
+
+    k: int
+    labels: tuple[PfLabel, ...]
+    t: tuple[int, ...]
+    fuse: tuple[tuple[int, ...], ...]
+    weight: tuple[int, ...]
+    tail: tuple[tuple[int, int], ...]
+
+    @property
+    def weight_den(self) -> int:
+        return 2 * self.k * (self.k + 2)
+
+    def label(self, index: tuple[int, ...]) -> IrrLabel:
+        return IrrLabel(self.k, tuple(self.labels[a] for a in index))
+
+
+@lru_cache(maxsize=8)
+def label_table(k: int) -> LabelTable:
+    """The integer label table of level k, built once per level."""
+    labels = all_labels(k)
+    position = {f: a for a, f in enumerate(labels)}
+    den = 2 * k * (k + 2)
+    weight = []
+    for f in labels:
+        num = pf_weight(k, f.i, f.j) * den
+        if num.denominator != 1:
+            raise VerificationError(f"weight of {f} is not a multiple of 1/{den}")
+        weight.append(num.numerator)
+    return LabelTable(
+        k,
+        labels,
+        tuple((f.i - 2 * f.j) % k for f in labels),
+        tuple(tuple(position[sc_fuse(p, f)] for f in labels) for p in range(k)),
+        tuple(weight),
+        tuple(_tail(f) for f in labels),
+    )
+
+
+@lru_cache(maxsize=8)
 def _dual_words(code: Code) -> tuple[Codeword, ...]:
     return dual_code(code).words
 
@@ -327,15 +382,16 @@ def realize(x: IrrLabel, code: Code) -> tuple[ProductCoset, bool]:
     """
     if x.k != code.k or x.ell != code.ell:
         raise InvalidInputError("label shape does not match the code")
-    eta = []
-    delta = []
-    for f in x.factors:
-        i, j = min(presentations(f))
-        d = i % 2
-        eta.append((j - (i - d) // 2) % f.k)
-        delta.append(d)
-    coset = ProductCoset.from_tail(code.k, tuple(eta), tuple(delta))
-    return coset, dual_membership(tuple(eta), tuple(delta), code)
+    eta, delta = zip(*(_tail(f) for f in x.factors))
+    coset = ProductCoset.from_tail(code.k, eta, delta)
+    return coset, dual_membership(eta, delta, code)
+
+
+def _tail(f: PfLabel) -> tuple[int, int]:
+    """The realization tail (eta, d) of one factor, as `realize` defines it."""
+    i, j = min(presentations(f))
+    d = i % 2
+    return (j - (i - d) // 2) % f.k, d
 
 
 class Verdict(Enum):

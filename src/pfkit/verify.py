@@ -2,6 +2,13 @@
 
 Each suite recomputes a family of results by an independent method and
 reports pass/fail with the first counterexample.  Suites are deterministic.
+
+The realization and extension-monodromy suites check every label with
+integer sums over the level's label table (`modules.label_table`), walking
+index tuples in the order of `modules.iter_irr_labels`, so the first
+counterexample is the first label in that order.  Each also runs a seeded
+sample of 64 labels through the public per-label functions, which must
+agree with the table.
 """
 
 from __future__ import annotations
@@ -9,6 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 from .cosets import (
     ProductCoset,
@@ -27,18 +36,19 @@ from .cosets import (
 from .errors import VerificationError
 from .modules import (
     IrrLabel,
-    all_irr_labels,
     b_ext,
     character_of,
     even_part_code,
     fuse,
+    label_space_size,
+    label_table,
     realize,
     tensor_weight,
 )
 from .parafermion import all_labels as pf_all_labels
 from .parafermion import pf_b
 from .parafermion import pf_weight, sc_fuse, sc_weight, vacuum
-from .zkcodes import Case, Code, word_add
+from .zkcodes import Case, Code, Codeword, word_add
 
 
 @dataclass(frozen=True)
@@ -203,45 +213,182 @@ def verify_monodromy_laws(k: int) -> VerifyResult:
 
 def verify_realization(code: Code, cap: int) -> VerifyResult:
     """Dual membership of the realization coset must equal character
-    triviality, for every label."""
+    triviality, for every label.
+
+    Every label is checked with integer sums over the level's label table,
+    by two independent routes: the lattice side sums the pairing numerators
+    of each slot's tail with the code generators, the code side pairs t with
+    the generators.  A seeded sample of 64 labels must give the same answers
+    through the public `realize` and `character_of`.
+    """
     basis = even_part_code(code) if code.case is Case.B else code
-    for x in all_irr_labels(basis.k, basis.ell, cap):
-        coset, member = realize(x, basis)
-        trivial = character_of(x, basis).trivial
+    k, ell = basis.k, basis.ell
+    total = label_space_size(k, ell, cap)
+    table = label_table(k)
+    lattice_rows, code_rows = _realization_rows(basis)
+
+    def routes(index):
+        return (
+            _pairs_to_zero(lattice_rows, index, k),
+            _pairs_to_zero(code_rows, index, k),
+        )
+
+    for index in product(range(len(table.labels)), repeat=ell):
+        member, trivial = routes(index)
         if member != trivial:
+            eta, delta = zip(*(table.tail[a] for a in index))
+            coset = ProductCoset.from_tail(k, eta, delta)
             return VerifyResult(
                 "realization_duality",
                 False,
-                f"label {x}: member={member}, trivial={trivial} ({coset})",
+                f"label {table.label(index)}: member={member}, trivial={trivial} ({coset})",
+            )
+    for index in _sample(k, len(table.labels), ell, total):
+        x = table.label(index)
+        public = (realize(x, basis)[1], character_of(x, basis).trivial)
+        if public != routes(index):
+            return VerifyResult(
+                "realization_duality",
+                False,
+                f"label {x}: realize/character_of give member, trivial = "
+                f"{public}; the table gives {routes(index)}",
             )
     return VerifyResult("realization_duality", True)
 
 
+@lru_cache(maxsize=8)
+def _pairing_numerators(k: int) -> tuple[tuple[int, ...], ...]:
+    """k * pairing(pure p, tail of factor a), at [p][a], from the coset
+    representatives; each (p, eta, d) is paired once."""
+    tails = label_table(k).tail
+    out = []
+    for p in range(k):
+        pure = ProductCoset.from_word(k, (p,))
+        by_tail = {}
+        for eta, d in sorted(set(tails)):
+            num = k * pairing(pure, ProductCoset.from_tail(k, (eta,), (d,)))
+            if num.denominator != 1:
+                raise VerificationError(
+                    f"pairing of pure {p} with tail ({eta},{d}) is not a multiple of 1/{k}"
+                )
+            by_tail[eta, d] = num.numerator
+        out.append(tuple(by_tail[tail] for tail in tails))
+    return tuple(out)
+
+
+def _realization_rows(basis: Code):
+    """The two routes of the realization check, as rows per generator and
+    slot, indexed by factor, of numerators over k.
+
+    Lattice side: the pairing numerators of each factor's tail with the
+    generator entry.  Code side: the generator entry times t.  A label is a
+    dual member (resp. trivial) when every generator's row sum is 0 mod k.
+    """
+    k = basis.k
+    t = label_table(k).t
+    slots = _pairing_numerators(k)
+    lattice = [[slots[p] for p in g] for g in basis.generators]
+    code_side = [[tuple(p * c % k for c in t) for p in g] for g in basis.generators]
+    return lattice, code_side
+
+
+def _pairs_to_zero(rows_per_gen, index: tuple[int, ...], k: int) -> bool:
+    return all(
+        sum(row[a] for row, a in zip(rows, index)) % k == 0
+        for rows in rows_per_gen
+    )
+
+
+def _monodromy_rows(k: int, xi: Codeword) -> list[tuple[int, ...]]:
+    """Per slot r and factor a, times 2k(k + 2): W(fuse) - W(a) - H(xi_r)
+    - 2(k + 2) (xi_r t(a) mod k), with W the factor weight and H the current
+    weight.  A label passes the bookkeeping when its row sum is 0 mod
+    2k(k + 2)."""
+    table = label_table(k)
+    w = table.weight
+    rows = []
+    for p in xi:
+        h = int(sc_weight(k, p) * table.weight_den)
+        rows.append(
+            tuple(
+                w[table.fuse[p][a]] - w[a] - h - 2 * (k + 2) * (p * c % k)
+                for a, c in enumerate(table.t)
+            )
+        )
+    return rows
+
+
+def _sample(k: int, n: int, ell: int, total: int) -> list[tuple[int, ...]]:
+    """A seeded sample of 64 index tuples (all when fewer), drawn with
+    `random.Random(k)` as in `verify_minimal_norms`."""
+    picks = random.Random(k).sample(range(total), min(64, total))
+    return [_digits(i, n, ell) for i in picks]
+
+
+def _digits(position: int, n: int, ell: int) -> tuple[int, ...]:
+    """The index tuple at `position` in lexicographic order."""
+    out = []
+    for _ in range(ell):
+        position, a = divmod(position, n)
+        out.append(a)
+    return tuple(reversed(out))
+
+
 def verify_extension_monodromy(code: Code, cap: int) -> VerifyResult:
     """Monodromy of codeword currents: weight bookkeeping, additivity, and
-    vanishing on the code itself when the code is even."""
+    vanishing on the code itself when the code is even.
+
+    The bookkeeping runs on every label with integer sums over the level's
+    label table; a seeded sample of 64 labels must give the same fusion,
+    weight and monodromy through the public `fuse`, `tensor_weight` and
+    `b_ext`.
+    """
     k, ell = code.k, code.ell
-    labels = all_irr_labels(k, ell, cap)
+    total = label_space_size(k, ell, cap)
+    table = label_table(k)
+    n, den, t, w = len(table.labels), table.weight_den, table.t, table.weight
+    spread = [_digits(i, n, ell) for i in range(0, total, max(1, total // 64))]
     for xi in code.words:
-        h_xi = sum(sc_weight(k, p) for p in xi)
-        for x in labels:
-            got = b_ext(xi, x)
-            diff = tensor_weight(fuse(xi, x)) - h_xi - tensor_weight(x)
-            if (got - diff) % 1 != 0:
+        rows = _monodromy_rows(k, xi)
+        for index in product(range(n), repeat=ell):
+            if sum(row[a] for row, a in zip(rows, index)) % den:
+                got = Fraction(sum(p * t[a] for p, a in zip(xi, index)) % k, k)
+                diff = Fraction(
+                    sum(w[table.fuse[p][a]] - w[a] for p, a in zip(xi, index)), den
+                ) - sum(sc_weight(k, p) for p in xi)
                 return VerifyResult(
                     "extension_monodromy",
                     False,
-                    f"word {xi} vs {x}: {got} vs {diff}",
+                    f"word {xi} vs {table.label(index)}: {got} vs {diff}",
                 )
         for eta in code.words:
             merged = word_add(xi, eta, k)
-            for x in labels[:: max(1, len(labels) // 64)]:
+            for x in map(table.label, spread):
                 if b_ext(merged, x) != (b_ext(xi, x) + b_ext(eta, x)) % 1:
                     return VerifyResult(
                         "extension_monodromy",
                         False,
                         f"additivity fails at {xi}, {eta}, {x}",
                     )
+    for index in _sample(k, n, ell, total):
+        x = table.label(index)
+        weight = Fraction(sum(w[a] for a in index), den)
+        if tensor_weight(x) != weight:
+            return VerifyResult(
+                "extension_monodromy",
+                False,
+                f"label {x}: tensor_weight gives {tensor_weight(x)}, the table {weight}",
+            )
+        for xi in code.words:
+            fused = table.label(tuple(table.fuse[p][a] for p, a in zip(xi, index)))
+            monodromy = Fraction(sum(p * t[a] for p, a in zip(xi, index)) % k, k)
+            if fuse(xi, x) != fused or b_ext(xi, x) != monodromy:
+                return VerifyResult(
+                    "extension_monodromy",
+                    False,
+                    f"word {xi} vs {x}: fuse/b_ext give {fuse(xi, x)}, "
+                    f"{b_ext(xi, x)}; the table {fused}, {monodromy}",
+                )
     if code.case is Case.A:
         for xi in code.words:
             for eta in code.words:

@@ -323,3 +323,8 @@ def test_caseB_fused_pairs_live_in_distinct_orbits():
             assert home[a] != home[b]
         else:
             assert home[a] == home[b]
+
+
+def test_per_code_and_per_level_caches_are_bounded():
+    assert modules._dual_words.cache_info().maxsize is not None
+    assert modules.label_table.cache_info().maxsize is not None

@@ -5,10 +5,13 @@ and codes and check the algebraic identities that must hold everywhere:
 canonical forms are idempotent, group laws agree with vector arithmetic,
 closed-form norms agree with the search oracle, and the monodromy pairing
 is biadditive and consistent with conformal weights.  The orbit sweep is
-compared with a reference enumerator that rebuilds the orbit of every label.
+compared with a reference enumerator that rebuilds the orbit of every label,
+and the integer label table behind the realization and extension-monodromy
+suites with the public per-label functions.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +35,9 @@ from pfkit.modules import (
     character_of,
     even_part_code,
     fuse,
+    label_table,
     orbits,
+    realize,
     sc_ext_weight,
     stabilizer,
     tensor_weight,
@@ -48,6 +53,7 @@ from pfkit.parafermion import (
     theta_act,
     vacuum,
 )
+from pfkit.verify import _monodromy_rows, _pairs_to_zero, _realization_rows
 from pfkit.zkcodes import Case, classify_code, span
 
 
@@ -154,6 +160,36 @@ class TestOrbitSweep:
     )
     def test_matches_reference_on_fixed_point_codes(self, code):
         assert_census_matches_reference(code)
+
+
+class TestVerifyTables:
+    """The table routes of the verify suites against the public per-label
+    functions, on every label."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(census_codes())
+    def test_match_public_functions(self, code):
+        k = code.k
+        table = label_table(k)
+        den = table.weight_den
+        indices = list(product(range(len(table.labels)), repeat=code.ell))
+        if code.case is not Case.UNSUPPORTED:
+            basis = even_part_code(code) if code.case is Case.B else code
+            lattice, code_side = _realization_rows(basis)
+            for index in indices:
+                x = table.label(index)
+                assert _pairs_to_zero(lattice, index, k) == realize(x, basis)[1]
+                assert _pairs_to_zero(code_side, index, k) == character_of(x, basis).trivial
+        for xi in code.words:
+            rows = _monodromy_rows(k, xi)
+            for index in indices:
+                x = table.label(index)
+                fused = tuple(table.fuse[p][a] for p, a in zip(xi, index))
+                assert table.label(fused) == fuse(xi, x)
+                assert Fraction(sum(table.weight[a] for a in index), den) == tensor_weight(x)
+                monodromy = sum(p * table.t[a] for p, a in zip(xi, index)) % k
+                assert Fraction(monodromy, k) == b_ext(xi, x)
+                assert sum(row[a] for row, a in zip(rows, index)) % den == 0
 
 
 class TestCosetCanonicalForm:

@@ -347,6 +347,19 @@ class TestCli:
         report = json.loads(target.read_text())
         assert report["central_charge"] == "1/2"
 
+    def test_output_is_atomic(self, tmp_path, capsys, monkeypatch):
+        target = tmp_path / "report.txt"
+        target.write_bytes(b"old report\n")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("pfkit.cli.os.replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            main(["--k", "2", "--ell", "1", "--output", str(target)])
+        assert target.read_bytes() == b"old report\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["report.txt"]
+
     def test_threads_env_validated(self, capsys, monkeypatch):
         monkeypatch.setenv("PFKIT_THREADS", "zero")
         assert main(["--k", "3", "--ell", "1"]) == 2

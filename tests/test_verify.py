@@ -1,0 +1,133 @@
+"""Fault injection into the realization and extension-monodromy suites.
+
+Both suites check every label through the level's integer label table and
+run a seeded sample of labels through the public per-label functions.  A
+corrupted table entry must fail the suite at a named label, a corrupted
+public function must be caught by the sample, and the label-space cap must
+trip before any table is built.
+"""
+
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+import pfkit.modules
+import pfkit.verify
+from pfkit import CapExceededError, IrrLabel, ProductCoset, pf_canonicalize, span
+from pfkit.modules import label_table
+from pfkit.verify import (
+    _pairing_numerators,
+    verify_extension_monodromy,
+    verify_realization,
+)
+
+CAP = 10**7
+SUITES = [verify_realization, verify_extension_monodromy]
+
+
+def label(k, *pairs):
+    return IrrLabel(k, tuple(pf_canonicalize(k, i, j) for i, j in pairs))
+
+
+@pytest.fixture(autouse=True)
+def cold_tables():
+    label_table.cache_clear()
+    _pairing_numerators.cache_clear()
+    yield
+    label_table.cache_clear()
+    _pairing_numerators.cache_clear()
+
+
+@pytest.fixture
+def code44():
+    return span([(2, 2, 0, 0), (0, 0, 2, 2)], 4, 4)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        span([(2, 2, 0, 0), (0, 0, 2, 2)], 4, 4),
+        span([(1, 1, 1)], 6, 3),  # Case B: realization runs on the even part
+        span([(1, 2)], 5, 2),
+        span([], 3, 2),
+    ],
+    ids=["k4-caseA", "k6-caseB", "k5-caseA", "k3-zero-code"],
+)
+@pytest.mark.parametrize("suite", SUITES, ids=lambda fn: fn.__name__)
+def test_suites_pass_on_supported_codes(code, suite):
+    assert suite(code, CAP).passed
+
+
+def test_corrupted_pairing_slot_fails_realization(code44, monkeypatch):
+    table = label_table(4)
+    assert table.tail[table.labels.index(pf_canonicalize(4, 3, 0))] == (1, 1)
+    pure, tail = ProductCoset.from_word(4, (2,)), ProductCoset.from_tail(4, (1,), (1,))
+    original = pfkit.verify.pairing
+
+    def corrupted(x, y):
+        shift = Fraction(1, 4) if (x, y) == (pure, tail) else 0
+        return (original(x, y) + shift) % 1
+
+    monkeypatch.setattr(pfkit.verify, "pairing", corrupted)
+    result = verify_realization(code44, CAP)
+    assert not result.passed
+    first = label(4, (1, 0), (1, 0), (1, 0), (3, 0))
+    assert result.detail.startswith(f"label {first}: member=False, trivial=True (")
+
+
+def test_corrupted_weight_fails_extension_monodromy(code44, monkeypatch):
+    original = pfkit.modules.pf_weight
+
+    def corrupted(k, i, j):
+        shift = Fraction(1, 2 * k * (k + 2)) if (i, j % k) == (3, 1) else 0
+        return original(k, i, j) + shift
+
+    monkeypatch.setattr(pfkit.modules, "pf_weight", corrupted)
+    result = verify_extension_monodromy(code44, CAP)
+    assert not result.passed
+    # (0,0,2,2) fuses the last factor (1,0) into (3,1), the corrupted one
+    first = label(4, (1, 0), (1, 0), (1, 0), (1, 0))
+    assert result.detail == f"word (0, 0, 2, 2) vs {first}: 0 vs -23/24"
+
+
+@pytest.mark.parametrize("suite", SUITES, ids=lambda fn: fn.__name__)
+def test_corrupted_t_entry_fails_both_suites(code44, suite, monkeypatch):
+    table = label_table(4)
+    a = table.labels.index(pf_canonicalize(4, 2, 0))
+    bad = replace(table, t=table.t[:a] + ((table.t[a] + 1) % 4,) + table.t[a + 1 :])
+    monkeypatch.setattr(pfkit.verify, "label_table", lambda k: bad)
+    result = suite(code44, CAP)
+    assert not result.passed
+    assert "(2,0)" in result.detail
+
+
+def test_sample_catches_a_public_realize_flip(code44, monkeypatch):
+    original = pfkit.verify.realize
+
+    def flipped(x, code):
+        coset, member = original(x, code)
+        return coset, not member
+
+    monkeypatch.setattr(pfkit.verify, "realize", flipped)
+    result = verify_realization(code44, CAP)
+    assert not result.passed
+    assert "realize/character_of give" in result.detail
+
+
+def test_sample_catches_a_public_weight_shift(code44, monkeypatch):
+    original = pfkit.verify.tensor_weight
+    monkeypatch.setattr(pfkit.verify, "tensor_weight", lambda x: original(x) + 1)
+    result = verify_extension_monodromy(code44, CAP)
+    assert not result.passed
+    assert "tensor_weight gives" in result.detail
+
+
+@pytest.mark.parametrize("suite", SUITES, ids=lambda fn: fn.__name__)
+def test_cap_trips_before_any_table(code44, suite):
+    with pytest.raises(
+        CapExceededError, match="label space of size 10000 exceeds the cap of 9999"
+    ):
+        suite(code44, 9999)
+    assert label_table.cache_info().misses == 0
+    assert _pairing_numerators.cache_info().misses == 0
