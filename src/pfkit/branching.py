@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate
 
 from .errors import CapExceededError, InvalidInputError, check_bits, check_level
 from .parafermion import PfLabel, pf_canonicalize, pf_weight, presentations
@@ -57,7 +57,7 @@ def vir_c(m: int) -> Fraction:
     return 1 - Fraction(6, (m + 2) * (m + 3))
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=4096, typed=True)
 def vir_h(m: int, r: int, s: int) -> Fraction:
     """Kac-table highest weight h^m_{r,s}; exact."""
     _check_kac(m, r, s)
@@ -89,34 +89,30 @@ class BranchComponent:
 def branch(k: int, j: int, bits) -> tuple[BranchComponent, ...]:
     """All components of the coset module labeled (j, bits).
 
-    Deterministic lexicographic order in the index tuples.  Capped at
-    rank 10; the component count grows like prod(s/2).
+    Extends every index prefix (i_1, ..., i_s) by the allowed i_{s+1} in
+    increasing order, building that step's Kac label and weight once per
+    prefix, so components come out in lexicographic index order.  Capped
+    at rank 10; the component count grows like prod(s/2).
     """
     check_level(k)
     if k > BRANCH_MAX_LEVEL:
         raise CapExceededError(
             f"branching is capped at rank {BRANCH_MAX_LEVEL}, got {k}"
         )
-    bits = check_bits(k, bits)
-    partial = []
-    total = 0
-    for b in bits:
-        total += b
-        partial.append(total)
-    choices = [
-        [i for i in range(s + 1) if i % 2 == partial[s - 1] % 2]
-        for s in range(1, k + 1)
-    ]
+    partial = list(accumulate(check_bits(k, bits)))
+    walk = [((partial[0] % 2,), (), Fraction(0))]
+    for s in range(1, k):
+        walk = [
+            (
+                tup + (i,),
+                vir + (vir_canonicalize(s, tup[-1] + 1, i + 1),),
+                hsum + vir_h(s, tup[-1] + 1, i + 1),
+            )
+            for tup, vir, hsum in walk
+            for i in range(partial[s] % 2, s + 2, 2)
+        ]
     out = []
-    for tup in product(*choices):
-        vir = tuple(
-            vir_canonicalize(s, tup[s - 1] + 1, tup[s] + 1)
-            for s in range(1, k)
-        )
-        hsum = sum(
-            (vir_h(s, tup[s - 1] + 1, tup[s] + 1) for s in range(1, k)),
-            Fraction(0),
-        )
+    for tup, vir, hsum in walk:
         pf = pf_canonicalize(k, tup[-1], j + (tup[-1] - partial[-1]) // 2)
         weight = hsum + pf_weight(k, pf.i, pf.j)
         out.append(BranchComponent(tup, vir, pf, weight))

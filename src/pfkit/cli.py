@@ -2,9 +2,10 @@
 
 Exit codes, carried by the error classes: 0 success, 2 invalid input,
 3 unsupported code, 4 cap exceeded, 5 verification failure (a verify suite
-failed, or an internal cross-check failed mid-analysis).  The only
-environment variable consulted is PFKIT_THREADS: it must be an integer >= 1
-when set, and has no other effect.
+failed, or an internal cross-check failed mid-analysis).  An --output file
+that cannot be written also exits 2.  The only environment variable
+consulted is PFKIT_THREADS: it must be an integer >= 1 when set, and has no
+other effect.
 """
 
 from __future__ import annotations
@@ -147,7 +148,14 @@ def main(argv=None) -> int:
 
     text = to_json(report) if args.fmt == "json" else to_text(report)
     if args.output:
-        _write_atomic(args.output, text if text.endswith("\n") else text + "\n")
+        try:
+            _write_atomic(args.output, text if text.endswith("\n") else text + "\n")
+        except OSError as err:
+            print(
+                f"error: cannot write {args.output}: {err.strerror or err}",
+                file=sys.stderr,
+            )
+            return 2
     else:
         print(text, end="" if text.endswith("\n") else "\n")
     if not verify_passed(report):

@@ -108,13 +108,6 @@ def gamma_vector(k: int) -> LatticeVector:
     return LatticeVector(k, (Fraction(1),) * k)
 
 
-def beta_vector(k: int, p: int) -> LatticeVector:
-    """Base lattice generator beta_p = alpha_p - alpha_{p+1}, 1 <= p < k."""
-    if not 1 <= p <= k - 1:
-        raise InvalidInputError(f"beta index must lie in [1, {k - 1}], got {p}")
-    return alpha_vector(k, p) - alpha_vector(k, p + 1)
-
-
 def fundamental_vector(k: int, p: int) -> LatticeVector:
     """Dual generator gamma/2k - alpha_p/2; the k of them sum to zero."""
     return gamma_vector(k).scale(Fraction(1, 2 * k)) - alpha_vector(k, p).scale(
@@ -156,7 +149,7 @@ def identity_label(k: int) -> CosetLabel:
     return canonicalize(k, 0, (1,) * k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def all_labels(k: int) -> tuple[CosetLabel, ...]:
     """All 2^(k-1) k canonical labels, sorted."""
     check_level(k)
@@ -183,7 +176,7 @@ def coset_neg(x: CosetLabel) -> CosetLabel:
     return canonicalize(x.k, x.weight - x.j, x.bits)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**16)
 def representative(x: CosetLabel) -> LatticeVector:
     """The distinguished coset representative in alpha coordinates."""
     k, j, bits = x.k, x.j, x.bits
@@ -194,7 +187,7 @@ def representative(x: CosetLabel) -> LatticeVector:
     return LatticeVector(k, tuple(coords))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _residue_table(k: int) -> dict:
     """Residues mod 2k of 2k-scaled representatives, one per label.
 

@@ -51,7 +51,7 @@ def pf_canonicalize(k: int, i: int, j: int) -> PfLabel:
     return PfLabel(k, k - i, j - i)
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=4096, typed=True)
 def pf_weight(k: int, i: int, j: int) -> Fraction:
     """Conformal weight of the module labeled (i, j).
 
@@ -137,7 +137,7 @@ def irr_count(k: int) -> int:
     return k * (k + 1) // 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def all_labels(k: int) -> tuple[PfLabel, ...]:
     """All canonical labels, sorted: (i, j) with 0 <= j < i <= k."""
     check_level(k)

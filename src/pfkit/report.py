@@ -80,12 +80,13 @@ def _classification_section(code: Code) -> dict:
 
 
 def _lattice_section(code: Code, job: JobSpec) -> dict:
-    lat = cosets.build_code_lattice(code)
     rows = 2 ** (code.k - 1) * code.k
     if rows > job.orbit_cap:
         raise CapExceededError(
-            f"minimal-norm table with {rows} rows exceeds the cap"
+            f"minimal-norm table with {rows} rows exceeds the orbit cap of "
+            f"{job.orbit_cap} (--orbit-cap)"
         )
+    lat = cosets.build_code_lattice(code)
     table = []
     for lab in cosets.all_labels(code.k):
         value, count = cosets.min_norm_data(lab.k, lab.j, lab.bits)

@@ -2,9 +2,13 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pfkit.branching
 from pfkit import (
     CapExceededError,
     InvalidInputError,
@@ -23,6 +27,43 @@ from pfkit import (
     vir_canonicalize,
     vir_h,
 )
+from pfkit.branching import BRANCH_MAX_LEVEL, BranchComponent
+from pfkit.errors import check_bits, check_level
+from pfkit.parafermion import pf_weight
+
+
+def branch_by_product(k, j, bits):
+    """Reference oracle: the per-component loop over the full index product,
+    rebuilding every Kac label and weight sum for each component."""
+    check_level(k)
+    if k > BRANCH_MAX_LEVEL:
+        raise CapExceededError(
+            f"branching is capped at rank {BRANCH_MAX_LEVEL}, got {k}"
+        )
+    bits = check_bits(k, bits)
+    partial = []
+    total = 0
+    for b in bits:
+        total += b
+        partial.append(total)
+    choices = [
+        [i for i in range(s + 1) if i % 2 == partial[s - 1] % 2]
+        for s in range(1, k + 1)
+    ]
+    out = []
+    for tup in product(*choices):
+        vir = tuple(
+            vir_canonicalize(s, tup[s - 1] + 1, tup[s] + 1)
+            for s in range(1, k)
+        )
+        hsum = sum(
+            (vir_h(s, tup[s - 1] + 1, tup[s] + 1) for s in range(1, k)),
+            Fraction(0),
+        )
+        pf = pf_canonicalize(k, tup[-1], j + (tup[-1] - partial[-1]) // 2)
+        weight = hsum + pf_weight(k, pf.i, pf.j)
+        out.append(BranchComponent(tup, vir, pf, weight))
+    return tuple(out)
 
 
 def test_vir_c_values():
@@ -127,6 +168,40 @@ def test_branch_respects_coset_relabeling():
                 for c in branch(k, other_j, other_bits)
             )
             assert mine == theirs
+
+
+def test_branch_matches_product_reference_on_every_raw_selector():
+    for k in range(2, 7):
+        for j in range(-k, 2 * k):
+            for bits in product((0, 1), repeat=k):
+                assert branch(k, j, bits) == branch_by_product(k, j, bits)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_branch_matches_product_reference_at_k7_k8(data):
+    k = data.draw(st.sampled_from((7, 8)))
+    j = data.draw(st.integers(-k, 2 * k - 1))
+    bits = data.draw(st.tuples(*[st.integers(0, 1)] * k))
+    assert branch(k, j, bits) == branch_by_product(k, j, bits)
+
+
+@pytest.mark.parametrize(
+    "j, bits", [(1, (1, 1, 0, 0, 0, 0, 0, 0)), (0, (1, 0, 1, 1, 0, 1, 0, 0))]
+)
+def test_branch_builds_each_kac_label_once_per_prefix(monkeypatch, j, bits):
+    calls = []
+    real = pfkit.branching.vir_canonicalize
+
+    def counting(m, r, s):
+        calls.append((m, r, s))
+        return real(m, r, s)
+
+    monkeypatch.setattr(pfkit.branching, "vir_canonicalize", counting)
+    comps = branch(8, j, bits)
+    prefixes = {c.indices[:n] for c in comps for n in range(2, 9)}
+    assert len(calls) == len(prefixes)
+    assert len(calls) < 7 * len(comps)
 
 
 def test_branch_level_guard():

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from pfkit import modules
+from pfkit import branching, cosets, modules, parafermion
 from pfkit import (
     CapExceededError,
     Case,
@@ -326,5 +326,17 @@ def test_caseB_fused_pairs_live_in_distinct_orbits():
 
 
 def test_per_code_and_per_level_caches_are_bounded():
-    assert modules._dual_words.cache_info().maxsize is not None
-    assert modules.label_table.cache_info().maxsize is not None
+    for cache in (
+        modules._dual_words,
+        modules.label_table,
+        cosets.all_labels,
+        cosets.representative,
+        cosets._residue_table,
+        parafermion.all_labels,
+        parafermion.pf_weight,
+        branching.vir_h,
+    ):
+        assert cache.cache_info().maxsize is not None, cache.__name__
+    # a float level must still miss the integer entries of the weight caches
+    assert parafermion.pf_weight.cache_parameters()["typed"]
+    assert branching.vir_h.cache_parameters()["typed"]

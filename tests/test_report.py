@@ -274,6 +274,21 @@ class TestCli:
         )
         assert rc == 3
 
+    def test_lattice_cap_trips_before_building_the_lattice(
+        self, capsys, monkeypatch
+    ):
+        def unreachable(code, verify=False):
+            raise AssertionError("lattice built before the cap check")
+
+        monkeypatch.setattr("pfkit.cosets.build_code_lattice", unreachable)
+        rc = main(
+            ["--k", "5", "--ell", "1", "--analysis", "lattice", "--orbit-cap", "79"]
+        )
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "minimal-norm table with 80 rows exceeds the orbit cap of 79" in err
+        assert "--orbit-cap" in err
+
     def test_verification_error_mid_analysis_exits_five(self, capsys, monkeypatch):
         from pfkit.errors import VerificationError
 
@@ -355,10 +370,17 @@ class TestCli:
             raise OSError("disk full")
 
         monkeypatch.setattr("pfkit.cli.os.replace", failing_replace)
-        with pytest.raises(OSError, match="disk full"):
-            main(["--k", "2", "--ell", "1", "--output", str(target)])
+        assert main(["--k", "2", "--ell", "1", "--output", str(target)]) == 2
+        assert "disk full" in capsys.readouterr().err
         assert target.read_bytes() == b"old report\n"
         assert [path.name for path in tmp_path.iterdir()] == ["report.txt"]
+
+    def test_output_into_missing_directory_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.txt"
+        assert main(["--k", "3", "--ell", "1", "--output", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {target}: " in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_threads_env_validated(self, capsys, monkeypatch):
         monkeypatch.setenv("PFKIT_THREADS", "zero")
