@@ -13,12 +13,13 @@ verdict: Fused, Split, or Indeterminate.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterator
+from operator import mul
 
 from .cosets import ProductCoset, dual_membership
 from .errors import (
@@ -41,9 +42,11 @@ from .zkcodes import (
     Codeword,
     binary_reduce,
     check_word,
-    code_from_words,
+    code_from_words,  # noqa: F401 -- a module attribute perfbench/tracing.py wraps
     dual_code,
+    inner,
     radical_data,
+    span,
     word_add,
 )
 
@@ -76,15 +79,10 @@ def label_space_size(k: int, ell: int, cap: int = DEFAULT_ORBIT_CAP) -> int:
     return total
 
 
-def iter_irr_labels(k: int, ell: int, cap: int = DEFAULT_ORBIT_CAP) -> Iterator[IrrLabel]:
-    """All labels in lexicographic order, streamed; raises CapExceededError
-    before the first label when the label space exceeds the cap."""
-    label_space_size(k, ell, cap)
-    return (IrrLabel(k, factors) for factors in product(all_labels(k), repeat=ell))
-
-
 def all_irr_labels(k: int, ell: int, cap: int = DEFAULT_ORBIT_CAP) -> tuple[IrrLabel, ...]:
-    return tuple(iter_irr_labels(k, ell, cap))
+    """All labels in lexicographic order; raises CapExceededError over the cap."""
+    label_space_size(k, ell, cap)
+    return tuple(IrrLabel(k, f) for f in product(all_labels(k), repeat=ell))
 
 
 def tensor_weight(x: IrrLabel) -> Fraction:
@@ -128,7 +126,7 @@ class LabelTable:
 
     Factor `a` is `labels[a]`, in the order of `parafermion.all_labels(k)`,
     so index tuples from `product(range(n), repeat=ell)` run through the
-    labels in the order of `iter_irr_labels`.  Per factor: `t[a]` is
+    labels in the order of `all_irr_labels`.  Per factor: `t[a]` is
     (i - 2j) mod k, `fuse[p][a]` the factor of `sc_fuse(p, labels[a])`,
     `weight[a]` the conformal weight times `weight_den` = 2k(k + 2), and
     `tail[a]` the realization tail (eta, d) used by `realize`.
@@ -201,41 +199,26 @@ def character_of(x: IrrLabel, code: Code) -> Character:
     return _reduce(code, tuple((f.i - 2 * f.j) % k for f in x.factors))
 
 
-def _as_character(code: Code, chi) -> Character:
-    if isinstance(chi, Character):
-        word = chi.rep
-    else:
-        word = tuple(int(c) % code.k for c in chi)
-    return _reduce(code, check_word(word, code.k, code.ell))
-
-
 def _reduce(code: Code, word: Codeword) -> Character:
     """The character whose coset modulo the dual code contains `word`."""
     return Character(code.k, min(word_add(word, w, code.k) for w in _dual_words(code)))
 
 
 def stabilizer(x: IrrLabel, code: Code) -> tuple[Codeword, ...]:
-    """Codewords fixing the label under fusion.
+    """Codewords fixing the label under fusion, checked by `_check_stabilizer`."""
+    return _check_stabilizer(code, x, tuple(xi for xi in code.words if fuse(xi, x) == x))
 
-    Computed directly, then checked against the closed criterion: a nonzero
-    word fixes x exactly when k is even, every entry is 0 or k/2, and every
-    k/2 entry sits on a factor with first index k/2.  Disagreement raises
-    VerificationError.
-    """
-    direct = tuple(xi for xi in code.words if fuse(xi, x) == x)
-    k = code.k
-    if k % 2 == 0:
-        half = k // 2
-        criterion = tuple(
-            xi
-            for xi in code.words
-            if all(p in (0, half) for p in xi)
-            and all(
-                f.i == half for p, f in zip(xi, x.factors) if p == half
-            )
-        )
-    else:
-        criterion = ((0,) * code.ell,)
+
+def _check_stabilizer(code: Code, x: IrrLabel, direct: tuple[Codeword, ...]) -> tuple[Codeword, ...]:
+    """`direct`, checked against the closed criterion: a nonzero word fixes x
+    exactly when k is even, its entries are 0 or k/2, and each k/2 sits on a
+    factor with first index k/2.  Disagreement raises VerificationError."""
+    half = code.k // 2 if code.k % 2 == 0 else None
+    criterion = tuple(
+        xi
+        for xi in code.words
+        if all(p == 0 or p == half == f.i for p, f in zip(xi, x.factors))
+    )
     if direct != criterion:
         raise VerificationError(
             f"stabilizer criterion disagrees with direct fusion at {x}"
@@ -264,27 +247,38 @@ class OrbitRecord:
 
 def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
     """All fusion orbits, in order of their smallest member; raises
-    CapExceededError when the label space exceeds the cap.
+    CapExceededError, before allocating, when the label space exceeds the cap.
 
-    One sweep over the labels in lexicographic order: the first label not
-    yet seen is the smallest member of a new orbit, which is built once and
-    marked seen.
-    """
-    seen: set[IrrLabel] = set()
+    One sweep over the index tuples of `label_table(k)`, in label order; an
+    n**ell-byte seen map, indexed by mixed radix, marks each member built, so
+    the first unseen index starts a new orbit, whose |D| integer fusions give
+    its members, stabilizer and minimum weight.  Labels whose t-vectors pair
+    alike with the generators share a character: `_reduce` runs <= |D| times."""
+    k, ell = code.k, code.ell
+    seen = bytearray(label_space_size(k, ell, cap))
+    table = label_table(k)
+    n = len(table.labels)
+    place = tuple(n ** (ell - 1 - r) for r in range(ell))
+    rows = [tuple(table.fuse[p] for p in xi) for xi in code.words]
+    weight, get = table.weight.__getitem__, tuple.__getitem__
+    found: dict[tuple[int, ...], Character] = {}
     out = []
-    for x in iter_irr_labels(code.k, code.ell, cap):
-        if x in seen:
+    for pos, index in enumerate(product(range(n), repeat=ell)):
+        if seen[pos]:
             continue
-        members = sorted({fuse(xi, x) for xi in code.words})
-        seen.update(members)
-        out.append(
-            OrbitRecord(
-                tuple(members),
-                stabilizer(x, code),
-                character_of(x, code),
-                min(tensor_weight(y) for y in members),
-            )
-        )
+        images = [tuple(map(get, row, index)) for row in rows]
+        members = sorted(set(images))
+        for y in members:
+            seen[sum(map(mul, y, place))] = 1
+        labels = tuple(map(table.label, members))
+        stab = tuple(xi for xi, y in zip(code.words, images) if y == index)
+        _check_stabilizer(code, labels[0], stab)
+        t = tuple(table.t[a] for a in index)
+        key = tuple(sum(map(mul, g, t)) % k for g in code.generators)
+        if key not in found:
+            found[key] = _reduce(code, t)
+        low = Fraction(min(sum(map(weight, y)) for y in members), table.weight_den)
+        out.append(OrbitRecord(labels, stab, found[key], low))
     return tuple(out)
 
 
@@ -338,24 +332,24 @@ def induced_decomposition(orbit: OrbitRecord, code: Code) -> InducedReport:
     return InducedReport(orbit, regime, num, mult, constituents)
 
 
+def twisted_counts(reports) -> Counter:
+    """Per character, the sum of `num_irreducibles` over the induced reports."""
+    totals: Counter = Counter()
+    for rep in reports:
+        totals[rep.orbit.character] += rep.num_irreducibles
+    return totals
+
+
 def count_twisted(code: Code, chi, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP) -> int:
     """Number of inequivalent irreducible chi-twisted modules of the
-    extension, for a character given as a residue word mod the dual code.
-
-    Sums the per-orbit counts over orbits carrying the character: one for a
-    free orbit, the stabilizer order for k = 0 (mod 4), the binary radical
-    order for k = 2 (mod 4).  Always at least 1: every character is
-    realized by some orbit.
-    """
-    chi = _as_character(code, chi)
+    extension, for a character given as a residue word mod the dual code:
+    its `twisted_counts` entry, at least 1 as every character is realized."""
+    word = chi.rep if isinstance(chi, Character) else tuple(int(c) % code.k for c in chi)
+    chi = _reduce(code, check_word(word, code.k, code.ell))
     if orbit_list is None:
         orbit_list = orbits(code, cap)
-    total = 0
-    for orb in orbit_list:
-        if orb.character != chi:
-            continue
-        total += induced_decomposition(orb, code).num_irreducibles
-    return total
+    mine = (induced_decomposition(o, code) for o in orbit_list if o.character == chi)
+    return twisted_counts(mine)[chi]
 
 
 def characters(code: Code, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP) -> tuple[Character, ...]:
@@ -412,14 +406,20 @@ class CaseBRecord:
 
 
 def even_part_code(code: Code) -> Code:
-    """The even part of a half-period code, as a code in its own right."""
+    """The even part of a half-period code, as a code in its own right.
+
+    On a Case B code, x -> (x|x) mod k is a homomorphism onto {0, k/2},
+    and the even part is its kernel: the span of the generators with each
+    odd generator g replaced by g + g0, for g0 the first odd one.
+    """
     if code.case is not Case.B:
-        raise InvalidInputError(
-            "even-part analysis needs a half-period (Case B) code"
-        )
-    even = code_from_words(code.k, code.ell, code.even_part)
-    if even.case is not Case.A:
-        raise VerificationError("even part failed to classify as Case A")
+        raise InvalidInputError("even-part analysis needs a half-period (Case B) code")
+    k = code.k
+    g0 = next(g for g in code.generators if inner(g, g, k))
+    gens = [word_add(g, g0, k) if inner(g, g, k) else g for g in code.generators]
+    even = span([g for g in gens if any(g)], k, code.ell)
+    if even.words != code.even_part:
+        raise VerificationError("kernel of the self-pairing is not the even part")
     return even
 
 

@@ -148,25 +148,28 @@ def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None
             for rec in modules.caseB_modules(code, orbit_list)
         ]
     rows = []
-    for orb in orbit_list:
-        induced = modules.induced_decomposition(orb, basis)
-        rows.append(
-            {
-                "representative": str(orb.representative),
-                "size": orb.size,
-                "stabilizer_order": len(orb.stabilizer),
-                "character": str(orb.character),
-                "min_weight": rat(orb.min_weight),
-                "regime": induced.regime.value,
-                "num_irreducibles": induced.num_irreducibles,
-                "multiplicity": induced.multiplicity,
-            }
-        )
+
+    def induced():
+        # each orbit's induced report, built once for its row and the counts
+        for orb in orbit_list:
+            rep = modules.induced_decomposition(orb, basis)
+            rows.append(
+                {
+                    "representative": str(orb.representative),
+                    "size": orb.size,
+                    "stabilizer_order": len(orb.stabilizer),
+                    "character": str(orb.character),
+                    "min_weight": rat(orb.min_weight),
+                    "regime": rep.regime.value,
+                    "num_irreducibles": rep.num_irreducibles,
+                    "multiplicity": rep.multiplicity,
+                }
+            )
+            yield rep
+
+    totals = modules.twisted_counts(induced())
     counts = [
-        {
-            "character": str(chi),
-            "count": modules.count_twisted(basis, chi, orbit_list),
-        }
+        {"character": str(chi), "count": totals[chi]}
         for chi in modules.characters(basis, orbit_list)
     ]
     scope = "even_part" if code.case is Case.B else "code"

@@ -5,7 +5,7 @@ reports pass/fail with the first counterexample.  Suites are deterministic.
 
 The realization and extension-monodromy suites check every label with
 integer sums over the level's label table (`modules.label_table`), walking
-index tuples in the order of `modules.iter_irr_labels`, so the first
+index tuples in the order of `modules.all_irr_labels`, so the first
 counterexample is the first label in that order.  Each also runs a seeded
 sample of 64 labels through the public per-label functions, which must
 agree with the table.

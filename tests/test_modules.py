@@ -1,5 +1,7 @@
 """The module census: orbits, characters, twisted counts, realizations."""
 
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -13,6 +15,7 @@ from pfkit import (
     IrrLabel,
     ProductCoset,
     Regime,
+    VerificationError,
     Verdict,
     all_irr_labels,
     b_ext,
@@ -181,6 +184,41 @@ def test_orbits_fuse_each_orbit_once(monkeypatch, code):
     assert calls <= 2 * len(orbs) * code.size
 
 
+def test_orbits_reduce_once_per_character_and_never_fuse(monkeypatch):
+    # the dataclass sweep reduced once per orbit (2,704 calls here) and
+    # fused every codeword twice per orbit
+    code = span([(2, 2, 0, 0), (0, 0, 2, 2)], 4, 4)
+    calls = Counter()
+
+    def count(name):
+        real = getattr(modules, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(modules, name, counted)
+
+    count("_reduce")
+    count("fuse")
+    assert len(orbits(code)) == 2704
+    assert 0 < calls["_reduce"] <= code.size
+    assert calls["fuse"] == 0
+
+
+def test_orbits_catch_a_corrupted_fusion_entry(monkeypatch):
+    table = modules.label_table(4)
+    a = table.labels.index(pf_canonicalize(4, 2, 0))
+    row = table.fuse[2]
+    assert row[a] == a
+    # (2,0) is fixed by the current 2; send it to (2,1) instead
+    bad_row = row[:a] + (a + 1,) + row[a + 1 :]
+    bad = replace(table, fuse=table.fuse[:2] + (bad_row,) + table.fuse[3:])
+    monkeypatch.setattr(modules, "label_table", lambda k: bad)
+    with pytest.raises(VerificationError, match=r"direct fusion at \(2,0\)$"):
+        orbits(span([(2,)], 4, 1))
+
+
 def test_orbit_cap():
     with pytest.raises(CapExceededError):
         orbits(span([(2,)], 4, 1), cap=5)
@@ -278,6 +316,26 @@ def test_even_part_code():
     assert even.case is Case.A
     with pytest.raises(InvalidInputError):
         even_part_code(span([(2,)], 4, 1))
+
+
+@pytest.mark.parametrize(
+    "gens, k, ell",
+    [
+        ([(1,)], 2, 1),
+        ([(1, 1)], 4, 2),
+        ([(3, 0, 0), (0, 3, 0), (2, 2, 2)], 6, 3),
+        ([(1, 1, 0, 0), (0, 0, 1, 1), (2, 0, 2, 0)], 4, 4),
+    ],
+    ids=["k2", "k4", "k6-two-odd", "k4-two-odd"],
+)
+def test_even_part_code_is_the_even_word_set(gens, k, ell):
+    # one or several odd generators, with and without even ones
+    code = span(gens, k, ell)
+    assert code.case is Case.B
+    even = even_part_code(code)
+    assert set(even.words) == set(code.even_part)
+    assert even.case is Case.A
+    assert all(any(g) for g in even.generators)
 
 
 def test_caseB_k6_table():

@@ -4,10 +4,11 @@ The example-based suites pin exact values; these tests draw random labels
 and codes and check the algebraic identities that must hold everywhere:
 canonical forms are idempotent, group laws agree with vector arithmetic,
 closed-form norms agree with the search oracle, and the monodromy pairing
-is biadditive and consistent with conformal weights.  The orbit sweep is
-compared with a reference enumerator that rebuilds the orbit of every label,
-and the integer label table behind the realization and extension-monodromy
-suites with the public per-label functions.
+is biadditive and consistent with conformal weights.  The integer orbit
+sweep is compared with two references on frozen dataclasses: the sweep it
+replaced, and an enumerator that rebuilds the orbit of every label.  The
+integer label table behind the realization and extension-monodromy suites is
+compared with the public per-label functions.
 """
 
 from fractions import Fraction
@@ -30,6 +31,8 @@ from pfkit.cosets import (
     representative,
 )
 from pfkit.modules import (
+    DEFAULT_ORBIT_CAP,
+    OrbitRecord,
     all_irr_labels,
     b_ext,
     character_of,
@@ -136,9 +139,33 @@ def orbits_by_minimum(code):
     return out
 
 
+def orbits_by_dataclass(code, cap=DEFAULT_ORBIT_CAP):
+    """Reference census: the label sweep on frozen dataclasses, with a set
+    of seen labels and per-orbit stabilizer, character and weight calls."""
+    seen = set()
+    out = []
+    for x in all_irr_labels(code.k, code.ell, cap):
+        if x in seen:
+            continue
+        members = sorted({fuse(xi, x) for xi in code.words})
+        seen.update(members)
+        out.append(
+            OrbitRecord(
+                tuple(members),
+                stabilizer(x, code),
+                character_of(x, code),
+                min(tensor_weight(y) for y in members),
+            )
+        )
+    return tuple(out)
+
+
 def assert_census_matches_reference(code):
-    got = [(o.members, o.stabilizer, o.character, o.min_weight) for o in orbits(code)]
-    assert got == orbits_by_minimum(code)
+    got = orbits(code)
+    assert got == orbits_by_dataclass(code)
+    assert [(o.members, o.stabilizer, o.character, o.min_weight) for o in got] == (
+        orbits_by_minimum(code)
+    )
 
 
 class TestOrbitSweep:
@@ -147,16 +174,24 @@ class TestOrbitSweep:
     def test_matches_reference_enumerator(self, code):
         assert_census_matches_reference(code)
         if code.case is Case.B:
-            assert_census_matches_reference(even_part_code(code))
+            even = even_part_code(code)
+            assert set(even.words) == set(code.even_part)
+            assert_census_matches_reference(even)
 
     @pytest.mark.parametrize(
         "code",
         [
-            span([(2,)], 4, 1),  # fixed points at k = 0 (mod 4)
-            span([(3, 3)], 6, 2),  # fixed points at k = 2 (mod 4)
+            # fixed points at k = 0 (mod 4)
+            span([(2,)], 4, 1),
+            span([(2, 2, 0), (0, 2, 2)], 4, 3),
+            span([(4, 4)], 8, 2),
+            # fixed points at k = 2 (mod 4)
+            span([(3, 3)], 6, 2),
+            span([(3, 3, 0), (0, 3, 3)], 6, 3),
+            span([(5, 5)], 10, 2),
             even_part_code(span([(1, 1, 1)], 6, 3)),
         ],
-        ids=["k4", "k6", "k6-even-part"],
+        ids=["k4", "k4-two-rows", "k8", "k6", "k6-two-rows", "k10", "k6-even-part"],
     )
     def test_matches_reference_on_fixed_point_codes(self, code):
         assert_census_matches_reference(code)

@@ -292,10 +292,10 @@ class TestCli:
     def test_verification_error_mid_analysis_exits_five(self, capsys, monkeypatch):
         from pfkit.errors import VerificationError
 
-        def forced(x, code):
+        def forced(code, x, direct):
             raise VerificationError("forced")
 
-        monkeypatch.setattr(modules, "stabilizer", forced)
+        monkeypatch.setattr(modules, "_check_stabilizer", forced)
         rc = main(["--k", "4", "--ell", "1", "--gen", "2", "--analysis", "modules"])
         assert rc == 5
         assert "forced" in capsys.readouterr().err
