@@ -21,8 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import lcm, prod
 
-from .errors import CapExceededError, InvalidInputError, check_bits, check_level
+from .errors import (
+    CapExceededError,
+    InvalidInputError,
+    VerificationError,
+    check_bits,
+    check_level,
+)
 from .parafermion import PfLabel, pf_canonicalize, pf_weight, presentations
 
 BRANCH_MAX_LEVEL = 10
@@ -86,37 +93,82 @@ class BranchComponent:
     weight: Fraction
 
 
+def weight_den(k: int) -> int:
+    """Common denominator of every branching weight at rank k: the lcm of the
+    parafermion denominator 2k(k+2) and each 4(s+2)(s+3), 1 <= s < k."""
+    return lcm(2 * k * (k + 2), *(4 * (s + 2) * (s + 3) for s in range(1, k)))
+
+
+def _step_choices(bits: tuple[int, ...]) -> tuple[range, ...]:
+    """Allowed values of i_1, ..., i_k: i_s = b_s (mod 2), 0 <= i_s <= s,
+    b_s the partial bit sum."""
+    return tuple(range(b % 2, s + 2, 2) for s, b in enumerate(accumulate(bits)))
+
+
+def component_count(k: int, bits) -> int:
+    """Number of components of any coset with these bits, without building
+    them: the product of the allowed values per index."""
+    check_level(k)
+    return prod(len(c) for c in _step_choices(check_bits(k, bits)))
+
+
 def branch(k: int, j: int, bits) -> tuple[BranchComponent, ...]:
     """All components of the coset module labeled (j, bits).
 
     Extends every index prefix (i_1, ..., i_s) by the allowed i_{s+1} in
-    increasing order, building that step's Kac label and weight once per
-    prefix, so components come out in lexicographic index order.  Capped
-    at rank 10; the component count grows like prod(s/2).
+    increasing order, so components come out in lexicographic index order.
+    Weights are carried as integer numerators over `weight_den(k)`; the Kac
+    label and weight numerator of each step (s, i_s, i_{s+1}), the
+    parafermion label of each i_k and the Fraction of each distinct weight
+    are built once and shared.  Capped at rank 10; the component count
+    grows like prod(s/2).
     """
     check_level(k)
     if k > BRANCH_MAX_LEVEL:
         raise CapExceededError(
             f"branching is capped at rank {BRANCH_MAX_LEVEL}, got {k}"
         )
-    partial = list(accumulate(check_bits(k, bits)))
-    walk = [((partial[0] % 2,), (), Fraction(0))]
+    bits = check_bits(k, bits)
+    choices = _step_choices(bits)
+    den = weight_den(k)
+    walk = [((i,), (), 0) for i in choices[0]]
     for s in range(1, k):
+        # i_s -> [(i_{s+1}, Kac label, h numerator)] for this step
+        step = {
+            a: [
+                (b, vir_canonicalize(s, a + 1, b + 1), _scaled(vir_h(s, a + 1, b + 1), den))
+                for b in choices[s]
+            ]
+            for a in choices[s - 1]
+        }
         walk = [
-            (
-                tup + (i,),
-                vir + (vir_canonicalize(s, tup[-1] + 1, i + 1),),
-                hsum + vir_h(s, tup[-1] + 1, i + 1),
-            )
-            for tup, vir, hsum in walk
-            for i in range(partial[s] % 2, s + 2, 2)
+            (tup + (b,), vir + (lab,), hnum + h)
+            for tup, vir, hnum in walk
+            for b, lab, h in step[tup[-1]]
         ]
+    w = sum(bits)
+    tail = {}  # i_k -> (parafermion label, weight numerator)
+    for i in choices[-1]:
+        pf = pf_canonicalize(k, i, j + (i - w) // 2)
+        tail[i] = (pf, _scaled(pf_weight(k, pf.i, pf.j), den))
+    weights: dict[int, Fraction] = {}
     out = []
-    for tup, vir, hsum in walk:
-        pf = pf_canonicalize(k, tup[-1], j + (tup[-1] - partial[-1]) // 2)
-        weight = hsum + pf_weight(k, pf.i, pf.j)
+    for tup, vir, hnum in walk:
+        pf, pnum = tail[tup[-1]]
+        num = hnum + pnum
+        weight = weights.get(num)
+        if weight is None:
+            weight = weights[num] = Fraction(num, den)
         out.append(BranchComponent(tup, vir, pf, weight))
     return tuple(out)
+
+
+def _scaled(x: Fraction, den: int) -> int:
+    """x * den, which must be an integer."""
+    num, rem = divmod(x.numerator * den, x.denominator)
+    if rem:
+        raise VerificationError(f"{x} is not a multiple of 1/{den}")
+    return num
 
 
 def branch_tail(k: int, j: int, d: int) -> tuple[tuple[VirasoroLabel, PfLabel], ...]:

@@ -191,15 +191,15 @@ def representative(x: CosetLabel) -> LatticeVector:
 def _residue_table(k: int) -> dict:
     """Residues mod 2k of 2k-scaled representatives, one per label.
 
-    Built by brute force over all canonical labels; distinct labels have
-    distinct residue tuples, which makes coset identification a lookup.
+    Coordinate p of the 2k-scaled representative of (j, bits) is
+    k b_p + 2j - w, less 2kj on the last coordinate, which vanishes mod 2k.
+    Distinct labels have distinct residue tuples, which makes coset
+    identification a lookup; a collision raises VerificationError.
     """
     table = {}
     for lab in all_labels(k):
-        scaled = tuple(
-            int(c * 2 * k) % (2 * k) for c in representative(lab).coords
-        )
-        table[scaled] = lab
+        shift = 2 * lab.j - lab.weight
+        table[tuple((k * b + shift) % (2 * k) for b in lab.bits)] = lab
     if len(table) != len(all_labels(k)):
         raise VerificationError("representative residues collided")
     return table

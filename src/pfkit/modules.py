@@ -213,17 +213,25 @@ def _check_stabilizer(code: Code, x: IrrLabel, direct: tuple[Codeword, ...]) -> 
     """`direct`, checked against the closed criterion: a nonzero word fixes x
     exactly when k is even, its entries are 0 or k/2, and each k/2 sits on a
     factor with first index k/2.  Disagreement raises VerificationError."""
-    half = code.k // 2 if code.k % 2 == 0 else None
+    half = code.k // 2
     criterion = tuple(
         xi
-        for xi in code.words
-        if all(p == 0 or p == half == f.i for p, f in zip(xi, x.factors))
+        for xi in _half_words(code)
+        if all(p == 0 or half == f.i for p, f in zip(xi, x.factors))
     )
     if direct != criterion:
         raise VerificationError(
             f"stabilizer criterion disagrees with direct fusion at {x}"
         )
     return direct
+
+
+@lru_cache(maxsize=8)
+def _half_words(code: Code) -> tuple[Codeword, ...]:
+    """The codewords with every entry 0 or k/2, in code order; at odd k only
+    the zero word."""
+    allowed = {0, code.k // 2} if code.k % 2 == 0 else {0}
+    return tuple(xi for xi in code.words if allowed.issuperset(xi))
 
 
 @dataclass(frozen=True)

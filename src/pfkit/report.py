@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product
+from json.encoder import encode_basestring_ascii
 
 from . import branching, cosets, modules, verify
 from .errors import (
@@ -80,23 +82,28 @@ def _classification_section(code: Code) -> dict:
 
 
 def _lattice_section(code: Code, job: JobSpec) -> dict:
-    rows = 2 ** (code.k - 1) * code.k
+    k = code.k
+    rows = 2 ** (k - 1) * k
     if rows > job.orbit_cap:
         raise CapExceededError(
             f"minimal-norm table with {rows} rows exceeds the orbit cap of "
             f"{job.orbit_cap} (--orbit-cap)"
         )
     lat = cosets.build_code_lattice(code)
+    # the closed form depends on (j, weight) only: one call per pair j < w
+    cell = {}
+    for w in range(1, k + 1):
+        bits = (1,) * w + (0,) * (k - w)
+        for j in range(w):
+            value, count = cosets.min_norm_data(k, j, bits)
+            cell[j, w] = (rat(value), count)
+    words = [("".join(map(str, bits)), sum(bits)) for bits in product((0, 1), repeat=k)]
     table = []
-    for lab in cosets.all_labels(code.k):
-        value, count = cosets.min_norm_data(lab.k, lab.j, lab.bits)
-        table.append(
-            {
-                "coset": str(lab),
-                "min_norm": rat(value),
-                "count": count,
-            }
-        )
+    for j in range(k):  # the order of cosets.all_labels(k)
+        for text, w in words:
+            if j < w:
+                value, count = cell[j, w]
+                table.append({"coset": f"{j}:{text}", "min_norm": value, "count": count})
     return {
         "parity": lat.parity,
         "discriminant_order": lat.discriminant_order,
@@ -111,21 +118,43 @@ def _branch_section(code: Code, job: JobSpec) -> dict:
         lab = cosets.identity_label(code.k)
         j, bits = lab.j, lab.bits
     label = cosets.canonicalize(code.k, j, bits)
+    size = branching.component_count(code.k, label.bits)
+    if size > job.orbit_cap:
+        raise CapExceededError(
+            f"branching table with {size} components exceeds the orbit cap of "
+            f"{job.orbit_cap} (--orbit-cap)"
+        )
     components = branching.branch(code.k, label.j, label.bits)
     count_data = cosets.min_norm_data(code.k, label.j, label.bits)
+    # `branch` shares its labels and weights between components: convert
+    # each distinct one once, keyed by identity (`components` keeps them alive)
+    kac = _by_identity(
+        chain.from_iterable(comp.virasoro for comp in components),
+        lambda lab: (lab.m, lab.r, lab.s),
+    ).__getitem__
+    pf = _by_identity((comp.pf for comp in components), lambda x: (x.i, x.j))
+    weight = _by_identity((comp.weight for comp in components), rat)
     return {
         "coset": str(label),
         "min_norm": rat(count_data[0]),
         "components": [
             {
-                "indices": list(comp.indices),
-                "virasoro": [[lab.m, lab.r, lab.s] for lab in comp.virasoro],
-                "pf": [comp.pf.i, comp.pf.j],
-                "weight": rat(comp.weight),
+                "indices": comp.indices,
+                "virasoro": tuple(map(kac, map(id, comp.virasoro))),
+                "pf": pf[id(comp.pf)],
+                "weight": weight[id(comp.weight)],
             }
             for comp in components
         ],
     }
+
+
+def _by_identity(objects, convert) -> dict:
+    """id(x) -> convert(x) over the distinct objects x; the caller keeps the
+    objects alive while it uses the keys."""
+    objects = list(objects)
+    distinct = dict(zip(map(id, objects), objects))
+    return {key: convert(x) for key, x in distinct.items()}
 
 
 def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None]:
@@ -245,19 +274,127 @@ def verify_passed(report: dict) -> bool:
 
 
 def to_json(report: dict) -> str:
-    return json.dumps(report, indent=2)
+    """`json.dumps(report, indent=2)`, byte for byte.
+
+    The two large row lists, `lattice.min_norm_table` and
+    `branch.components`, are written by a fixed per-row template; the rest
+    goes through `json.dumps`.  A list whose rows do not have the shape
+    `run` builds falls back to `json.dumps` too.
+    """
+    return _dump(report, 0, ())
+
+
+def _dump(node, depth: int, path: tuple[str, ...]) -> str:
+    """`node` as `json.dumps(..., indent=2)` writes it at nesting `depth`;
+    `path` is the chain of keys from the report to `node`."""
+    if path in _ROW_WRITERS and type(node) is list and node:
+        text = _rows(node, depth, *_ROW_WRITERS[path])
+        if text is not None:
+            return text
+    if path in _ROW_PARENTS and type(node) is dict and node:
+        if all(type(key) is str for key in node):
+            pad = "\n" + "  " * (depth + 1)
+            items = [
+                f"{_str(key)}: {_dump(value, depth + 1, path + (key,))}"
+                for key, value in node.items()
+            ]
+            return "{" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "}"
+    # encoded strings hold no raw newline, so re-indenting is a replace
+    return json.dumps(node, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+_str = encode_basestring_ascii  # what json.dumps uses by default (ensure_ascii)
+
+
+def _ints(values, depth: int) -> str:
+    """A list or tuple of ints as `json.dumps(..., indent=2)` writes it at
+    `depth`; raises TypeError on anything else."""
+    if type(values) not in (list, tuple) or not all(type(v) is int for v in values):
+        raise TypeError("expected a list of ints")
+    if not values:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(map(repr, values)) + "\n" + "  " * depth + "]"
+
+
+def _rows(rows: list, depth: int, keys: tuple[str, ...], renderer) -> str | None:
+    """A list of row dicts, each written by the template of
+    `renderer(rows, depth + 1)`; None when a row does not have exactly
+    `keys`, in order, or holds a value of another type than `run` puts
+    there."""
+    if not all(type(row) is dict and tuple(row) == keys for row in rows):
+        return None
+    pad = "\n" + "  " * (depth + 1)
+    try:
+        body = ("," + pad).join(map(renderer(rows, depth + 1), rows))
+    except TypeError:
+        return None
+    return "[" + pad + body + "\n" + "  " * depth + "]"
+
+
+def _lattice_row(rows: list, depth: int):
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    template = "{%s\"coset\": %%s,%s\"min_norm\": %%s,%s\"count\": %%s%s}" % (
+        inner, inner, inner, outer
+    )
+
+    def render(row):
+        count = row["count"]
+        if type(count) is not int:
+            raise TypeError("count must be an int")
+        return template % (_str(row["coset"]), _str(row["min_norm"]), count)
+
+    return render
+
+
+def _branch_row(rows: list, depth: int):
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    template = (
+        "{%s\"indices\": %%s,%s\"virasoro\": %%s,%s\"pf\": %%s,%s\"weight\": %%s%s}"
+        % (inner, inner, inner, inner, outer)
+    )
+    # `_branch_section` shares its Kac tuples and pf pairs between rows:
+    # write each distinct one once, keyed by identity (`rows` keeps them alive)
+    kac = _by_identity(
+        chain.from_iterable(row["virasoro"] for row in rows),
+        lambda lab: _ints(lab, depth + 2),
+    ).__getitem__
+    pairs = _by_identity((row["pf"] for row in rows), lambda pf: _ints(pf, depth + 1))
+    kac_open, kac_sep = "[" + inner + "  ", "," + inner + "  "
+
+    def render(row):
+        vir = row["virasoro"]
+        if type(vir) not in (list, tuple):
+            raise TypeError("virasoro must be a list")
+        return template % (
+            _ints(row["indices"], depth + 1),
+            kac_open + kac_sep.join(map(kac, map(id, vir))) + inner + "]" if vir else "[]",
+            pairs[id(row["pf"])],
+            _str(row["weight"]),
+        )
+
+    return render
+
+
+_ROW_WRITERS = {
+    ("lattice", "min_norm_table"): (("coset", "min_norm", "count"), _lattice_row),
+    ("branch", "components"): (("indices", "virasoro", "pf", "weight"), _branch_row),
+}
+_ROW_PARENTS = {path[:n] for path in _ROW_WRITERS for n in range(len(path))}
 
 
 def _table(rows: list[dict], columns: list[str]) -> list[str]:
-    widths = {
-        c: max(len(c), *(len(str(r[c])) for r in rows)) if rows else len(c)
-        for c in columns
-    }
-    head = "  ".join(c.ljust(widths[c]) for c in columns)
-    lines = [head, "-" * len(head)]
-    for r in rows:
-        lines.append("  ".join(str(r[c]).ljust(widths[c]) for c in columns))
-    return lines
+    return _grid([tuple(str(r[c]) for c in columns) for r in rows], columns)
+
+
+def _grid(cells: list[tuple[str, ...]], columns: list[str]) -> list[str]:
+    """Left-justified columns under a header and a dash line; `cells` holds
+    each row's strings in column order."""
+    widths = [max(len(c), *map(len, col)) for c, col in zip(columns, zip(*cells))]
+    widths = widths or [len(c) for c in columns]
+    template = "  ".join(f"%-{w}s" for w in widths)
+    head = template % tuple(columns)
+    return [head, "-" * len(head), *map(template.__mod__, cells)]
 
 
 def to_text(report: dict) -> str:
@@ -288,16 +425,21 @@ def to_text(report: dict) -> str:
         br = report["branch"]
         lines.append("")
         lines.append(f"branch of coset {br['coset']} (min norm {br['min_norm']}):")
-        rows = [
-            {
-                "indices": ",".join(str(i) for i in c["indices"]),
-                "virasoro": " ".join(f"({m},{r},{s})" for m, r, s in c["virasoro"]),
-                "pf": f"({c['pf'][0]},{c['pf'][1]})",
-                "weight": c["weight"],
-            }
+        # each distinct Kac tuple is shared between rows: write it once
+        kac = _by_identity(
+            chain.from_iterable(c["virasoro"] for c in br["components"]),
+            lambda lab: "(%s,%s,%s)" % tuple(lab),
+        ).__getitem__
+        cells = [
+            (
+                ",".join(map(str, c["indices"])),
+                " ".join(map(kac, map(id, c["virasoro"]))),
+                f"({c['pf'][0]},{c['pf'][1]})",
+                str(c["weight"]),
+            )
             for c in br["components"]
         ]
-        lines.extend(_table(rows, ["indices", "virasoro", "pf", "weight"]))
+        lines.extend(_grid(cells, ["indices", "virasoro", "pf", "weight"]))
     if report["orbits"] is not None:
         orb = report["orbits"]
         lines.append("")

@@ -27,7 +27,12 @@ from pfkit import (
     vir_canonicalize,
     vir_h,
 )
-from pfkit.branching import BRANCH_MAX_LEVEL, BranchComponent
+from pfkit.branching import (
+    BRANCH_MAX_LEVEL,
+    BranchComponent,
+    component_count,
+    weight_den,
+)
 from pfkit.errors import check_bits, check_level
 from pfkit.parafermion import pf_weight
 
@@ -189,7 +194,7 @@ def test_branch_matches_product_reference_at_k7_k8(data):
 @pytest.mark.parametrize(
     "j, bits", [(1, (1, 1, 0, 0, 0, 0, 0, 0)), (0, (1, 0, 1, 1, 0, 1, 0, 0))]
 )
-def test_branch_builds_each_kac_label_once_per_prefix(monkeypatch, j, bits):
+def test_branch_builds_each_kac_label_once_per_step(monkeypatch, j, bits):
     calls = []
     real = pfkit.branching.vir_canonicalize
 
@@ -199,9 +204,35 @@ def test_branch_builds_each_kac_label_once_per_prefix(monkeypatch, j, bits):
 
     monkeypatch.setattr(pfkit.branching, "vir_canonicalize", counting)
     comps = branch(8, j, bits)
-    prefixes = {c.indices[:n] for c in comps for n in range(2, 9)}
-    assert len(calls) == len(prefixes)
-    assert len(calls) < 7 * len(comps)
+    steps = {(s, c.indices[s - 1] + 1, c.indices[s] + 1) for c in comps for s in range(1, 8)}
+    assert len(calls) == len(set(calls))
+    assert set(calls) == steps
+    assert len(calls) < len(comps)
+
+
+def test_branch_shares_labels_and_weights():
+    comps = branch(8, 1, (1, 1, 0, 0, 0, 0, 0, 0))
+    labels = {id(lab) for c in comps for lab in c.virasoro}
+    assert len(labels) == len({lab for c in comps for lab in c.virasoro})
+    assert len({id(c.pf) for c in comps}) == len({c.pf for c in comps})
+    assert len({id(c.weight) for c in comps}) == len({c.weight for c in comps})
+
+
+def test_component_count_matches_branch():
+    for k in range(2, 8):
+        for bits in product((0, 1), repeat=k):
+            assert component_count(k, bits) == len(branch(k, 0, bits))
+    assert component_count(11, (0,) * 11) == 2 * 2 * 3 * 3 * 4 * 4 * 5 * 5 * 6 * 6
+    with pytest.raises(InvalidInputError):
+        component_count(3, (1, 1))
+
+
+def test_weight_den_clears_every_weight():
+    for k in range(2, 7):
+        den = weight_den(k)
+        for lab in coset_labels(k):
+            for c in branch(k, lab.j, lab.bits):
+                assert (c.weight * den).denominator == 1
 
 
 def test_branch_level_guard():

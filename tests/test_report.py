@@ -3,15 +3,21 @@
 The JSON schema is load-bearing for downstream consumers, so these tests
 pin it hard: key set, null sections for analyses that were not requested,
 rationals serialized as "p/q" strings, and byte-identical output across
-repeated runs.
+repeated runs.  The row-template JSON writer is compared with
+`json.dumps(report, indent=2)`, and the per-(j, weight) lattice table and
+the text tables with per-row references.
 """
 
 import json
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfkit import modules
 from pfkit.cli import main
+from pfkit.cosets import all_labels, min_norm_data
 from pfkit.report import JobSpec, rat, run, to_json, to_text, verify_passed
 from pfkit.verify import VerifyResult
 from pfkit.zkcodes import span
@@ -42,11 +48,11 @@ def full_job(**overrides):
 
 
 def walk(node, path=""):
-    """Yield (path, leaf) pairs over a nested dict/list report."""
+    """Yield (path, leaf) pairs over a nested dict/list/tuple report."""
     if isinstance(node, dict):
         for key, value in node.items():
             yield from walk(value, f"{path}.{key}")
-    elif isinstance(node, list):
+    elif isinstance(node, (list, tuple)):
         for idx, value in enumerate(node):
             yield from walk(value, f"{path}[{idx}]")
     else:
@@ -194,6 +200,159 @@ class TestRunValidation:
             run(JobSpec(k=9, ell=1, analyses=("verify",), verify_max_k=8))
 
 
+# Every report job these tests run, plus small versions of the table jobs.
+TEST_JOBS = [
+    full_job(),
+    full_job(fmt="text"),
+    full_job(analyses=("lattice",)),
+    JobSpec(k=4, ell=1, generators=((2,),)),
+    JobSpec(k=2, ell=1),
+    JobSpec(k=5, ell=2),
+    JobSpec(k=3, ell=1, analyses=("branch",), coset=(5, (0, 0, 1))),
+    JobSpec(k=6, ell=1, generators=((3,),), analyses=("modules",)),
+    JobSpec(k=6, ell=1, generators=((3,),), analyses=("classify", "modules")),
+    JobSpec(k=3, ell=1, analyses=("verify",)),
+    JobSpec(k=6, ell=1, analyses=("branch",), coset=(1, (1, 1, 0, 0, 0, 0))),
+    JobSpec(k=5, ell=1, analyses=("branch",), fmt="json"),
+    JobSpec(k=7, ell=1, analyses=("lattice",), fmt="json"),
+    JobSpec(k=6, ell=1, generators=((0,),), analyses=("lattice",)),
+]
+
+
+def lattice_table_by_label(k):
+    """Reference: one closed-form call and one label string per row."""
+    rows = []
+    for lab in all_labels(k):
+        value, count = min_norm_data(k, lab.j, lab.bits)
+        rows.append({"coset": str(lab), "min_norm": rat(value), "count": count})
+    return rows
+
+
+def table_by_row(rows, columns):
+    """Reference text table: cell strings rebuilt for the widths and again
+    for the lines."""
+    widths = {
+        c: max(len(c), *(len(str(r[c])) for r in rows)) if rows else len(c)
+        for c in columns
+    }
+    head = "  ".join(c.ljust(widths[c]) for c in columns)
+    lines = [head, "-" * len(head)]
+    for r in rows:
+        lines.append("  ".join(str(r[c]).ljust(widths[c]) for c in columns))
+    return lines
+
+
+texts = st.text(max_size=6)
+lattice_rows = st.lists(
+    st.fixed_dictionaries(
+        {"coset": texts, "min_norm": texts, "count": st.integers(-(10**20), 10**20)}
+    ),
+    max_size=4,
+)
+int_lists = st.lists(st.integers(-5, 99), max_size=3)
+branch_rows = st.lists(
+    st.fixed_dictionaries(
+        {
+            "indices": int_lists | int_lists.map(tuple),
+            "virasoro": st.lists(int_lists.map(tuple), max_size=3),
+            "pf": st.tuples(st.integers(0, 9), st.integers(0, 9)),
+            "weight": texts,
+        }
+    ),
+    max_size=4,
+)
+# values `run` never puts in those rows: the writer must fall back
+odd_values = st.none() | st.booleans() | st.floats(allow_nan=False) | st.text(max_size=2)
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("job", TEST_JOBS)
+    def test_matches_json_dumps_on_test_jobs(self, job):
+        report = run(job)
+        assert to_json(report) == json.dumps(report, indent=2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_matches_json_dumps_on_random_selectors(self, data):
+        k = data.draw(st.integers(2, 6))
+        j = data.draw(st.integers(-k, 2 * k))
+        bits = data.draw(st.tuples(*[st.integers(0, 1)] * k))
+        report = run(JobSpec(k=k, ell=1, analyses=("lattice", "branch"), coset=(j, bits)))
+        assert to_json(report) == json.dumps(report, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lattice_rows, branch_rows, st.booleans())
+    def test_matches_json_dumps_on_random_rows(self, table, components, share):
+        report = run(JobSpec(k=2, ell=1, analyses=("lattice", "branch")))
+        if share:  # one Kac tuple object shared by every row, as `run` does
+            lab = (1, 2, 2)
+            for row in components:
+                row["virasoro"] = (lab,) * len(row["virasoro"])
+        report["lattice"]["min_norm_table"] = table
+        report["branch"]["components"] = components
+        assert to_json(report) == json.dumps(report, indent=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["coset", "count", "indices", "virasoro", "pf", "weight"]), odd_values)
+    def test_falls_back_on_other_row_values(self, key, value):
+        report = run(JobSpec(k=3, ell=1, analyses=("lattice", "branch")))
+        section = "lattice" if key in ("coset", "count") else "branch"
+        rows = report[section]["min_norm_table" if section == "lattice" else "components"]
+        rows[-1][key] = value
+        assert to_json(report) == json.dumps(report, indent=2)
+
+    def test_falls_back_on_other_row_shapes(self):
+        report = run(JobSpec(k=3, ell=1, analyses=("lattice", "branch")))
+        report["lattice"]["min_norm_table"][0]["extra"] = 1
+        del report["branch"]["components"][0]["pf"]
+        report["branch"]["components"][1] = ["not", "a", "row"]
+        assert to_json(report) == json.dumps(report, indent=2)
+
+    def test_empty_and_null_sections(self):
+        report = run(JobSpec(k=3, ell=1, analyses=("lattice", "branch")))
+        report["lattice"]["min_norm_table"] = []
+        report["branch"]["components"] = []
+        assert to_json(report) == json.dumps(report, indent=2)
+        report["lattice"] = {}
+        report["branch"] = None
+        assert to_json(report) == json.dumps(report, indent=2)
+
+
+class TestTables:
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_lattice_table_matches_per_label_reference(self, k):
+        table = run(JobSpec(k=k, ell=1, analyses=("lattice",)))["lattice"]["min_norm_table"]
+        assert table == lattice_table_by_label(k)
+
+    def test_branch_rows_share_kac_tuples_and_weights(self):
+        report = run(JobSpec(k=6, ell=1, analyses=("branch",), coset=(1, (1,) * 6)))
+        rows = report["branch"]["components"]
+        kac = [lab for row in rows for lab in row["virasoro"]]
+        assert len({id(lab) for lab in kac}) == len(set(kac))
+        assert len({id(row["weight"]) for row in rows}) == len({row["weight"] for row in rows})
+        assert all(type(row["indices"]) is tuple and len(row["pf"]) == 2 for row in rows)
+
+    @pytest.mark.parametrize("k", (2, 5, 7))
+    def test_text_tables_match_per_row_reference(self, k):
+        report = run(JobSpec(k=k, ell=1, analyses=("lattice", "branch"), coset=(1, (1,) + (0,) * (k - 1))))
+        branch_rows = [
+            {
+                "indices": ",".join(str(i) for i in c["indices"]),
+                "virasoro": " ".join(f"({m},{r},{s})" for m, r, s in c["virasoro"]),
+                "pf": f"({c['pf'][0]},{c['pf'][1]})",
+                "weight": c["weight"],
+            }
+            for c in report["branch"]["components"]
+        ]
+        lines = to_text(report).split("\n")
+        lattice = table_by_row(report["lattice"]["min_norm_table"], ["coset", "min_norm", "count"])
+        branch = table_by_row(branch_rows, ["indices", "virasoro", "pf", "weight"])
+        start = lines.index(lattice[0])
+        assert lines[start : start + len(lattice)] == lattice
+        start = lines.index(branch[0])
+        assert lines[start : start + len(branch)] == branch
+
+
 class TestTextFormat:
     def test_mentions_key_facts(self):
         text = to_text(run(full_job(fmt="text")))
@@ -288,6 +447,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert "minimal-norm table with 80 rows exceeds the orbit cap of 79" in err
         assert "--orbit-cap" in err
+
+    def test_branch_cap_trips_before_branching(self, capsys, monkeypatch):
+        def unreachable(k, j, bits):
+            raise AssertionError("branch ran before the cap check")
+
+        monkeypatch.setattr("pfkit.branching.branch", unreachable)
+        rc = main(
+            ["--k", "6", "--ell", "1", "--analysis", "branch", "--orbit-cap", "143"]
+        )
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "branching table with 144 components exceeds the orbit cap of 143" in err
+        assert "--orbit-cap" in err
+
+    def test_branch_rank_cap_still_exits_four(self, capsys):
+        assert main(["--k", "11", "--ell", "1", "--analysis", "branch"]) == 4
+        assert "capped at rank 10" in capsys.readouterr().err
 
     def test_verification_error_mid_analysis_exits_five(self, capsys, monkeypatch):
         from pfkit.errors import VerificationError
