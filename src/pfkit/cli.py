@@ -3,9 +3,7 @@
 Exit codes, carried by the error classes: 0 success, 2 invalid input,
 3 unsupported code, 4 cap exceeded, 5 verification failure (a verify suite
 failed, or an internal cross-check failed mid-analysis).  An --output file
-that cannot be written also exits 2.  The only environment variable
-consulted is PFKIT_THREADS: it must be an integer >= 1 when set, and has no
-other effect.
+that cannot be written also exits 2.
 """
 
 from __future__ import annotations
@@ -97,18 +95,6 @@ def _parse_coset(text: str) -> tuple[int, tuple[int, ...]]:
     return j, bit_tuple
 
 
-def _check_threads_env() -> None:
-    raw = os.environ.get("PFKIT_THREADS")
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidInputError(f"PFKIT_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise InvalidInputError(f"PFKIT_THREADS must be >= 1, got {value}")
-
-
 def _write_atomic(path: str, text: str) -> None:
     """Write text to a temporary file next to path, then rename it over
     path, so a failed write leaves no partial report behind."""
@@ -140,7 +126,6 @@ def main(argv=None) -> int:
             orbit_cap=args.orbit_cap,
             verify_max_k=args.verify_max_k,
         )
-        _check_threads_env()
         report = run(job)
     except PfkitError as err:
         print(f"error: {err}", file=sys.stderr)

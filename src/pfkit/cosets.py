@@ -14,8 +14,9 @@ law, explicit representative vectors, minimal norms (closed form and an
 independent exhaustive search), the fractional pairing between cosets, and
 the positive definite lattices assembled from codes.
 
-All coordinates are `fractions.Fraction`s over the alpha basis.  No floating
-point is used anywhere.
+Inside the module representatives are 2k-scaled integers (`_scaled`); at
+the API they have `fractions.Fraction` coordinates over the alpha basis.
+No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -94,27 +95,6 @@ def vector(k: int, coords) -> LatticeVector:
     return LatticeVector(k, tuple(Fraction(c) for c in coords))
 
 
-def alpha_vector(k: int, p: int) -> LatticeVector:
-    """Basis vector alpha_p, 1-based."""
-    if not 1 <= p <= k:
-        raise InvalidInputError(f"alpha index must lie in [1, {k}], got {p}")
-    return LatticeVector(
-        k, tuple(Fraction(1 if q == p - 1 else 0) for q in range(k))
-    )
-
-
-def gamma_vector(k: int) -> LatticeVector:
-    """The all-ones vector, orthogonal complement direction of the base."""
-    return LatticeVector(k, (Fraction(1),) * k)
-
-
-def fundamental_vector(k: int, p: int) -> LatticeVector:
-    """Dual generator gamma/2k - alpha_p/2; the k of them sum to zero."""
-    return gamma_vector(k).scale(Fraction(1, 2 * k)) - alpha_vector(k, p).scale(
-        Fraction(1, 2)
-    )
-
-
 @dataclass(frozen=True, order=True)
 class CosetLabel:
     """Canonical coset label; construct via canonicalize."""
@@ -176,30 +156,32 @@ def coset_neg(x: CosetLabel) -> CosetLabel:
     return canonicalize(x.k, x.weight - x.j, x.bits)
 
 
+def _scaled(x: CosetLabel) -> tuple[int, ...]:
+    """2k times the distinguished representative of x: coordinate p is
+    k b_p + 2j - w, less 2kj on the last coordinate."""
+    k, j, bits = x.k, x.j, x.bits
+    shift = 2 * j - sum(bits)
+    out = [k * b + shift for b in bits]
+    out[-1] -= 2 * k * j
+    return tuple(out)
+
+
 @lru_cache(maxsize=2**16)
 def representative(x: CosetLabel) -> LatticeVector:
     """The distinguished coset representative in alpha coordinates."""
-    k, j, bits = x.k, x.j, x.bits
-    w = sum(bits)
-    shift = Fraction(2 * j - w, 2 * k)
-    coords = [Fraction(b, 2) + shift for b in bits]
-    coords[-1] -= j
-    return LatticeVector(k, tuple(coords))
+    den = 2 * x.k
+    return LatticeVector(x.k, tuple(Fraction(c, den) for c in _scaled(x)))
 
 
 @lru_cache(maxsize=8)
 def _residue_table(k: int) -> dict:
     """Residues mod 2k of 2k-scaled representatives, one per label.
 
-    Coordinate p of the 2k-scaled representative of (j, bits) is
-    k b_p + 2j - w, less 2kj on the last coordinate, which vanishes mod 2k.
-    Distinct labels have distinct residue tuples, which makes coset
-    identification a lookup; a collision raises VerificationError.
+    The last coordinate's 2kj vanishes mod 2k.  Distinct labels have
+    distinct residue tuples, which makes coset identification a lookup; a
+    collision raises VerificationError.
     """
-    table = {}
-    for lab in all_labels(k):
-        shift = 2 * lab.j - lab.weight
-        table[tuple((k * b + shift) % (2 * k) for b in lab.bits)] = lab
+    table = {tuple(c % (2 * k) for c in _scaled(lab)): lab for lab in all_labels(k)}
     if len(table) != len(all_labels(k)):
         raise VerificationError("representative residues collided")
     return table
@@ -225,6 +207,11 @@ def coset_of_vector(v: LatticeVector) -> CosetLabel:
                 f"not dividing {2 * k}"
             )
         scaled.append(int(s))
+    return _coset_of_scaled(k, scaled)
+
+
+def _coset_of_scaled(k: int, scaled) -> CosetLabel:
+    """The coset of a 2k-scaled vector with coordinate sum 0."""
     for p in range(k - 1):
         if (scaled[p] - scaled[p + 1]) % k:
             raise InvalidInputError(
@@ -233,7 +220,7 @@ def coset_of_vector(v: LatticeVector) -> CosetLabel:
     key = tuple(s % (2 * k) for s in scaled)
     try:
         return _residue_table(k)[key]
-    except KeyError:  # unreachable once the checks above pass
+    except KeyError:  # unreachable once the dual checks pass
         raise VerificationError(f"no coset matches residue {key}") from None
 
 
@@ -317,10 +304,6 @@ def min_norm_oracle(x: CosetLabel) -> tuple[Fraction, int]:
     return Fraction(best, 2 * k * k), count
 
 
-def _mod1(f: Fraction) -> Fraction:
-    return Fraction(f.numerator % f.denominator, f.denominator)
-
-
 @dataclass(frozen=True)
 class ProductCoset:
     """A coset of the ell-fold product of base lattices: one label per factor."""
@@ -368,25 +351,24 @@ def pairing(x, y) -> Fraction:
     """Fractional pairing between two cosets, as a Fraction in [0, 1).
 
     Well defined because dual vectors pair integrally with the base lattice;
-    computed from the distinguished representatives.  Accepts two
+    computed from the 2k-scaled representatives over 2k^2.  Accepts two
     CosetLabels or two ProductCosets of matching shape.
     """
     if isinstance(x, CosetLabel) and isinstance(y, CosetLabel):
         if x.k != y.k:
             raise InvalidInputError(f"rank mismatch: {x.k} vs {y.k}")
-        return _mod1(representative(x).dot(representative(y)))
-    if isinstance(x, ProductCoset) and isinstance(y, ProductCoset):
+        pairs = ((x, y),)
+    elif isinstance(x, ProductCoset) and isinstance(y, ProductCoset):
         if x.k != y.k or x.ell != y.ell:
             raise InvalidInputError("product coset shape mismatch")
-        total = sum(
-            (representative(a).dot(representative(b))
-             for a, b in zip(x.labels, y.labels)),
-            Fraction(0),
+        pairs = zip(x.labels, y.labels)
+    else:
+        raise InvalidInputError(
+            "pairing needs two CosetLabels or two ProductCosets"
         )
-        return _mod1(total)
-    raise InvalidInputError(
-        "pairing needs two CosetLabels or two ProductCosets"
-    )
+    den = 2 * x.k * x.k
+    total = sum(a * b for u, v in pairs for a, b in zip(_scaled(u), _scaled(v)))
+    return Fraction(total % den, den)
 
 
 @dataclass(frozen=True)
@@ -399,14 +381,9 @@ class CodeLattice:
     invariant_factors: tuple[int, ...] | None = None
 
 
-def _word_rep(k: int, word: Codeword) -> tuple[LatticeVector, ...]:
-    return tuple(
-        representative(lab) for lab in ProductCoset.from_word(k, word).labels
-    )
-
-
-def _product_dot(u: tuple[LatticeVector, ...], v: tuple[LatticeVector, ...]) -> Fraction:
-    return sum((a.dot(b) for a, b in zip(u, v)), Fraction(0))
+def _scaled_word(k: int, word: Codeword) -> list[int]:
+    """The 2k-scaled representatives of the pure cosets of word, joined."""
+    return [c for lab in ProductCoset.from_word(k, word).labels for c in _scaled(lab)]
 
 
 def build_code_lattice(code: Code, verify: bool = False) -> CodeLattice:
@@ -433,9 +410,10 @@ def build_code_lattice(code: Code, verify: bool = False) -> CodeLattice:
     disc = group_order // (code.size**2)
     parity = "even" if code.case is Case.A else "odd"
 
-    reps = {g: _word_rep(k, g) for g in code.generators}
+    den = 2 * k * k
+    reps = {g: _scaled_word(k, g) for g in code.generators}
     for g, rep in reps.items():
-        norm = _product_dot(rep, rep)
+        norm = Fraction(sum(a * a for a in rep), den)
         if norm.denominator != 1:
             raise VerificationError(f"generator {g} has fractional norm {norm}")
         want_odd = inner(g, g, k) != 0
@@ -445,7 +423,7 @@ def build_code_lattice(code: Code, verify: bool = False) -> CodeLattice:
             )
     for g in code.generators:
         for h in code.generators:
-            val = _product_dot(reps[g], reps[h])
+            val = Fraction(sum(a * b for a, b in zip(reps[g], reps[h])), den)
             if val.denominator != 1:
                 raise VerificationError(
                     f"generators {g}, {h} pair fractionally: {val}"
@@ -468,11 +446,7 @@ def _discriminant_by_smith_form(code: Code, expected: int) -> tuple[int, ...]:
             base[r * k + p - 1] = scale
             base[r * k + p] = -scale
             rows.append(base)
-    for g in code.generators:
-        row = []
-        for lab in ProductCoset.from_word(k, g).labels:
-            row.extend(int(c * scale) for c in representative(lab).coords)
-        rows.append(row)
+    rows.extend(_scaled_word(k, g) for g in code.generators)
     basis = _hermite_rows(rows)
     rank = ell * (k - 1)
     if len(basis) != rank:

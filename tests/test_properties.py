@@ -8,7 +8,8 @@ is biadditive and consistent with conformal weights.  The integer orbit
 sweep is compared with two references on frozen dataclasses: the sweep it
 replaced, and an enumerator that rebuilds the orbit of every label.  The
 integer label table behind the realization and extension-monodromy suites is
-compared with the public per-label functions.
+compared with the public per-label functions, and the per-slot monodromy
+check with enumeration of every index tuple.
 """
 
 from fractions import Fraction
@@ -56,7 +57,12 @@ from pfkit.parafermion import (
     theta_act,
     vacuum,
 )
-from pfkit.verify import _monodromy_rows, _pairs_to_zero, _realization_rows
+from pfkit.verify import (
+    _first_failing,
+    _monodromy_rows,
+    _pairs_to_zero,
+    _realization_rows,
+)
 from pfkit.zkcodes import Case, classify_code, span
 
 
@@ -225,6 +231,28 @@ class TestVerifyTables:
                 monodromy = sum(p * table.t[a] for p, a in zip(xi, index)) % k
                 assert Fraction(monodromy, k) == b_ext(xi, x)
                 assert sum(row[a] for row, a in zip(rows, index)) % den == 0
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                # constant rows make passing row sets common
+                st.one_of(
+                    st.integers(-9, 9).map(lambda c: (c,) * n),
+                    st.lists(st.integers(-9, 9), min_size=n, max_size=n).map(tuple),
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        ),
+        st.integers(1, 6),
+    )
+    def test_first_failing_matches_enumeration(self, rows, modulus):
+        indices = product(*(range(len(row)) for row in rows))
+        first = next(
+            (i for i in indices if sum(r[a] for r, a in zip(rows, i)) % modulus),
+            None,
+        )
+        assert _first_failing(rows, modulus) == first
 
 
 class TestCosetCanonicalForm:

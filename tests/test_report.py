@@ -558,13 +558,13 @@ class TestCli:
         assert f"error: cannot write {target}: " in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_threads_env_validated(self, capsys, monkeypatch):
+    def test_threads_env_is_ignored(self, capsys, monkeypatch):
+        argv = ["--k", "3", "--ell", "1", "--analysis", "verify"]
+        monkeypatch.delenv("PFKIT_THREADS", raising=False)
+        plain = main(argv), capsys.readouterr()
         monkeypatch.setenv("PFKIT_THREADS", "zero")
-        assert main(["--k", "3", "--ell", "1"]) == 2
-        monkeypatch.setenv("PFKIT_THREADS", "0")
-        assert main(["--k", "3", "--ell", "1"]) == 2
-        monkeypatch.setenv("PFKIT_THREADS", "2")
-        assert main(["--k", "3", "--ell", "1", "--analysis", "verify"]) == 0
+        assert (main(argv), capsys.readouterr()) == plain
+        assert plain[0] == 0
 
     def test_cli_json_matches_library_json(self, capsys):
         rc = main(

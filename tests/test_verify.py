@@ -1,10 +1,14 @@
-"""Fault injection into the realization and extension-monodromy suites.
+"""Fault injection into the coset group-law, realization and
+extension-monodromy suites.
 
-Both suites check every label through the level's integer label table and
-run a seeded sample of labels through the public per-label functions.  A
-corrupted table entry must fail the suite at a named label, a corrupted
-public function must be caught by the sample, and the label-space cap must
-trip before any table is built.
+The realization and extension-monodromy suites check every label through
+the level's integer label table and run a seeded sample of labels through
+the public per-label functions.  A corrupted table entry must fail the
+suite at a named label, a corrupted public function must be caught by the
+sample, and the label-space cap must trip before any table is built.  The
+group-law suite runs its inverse oracle on 2k-scaled integers; a corrupted
+group law, scaled representative or public `coset_of_vector` must fail it
+with the check's message.
 """
 
 from dataclasses import replace
@@ -12,13 +16,26 @@ from fractions import Fraction
 
 import pytest
 
+import pfkit.cosets
 import pfkit.modules
 import pfkit.verify
-from pfkit import CapExceededError, IrrLabel, ProductCoset, pf_canonicalize, span
+from pfkit import (
+    CapExceededError,
+    IrrLabel,
+    ProductCoset,
+    build_code_lattice,
+    canonicalize,
+    coset_neg,
+    identity_label,
+    pf_canonicalize,
+    span,
+)
+from pfkit.cosets import _residue_table, representative
 from pfkit.modules import label_table
 from pfkit.verify import (
     _pairing_numerators,
     verify_extension_monodromy,
+    verify_group_laws,
     verify_realization,
 )
 
@@ -32,11 +49,12 @@ def label(k, *pairs):
 
 @pytest.fixture(autouse=True)
 def cold_tables():
-    label_table.cache_clear()
-    _pairing_numerators.cache_clear()
+    caches = (label_table, _pairing_numerators, _residue_table, representative)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    label_table.cache_clear()
-    _pairing_numerators.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 @pytest.fixture
@@ -45,18 +63,23 @@ def code44():
 
 
 @pytest.mark.parametrize(
-    "code",
+    "code, lattice",
     [
-        span([(2, 2, 0, 0), (0, 0, 2, 2)], 4, 4),
-        span([(1, 1, 1)], 6, 3),  # Case B: realization runs on the even part
-        span([(1, 2)], 5, 2),
-        span([], 3, 2),
+        (span([(2, 2, 0, 0), (0, 0, 2, 2)], 4, 4), ("even", 65536, (2,) * 8 + (4,) * 4)),
+        # Case B: realization runs on the even part
+        (span([(1, 1, 1)], 6, 3), ("odd", 196608, (2,) * 12 + (4, 12))),
+        (span([(1, 2)], 5, 2), ("even", 256, (2,) * 8)),
+        (span([], 3, 2), ("even", 144, (2, 2, 6, 6))),
     ],
     ids=["k4-caseA", "k6-caseB", "k5-caseA", "k3-zero-code"],
 )
 @pytest.mark.parametrize("suite", SUITES, ids=lambda fn: fn.__name__)
-def test_suites_pass_on_supported_codes(code, suite):
+def test_suites_pass_on_supported_codes(code, lattice, suite):
     assert suite(code, CAP).passed
+    # parity, discriminant order and invariant factors, as the Fraction
+    # representatives gave them before the scaled-integer path
+    lat = build_code_lattice(code, verify=True)
+    assert (lat.parity, lat.discriminant_order, lat.invariant_factors) == lattice
 
 
 def test_corrupted_pairing_slot_fails_realization(code44, monkeypatch):
@@ -131,3 +154,66 @@ def test_cap_trips_before_any_table(code44, suite):
         suite(code44, 9999)
     assert label_table.cache_info().misses == 0
     assert _pairing_numerators.cache_info().misses == 0
+
+
+def test_corrupted_neg_fails_inverse_oracle(monkeypatch):
+    monkeypatch.setattr(pfkit.verify, "coset_neg", lambda x: x)
+    result = verify_group_laws(4)
+    assert not result.passed
+    assert result.detail == "inverse oracle fails at 0:0001"
+
+
+@pytest.mark.parametrize(
+    "warm, detail",
+    [
+        (False, "representative residues collided"),
+        (True, "inverse oracle fails at 0:1000"),
+    ],
+    ids=["cold-table", "warm-table"],
+)
+def test_corrupted_scaled_entry_fails_group_laws(monkeypatch, warm, detail):
+    bad = canonicalize(4, 0, (1, 0, 0, 0))
+    original = pfkit.cosets._scaled
+
+    def corrupted(x):
+        return original(coset_neg(x) if x == bad else x)
+
+    if warm:
+        _residue_table(4)
+    for module in (pfkit.cosets, pfkit.verify):
+        monkeypatch.setattr(module, "_scaled", corrupted)
+    result = verify_group_laws(4)
+    assert not result.passed
+    assert result.detail == detail
+
+
+@pytest.mark.parametrize(
+    "law, detail",
+    [
+        ("identity", "identity fails at 0:0001"),
+        ("commutativity", "commutativity fails at 0:0001, 0:0010"),
+    ],
+)
+def test_corrupted_coset_add_fails_group_laws(monkeypatch, law, detail):
+    original = pfkit.verify.coset_add
+    e = identity_label(4)
+    a, b = canonicalize(4, 0, (0, 0, 0, 1)), canonicalize(4, 0, (0, 0, 1, 0))
+
+    def corrupted(x, y):
+        wrong = (y == e) if law == "identity" else ((x, y) == (b, a))
+        return coset_neg(original(x, y)) if wrong else original(x, y)
+
+    monkeypatch.setattr(pfkit.verify, "coset_add", corrupted)
+    result = verify_group_laws(4)
+    assert not result.passed
+    assert result.detail == detail
+
+
+def test_sample_catches_a_public_coset_of_vector_flip(monkeypatch):
+    original = pfkit.verify.coset_of_vector
+    monkeypatch.setattr(
+        pfkit.verify, "coset_of_vector", lambda v: coset_neg(original(v))
+    )
+    result = verify_group_laws(5)
+    assert not result.passed
+    assert result.detail.startswith("public inverse oracle fails at ")
