@@ -26,9 +26,9 @@ from math import lcm, prod
 from .errors import (
     CapExceededError,
     InvalidInputError,
-    VerificationError,
     check_bits,
     check_level,
+    check_numerator,
 )
 from .parafermion import PfLabel, pf_canonicalize, pf_weight, presentations
 
@@ -136,7 +136,7 @@ def branch(k: int, j: int, bits) -> tuple[BranchComponent, ...]:
         # i_s -> [(i_{s+1}, Kac label, h numerator)] for this step
         step = {
             a: [
-                (b, vir_canonicalize(s, a + 1, b + 1), _scaled(vir_h(s, a + 1, b + 1), den))
+                (b, vir_canonicalize(s, a + 1, b + 1), check_numerator(vir_h(s, a + 1, b + 1), den))
                 for b in choices[s]
             ]
             for a in choices[s - 1]
@@ -150,7 +150,7 @@ def branch(k: int, j: int, bits) -> tuple[BranchComponent, ...]:
     tail = {}  # i_k -> (parafermion label, weight numerator)
     for i in choices[-1]:
         pf = pf_canonicalize(k, i, j + (i - w) // 2)
-        tail[i] = (pf, _scaled(pf_weight(k, pf.i, pf.j), den))
+        tail[i] = (pf, check_numerator(pf_weight(k, pf.i, pf.j), den))
     weights: dict[int, Fraction] = {}
     out = []
     for tup, vir, hnum in walk:
@@ -161,14 +161,6 @@ def branch(k: int, j: int, bits) -> tuple[BranchComponent, ...]:
             weight = weights[num] = Fraction(num, den)
         out.append(BranchComponent(tup, vir, pf, weight))
     return tuple(out)
-
-
-def _scaled(x: Fraction, den: int) -> int:
-    """x * den, which must be an integer."""
-    num, rem = divmod(x.numerator * den, x.denominator)
-    if rem:
-        raise VerificationError(f"{x} is not a multiple of 1/{den}")
-    return num
 
 
 def branch_tail(k: int, j: int, d: int) -> tuple[tuple[VirasoroLabel, PfLabel], ...]:

@@ -252,6 +252,14 @@ def minimizer_count(x: CosetLabel) -> int:
     return min_norm_data(x.k, x.j, x.bits)[1]
 
 
+def check_search_level(k: int) -> None:
+    """Reject a rank above the exhaustive norm search's cap."""
+    if k > SEARCH_MAX_LEVEL:
+        raise CapExceededError(
+            f"exhaustive norm search is capped at rank {SEARCH_MAX_LEVEL}, got {k}"
+        )
+
+
 def min_norm_oracle(x: CosetLabel) -> tuple[Fraction, int]:
     """Minimal norm and count by exhaustive search, independent of the
     closed form.
@@ -265,10 +273,7 @@ def min_norm_oracle(x: CosetLabel) -> tuple[Fraction, int]:
     the optimum, otherwise a VerificationError reports the clipping.
     """
     k, j, bits = x.k, x.j, x.bits
-    if k > SEARCH_MAX_LEVEL:
-        raise CapExceededError(
-            f"exhaustive norm search is capped at rank {SEARCH_MAX_LEVEL}, got {k}"
-        )
+    check_search_level(k)
     w = sum(bits)
     # scaled offsets: 2k*(d + 1/2) on the support, 2k*d off it
     t_in = 2 * j - w + k

@@ -52,3 +52,11 @@ def check_bits(k: int, bits) -> tuple[int, ...]:
     if len(bits) != k or any(b not in (0, 1) for b in bits):
         raise InvalidInputError(f"expected {k} bits of 0/1, got {bits}")
     return bits
+
+
+def check_numerator(x, den: int) -> int:
+    """x * den for a Fraction x; VerificationError unless it is an integer."""
+    num, rem = divmod(x.numerator * den, x.denominator)
+    if rem:
+        raise VerificationError(f"{x} is not a multiple of 1/{den}")
+    return num

@@ -26,6 +26,7 @@ from .errors import (
     CapExceededError,
     InvalidInputError,
     VerificationError,
+    check_numerator,
     check_shape,
 )
 from .parafermion import (
@@ -153,18 +154,12 @@ def label_table(k: int) -> LabelTable:
     labels = all_labels(k)
     position = {f: a for a, f in enumerate(labels)}
     den = 2 * k * (k + 2)
-    weight = []
-    for f in labels:
-        num = pf_weight(k, f.i, f.j) * den
-        if num.denominator != 1:
-            raise VerificationError(f"weight of {f} is not a multiple of 1/{den}")
-        weight.append(num.numerator)
     return LabelTable(
         k,
         labels,
         tuple((f.i - 2 * f.j) % k for f in labels),
         tuple(tuple(position[sc_fuse(p, f)] for f in labels) for p in range(k)),
-        tuple(weight),
+        tuple(check_numerator(pf_weight(k, f.i, f.j), den) for f in labels),
         tuple(_tail(f) for f in labels),
     )
 
@@ -453,12 +448,13 @@ def caseB_modules(code: Code, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP) -> 
         orbit_list = orbits(even, cap)
     odd_rep = min(code.odd_part)
     out = []
+    mates = set()
     for orb in orbit_list:
-        if not orb.character.trivial:
+        # odd + odd is even: the odd coset pairs orbits, so a mate is not fused again
+        if not orb.character.trivial or orb.representative in mates:
             continue
         mate = min(fuse(odd_rep, y) for y in orb.members)
-        if mate < orb.representative:
-            continue
+        mates.add(mate)
         if mate != orb.representative:
             verdict = Verdict.FUSED
         elif len(orb.stabilizer) == 1:

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from .cosets import (
     ProductCoset,
@@ -26,6 +26,7 @@ from .cosets import (
     _scaled,
     all_labels,
     build_code_lattice,
+    check_search_level,
     coset_add,
     coset_neg,
     coset_of_vector,
@@ -35,7 +36,7 @@ from .cosets import (
     pairing,
     representative,
 )
-from .errors import InvalidInputError, VerificationError
+from .errors import InvalidInputError, VerificationError, check_numerator
 from .modules import (
     IrrLabel,
     b_ext,
@@ -64,6 +65,7 @@ def verify_minimal_norms(k: int) -> VerifyResult:
     """Closed-form minimal norms and counts vs exhaustive search, every
     canonical coset.  The search depends only on (j, weight), so it runs
     once per pair; a seeded sample of 64 labels must reproduce the memo."""
+    check_search_level(k)
     labels = all_labels(k)
     memo = {}
     for lab in labels:
@@ -111,16 +113,19 @@ def _group_law_failure(k: int, labels) -> str | None:
     for x in labels:
         if coset_add(x, e) != x:
             return f"identity fails at {x}"
-        if _coset_of_scaled(k, [-c for c in _scaled(x)]) != coset_neg(x):
+        oracle = _coset_of_scaled(k, [-c for c in _scaled(x)])
+        neg = coset_neg(x)
+        if oracle != neg:
             return f"inverse oracle fails at {x}"
-        if coset_add(x, coset_neg(x)) != e:
+        if coset_add(x, neg) != e:
             return f"inverse fails at {x}"
     for x in random.Random(k).sample(labels, min(64, len(labels))):
         if coset_of_vector(-representative(x)) != coset_neg(x):
             return f"public inverse oracle fails at {x}"
     rng = random.Random(20240 + k)
     if k <= 6:
-        pairs = [(x, y) for x in labels for y in labels]
+        # symmetric in x, y: the first failing ordered pair has x <= y
+        pairs = combinations_with_replacement(labels, 2)
     else:
         pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(2000)]
     for x, y in pairs:
@@ -130,10 +135,10 @@ def _group_law_failure(k: int, labels) -> str | None:
         x, y, z = (rng.choice(labels) for _ in range(3))
         if coset_add(coset_add(x, y), z) != coset_add(x, coset_add(y, z)):
             return f"associativity fails at {x}, {y}, {z}"
-    return _check_invariant_factors(k)
+    return _check_invariant_factors(k, labels)
 
 
-def _check_invariant_factors(k: int) -> str | None:
+def _check_invariant_factors(k: int, labels) -> str | None:
     """Fold explicit generators of orders (2, ..., 2, 2k) and check that
     their combinations enumerate the whole group bijectively.  They come
     from the fundamental weights gamma/2k - alpha_p/2, 2k-scaled to
@@ -168,10 +173,8 @@ def _check_invariant_factors(k: int) -> str | None:
         combos.add(cursor)
     for g in gens:
         combos |= {coset_add(x, g) for x in combos}
-    if len(combos) != len(all_labels(k)):
-        return (
-            f"generators span {len(combos)} of {len(all_labels(k))} labels"
-        )
+    if len(combos) != len(labels):
+        return f"generators span {len(combos)} of {len(labels)} labels"
     return None
 
 
@@ -204,10 +207,10 @@ def verify_monodromy_laws(k: int) -> VerifyResult:
     """Closed-form monodromy vs the weight bookkeeping
     h(fusion) - h(current) - h(x) mod 1, plus additivity in the current."""
     labels = pf_all_labels(k)
+    b = [[pf_b(p, x) for x in labels] for p in range(k)]
     for p in range(k):
         hp = sc_weight(k, p)
-        for x in labels:
-            lhs = pf_b(p, x)
+        for x, lhs in zip(labels, b[p]):
             fused = sc_fuse(p, x)
             diff = pf_weight(k, fused.i, fused.j) - hp - pf_weight(k, x.i, x.j)
             if (lhs - diff) % 1 != 0:
@@ -216,10 +219,8 @@ def verify_monodromy_laws(k: int) -> VerifyResult:
                 )
     for p in range(k):
         for q in range(k):
-            for x in labels:
-                lhs = pf_b((p + q) % k, x)
-                rhs = (pf_b(p, x) + pf_b(q, x)) % 1
-                if lhs != rhs:
+            for x, lhs, bp, bq in zip(labels, b[(p + q) % k], b[p], b[q]):
+                if lhs != (bp + bq) % 1:
                     return VerifyResult(
                         "monodromy_laws",
                         False,
@@ -278,18 +279,13 @@ def _pairing_numerators(k: int) -> tuple[tuple[int, ...], ...]:
     """k * pairing(pure p, tail of factor a), at [p][a], from the coset
     representatives; each (p, eta, d) is paired once."""
     tails = label_table(k).tail
+    distinct = sorted(set(tails))
+    cosets = [ProductCoset.from_tail(k, (eta,), (d,)) for eta, d in distinct]
     out = []
     for p in range(k):
         pure = ProductCoset.from_word(k, (p,))
-        by_tail = {}
-        for eta, d in sorted(set(tails)):
-            num = k * pairing(pure, ProductCoset.from_tail(k, (eta,), (d,)))
-            if num.denominator != 1:
-                raise VerificationError(
-                    f"pairing of pure {p} with tail ({eta},{d}) is not a multiple of 1/{k}"
-                )
-            by_tail[eta, d] = num.numerator
-        out.append(tuple(by_tail[tail] for tail in tails))
+        num = dict(zip(distinct, (check_numerator(pairing(pure, y), k) for y in cosets)))
+        out.append(tuple(num[tail] for tail in tails))
     return tuple(out)
 
 
@@ -325,7 +321,7 @@ def _monodromy_rows(k: int, xi: Codeword) -> list[tuple[int, ...]]:
     w = table.weight
     rows = []
     for p in xi:
-        h = int(sc_weight(k, p) * table.weight_den)
+        h = check_numerator(sc_weight(k, p), table.weight_den)
         rows.append(
             tuple(
                 w[table.fuse[p][a]] - w[a] - h - 2 * (k + 2) * (p * c % k)
@@ -385,7 +381,10 @@ def verify_extension_monodromy(code: Code, cap: int) -> VerifyResult:
     total = label_space_size(k, ell, cap)
     table = label_table(k)
     n, den, t, w = len(table.labels), table.weight_den, table.t, table.weight
-    spread = [_digits(i, n, ell) for i in range(0, total, max(1, total // 64))]
+    step = max(1, total // 64)
+    spread = [table.label(_digits(i, n, ell)) for i in range(0, total, step)]
+    # the code is closed under addition, so xi + eta has its row here too
+    b_rows = {xi: [b_ext(xi, x) for x in spread] for xi in code.words}
     for xi in code.words:
         index = _first_failing(_monodromy_rows(k, xi), den)
         if index is not None:
@@ -399,9 +398,9 @@ def verify_extension_monodromy(code: Code, cap: int) -> VerifyResult:
                 f"word {xi} vs {table.label(index)}: {got} vs {diff}",
             )
         for eta in code.words:
-            merged = word_add(xi, eta, k)
-            for x in map(table.label, spread):
-                if b_ext(merged, x) != (b_ext(xi, x) + b_ext(eta, x)) % 1:
+            merged = b_rows[word_add(xi, eta, k)]
+            for x, m, a, b in zip(spread, merged, b_rows[xi], b_rows[eta]):
+                if m != (a + b) % 1:
                     return VerifyResult(
                         "extension_monodromy",
                         False,
@@ -427,9 +426,9 @@ def verify_extension_monodromy(code: Code, cap: int) -> VerifyResult:
                     f"{b_ext(xi, x)}; the table {fused}, {monodromy}",
                 )
     if code.case is Case.A:
+        currents = [fuse(eta, IrrLabel(k, (vacuum(k),) * ell)) for eta in code.words]
         for xi in code.words:
-            for eta in code.words:
-                x = fuse(eta, IrrLabel(k, (vacuum(k),) * ell))
+            for eta, x in zip(code.words, currents):
                 if b_ext(xi, x) != 0:
                     return VerifyResult(
                         "extension_monodromy",

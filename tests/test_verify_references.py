@@ -1,0 +1,441 @@
+"""The verify suites and the Case B pairing against the loops they replaced.
+
+The group-law, monodromy-law and extension-monodromy suites evaluate each
+public value once per argument, outside their seeded samples.  The
+reference loops below evaluate the public functions once per comparison
+instead.  Under seeded single-point
+fault injection (one wrong value, or one raise, at one argument) each
+suite must give the same `VerifyResult` as its reference, or raise the
+same error.  Call counts pin the evaluations saved.  `caseB_modules` skips
+the orbits already emitted as mates; the reference fuses every trivial
+orbit and compares.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import pfkit.cosets
+import pfkit.modules
+import pfkit.verify as V
+from pfkit.cli import main
+from pfkit.errors import (
+    InvalidInputError,
+    PfkitError,
+    VerificationError,
+    check_numerator,
+)
+from pfkit.modules import (
+    CaseBRecord,
+    IrrLabel,
+    Verdict,
+    caseB_modules,
+    even_part_code,
+    induced_decomposition,
+    orbits,
+)
+from pfkit.parafermion import vacuum
+from pfkit.verify import (
+    VerifyResult,
+    verify_extension_monodromy,
+    verify_group_laws,
+    verify_monodromy_laws,
+)
+from pfkit.zkcodes import Case, span, word_add
+
+CAP = 10**7
+
+
+def ordered_pair_group_laws(k):
+    """`verify_group_laws` with commutativity on every ordered pair and
+    `coset_neg` called per use."""
+    labels = V.all_labels(k)
+    try:
+        detail = _ordered_pair_failure(k, labels)
+    except (InvalidInputError, VerificationError) as err:
+        detail = str(err)
+    return VerifyResult("coset_group_laws", detail is None, detail)
+
+
+def _ordered_pair_failure(k, labels):
+    e = V.identity_label(k)
+    for x in labels:
+        if V.coset_add(x, e) != x:
+            return f"identity fails at {x}"
+        if V._coset_of_scaled(k, [-c for c in V._scaled(x)]) != V.coset_neg(x):
+            return f"inverse oracle fails at {x}"
+        if V.coset_add(x, V.coset_neg(x)) != e:
+            return f"inverse fails at {x}"
+    for x in random.Random(k).sample(labels, min(64, len(labels))):
+        if V.coset_of_vector(-V.representative(x)) != V.coset_neg(x):
+            return f"public inverse oracle fails at {x}"
+    rng = random.Random(20240 + k)
+    if k <= 6:
+        pairs = [(x, y) for x in labels for y in labels]
+    else:
+        pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(2000)]
+    for x, y in pairs:
+        if V.coset_add(x, y) != V.coset_add(y, x):
+            return f"commutativity fails at {x}, {y}"
+    for _ in range(2000):
+        x, y, z = (rng.choice(labels) for _ in range(3))
+        if V.coset_add(V.coset_add(x, y), z) != V.coset_add(x, V.coset_add(y, z)):
+            return f"associativity fails at {x}, {y}, {z}"
+    return V._check_invariant_factors(k, labels)
+
+
+def per_call_monodromy_laws(k):
+    """`verify_monodromy_laws` with `pf_b` called per comparison."""
+    labels = V.pf_all_labels(k)
+    for p in range(k):
+        hp = V.sc_weight(k, p)
+        for x in labels:
+            lhs = V.pf_b(p, x)
+            fused = V.sc_fuse(p, x)
+            diff = V.pf_weight(k, fused.i, fused.j) - hp - V.pf_weight(k, x.i, x.j)
+            if (lhs - diff) % 1 != 0:
+                return VerifyResult(
+                    "monodromy_laws", False, f"current {p} vs {x}: {lhs} != {diff}"
+                )
+    for p in range(k):
+        for q in range(k):
+            for x in labels:
+                lhs = V.pf_b((p + q) % k, x)
+                rhs = (V.pf_b(p, x) + V.pf_b(q, x)) % 1
+                if lhs != rhs:
+                    return VerifyResult(
+                        "monodromy_laws", False, f"additivity fails at {p}, {q}, {x}"
+                    )
+    return VerifyResult("monodromy_laws", True)
+
+
+def per_call_extension_monodromy(code, cap):
+    """`verify_extension_monodromy` with `b_ext` called three times per
+    additivity comparison and each code current rebuilt per use."""
+    k, ell = code.k, code.ell
+    total = V.label_space_size(k, ell, cap)
+    table = V.label_table(k)
+    n, den, t, w = len(table.labels), table.weight_den, table.t, table.weight
+    spread = [V._digits(i, n, ell) for i in range(0, total, max(1, total // 64))]
+    for xi in code.words:
+        index = V._first_failing(V._monodromy_rows(k, xi), den)
+        if index is not None:
+            got = Fraction(sum(p * t[a] for p, a in zip(xi, index)) % k, k)
+            diff = Fraction(
+                sum(w[table.fuse[p][a]] - w[a] for p, a in zip(xi, index)), den
+            ) - sum(V.sc_weight(k, p) for p in xi)
+            return VerifyResult(
+                "extension_monodromy",
+                False,
+                f"word {xi} vs {table.label(index)}: {got} vs {diff}",
+            )
+        for eta in code.words:
+            merged = word_add(xi, eta, k)
+            for x in map(table.label, spread):
+                if V.b_ext(merged, x) != (V.b_ext(xi, x) + V.b_ext(eta, x)) % 1:
+                    return VerifyResult(
+                        "extension_monodromy",
+                        False,
+                        f"additivity fails at {xi}, {eta}, {x}",
+                    )
+    for index in V._sample(k, n, ell, total):
+        x = table.label(index)
+        weight = Fraction(sum(w[a] for a in index), den)
+        if V.tensor_weight(x) != weight:
+            return VerifyResult(
+                "extension_monodromy",
+                False,
+                f"label {x}: tensor_weight gives {V.tensor_weight(x)}, the table {weight}",
+            )
+        for xi in code.words:
+            fused = table.label(tuple(table.fuse[p][a] for p, a in zip(xi, index)))
+            monodromy = Fraction(sum(p * t[a] for p, a in zip(xi, index)) % k, k)
+            if V.fuse(xi, x) != fused or V.b_ext(xi, x) != monodromy:
+                return VerifyResult(
+                    "extension_monodromy",
+                    False,
+                    f"word {xi} vs {x}: fuse/b_ext give {V.fuse(xi, x)}, "
+                    f"{V.b_ext(xi, x)}; the table {fused}, {monodromy}",
+                )
+    if code.case is Case.A:
+        for xi in code.words:
+            for eta in code.words:
+                x = V.fuse(eta, IrrLabel(k, (vacuum(k),) * ell))
+                if V.b_ext(xi, x) != 0:
+                    return VerifyResult(
+                        "extension_monodromy",
+                        False,
+                        f"nonzero monodromy {xi} against code current {eta}",
+                    )
+    return VerifyResult("extension_monodromy", True)
+
+
+def caseB_by_member_fusion(code):
+    """`caseB_modules` fusing every member of every trivial-character orbit
+    with the odd representative, and skipping the orbits whose mate sorts
+    first."""
+    even = even_part_code(code)
+    odd_rep = min(code.odd_part)
+    out = []
+    for orb in orbits(even):
+        if not orb.character.trivial:
+            continue
+        mate = min(pfkit.modules.fuse(odd_rep, y) for y in orb.members)
+        if mate < orb.representative:
+            continue
+        if mate != orb.representative:
+            verdict = Verdict.FUSED
+        elif len(orb.stabilizer) == 1:
+            verdict = Verdict.SPLIT
+        else:
+            verdict = Verdict.INDETERMINATE
+        out.append(
+            CaseBRecord(
+                (orb.representative, mate), induced_decomposition(orb, even), verdict
+            )
+        )
+    return tuple(out)
+
+
+def outcome(suite, *args):
+    """The suite's result, or the type and message of the error it raised."""
+    try:
+        return suite(*args)
+    except PfkitError as err:
+        return type(err), str(err)
+
+
+def half_turn(value, args):
+    return (value + Fraction(1, 2)) % 1
+
+
+def off_by_one(value, args):
+    # the same value mod 1: only the comparisons that skip `% 1` see it
+    return value + 1
+
+
+def raising(value, args):
+    raise VerificationError(f"injected at {args}")
+
+
+def inject(monkeypatch, name, point, fault):
+    """Patch `pfkit.verify.<name>` so that the call with arguments `point`
+    returns `fault(value, point)`, which may raise; every other call is
+    untouched.  A `point` ending in None matches any last argument."""
+    original = getattr(V, name)
+
+    def faulty(*args):
+        value = original(*args)
+        hit = args == point or (point[-1] is None and args[:-1] == point[:-1])
+        return fault(value, args) if hit else value
+
+    monkeypatch.setattr(V, name, faulty)
+
+
+def next_label(value, args):
+    labels = V.all_labels(value.k)
+    return labels[(labels.index(value) + 1) % len(labels)]
+
+
+@pytest.mark.parametrize("fault", [next_label, raising], ids=["wrong", "raise"])
+@pytest.mark.parametrize("k, seed", [(k, s) for k in (3, 4, 5) for s in range(4)] + [(7, 0)])
+def test_group_laws_match_ordered_pair_loop(monkeypatch, k, seed, fault):
+    labels = V.all_labels(k)
+    rng = random.Random(seed)
+    point = (rng.choice(labels), rng.choice(labels))
+    inject(monkeypatch, "coset_add", point, fault)
+    got = outcome(verify_group_laws, k)
+    assert got == outcome(ordered_pair_group_laws, k)
+    if k <= 6 and point[0] != point[1]:
+        assert not got.passed
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_group_laws_match_when_coset_neg_is_faulted(monkeypatch, k):
+    labels = V.all_labels(k)
+    for seed in range(3):
+        point = (random.Random(seed).choice(labels),)
+        for fault in (next_label, raising):
+            with monkeypatch.context() as m:
+                inject(m, "coset_neg", point, fault)
+                got = outcome(verify_group_laws, k)
+                assert got == outcome(ordered_pair_group_laws, k)
+                assert not got.passed
+
+
+FAULTS = [half_turn, off_by_one, raising]
+FAULT_IDS = ["wrong", "off-by-one", "raise"]
+
+
+@pytest.mark.parametrize("fault", FAULTS, ids=FAULT_IDS)
+@pytest.mark.parametrize("k, seed", [(k, s) for k in (3, 4, 6) for s in range(3)])
+def test_monodromy_laws_match_per_call_loop(monkeypatch, k, seed, fault):
+    rng = random.Random(seed)
+    point = (rng.randrange(k), rng.choice(V.pf_all_labels(k)))
+    inject(monkeypatch, "pf_b", point, fault)
+    got = outcome(verify_monodromy_laws, k)
+    assert got == outcome(per_call_monodromy_laws, k)
+    assert got != VerifyResult("monodromy_laws", True)
+
+
+EXTENSION_CODES = [
+    span([(1, 2)], 5, 2),
+    span([(2, 2, 0), (0, 2, 2)], 4, 3),
+    span([(1, 1, 1)], 6, 3),
+    span([(3,)], 6, 1),
+]
+
+
+def fault_labels(code):
+    """The labels the extension-monodromy suite passes to `b_ext`: its
+    spread, its seeded sample and, on Case A codes, the code currents."""
+    k, ell = code.k, code.ell
+    table = V.label_table(k)
+    n = len(table.labels)
+    total = n**ell
+    indices = [V._digits(i, n, ell) for i in range(0, total, max(1, total // 64))]
+    out = [table.label(i) for i in indices + V._sample(k, n, ell, total)]
+    if code.case is Case.A:
+        out += [V.fuse(eta, IrrLabel(k, (vacuum(k),) * ell)) for eta in code.words]
+    return out
+
+
+@pytest.mark.parametrize("fault", FAULTS, ids=FAULT_IDS)
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "code", EXTENSION_CODES, ids=["k5-caseA", "k4-caseA", "k6-caseB", "k6-ell1-caseB"]
+)
+def test_extension_monodromy_matches_per_call_loop(monkeypatch, code, seed, fault):
+    rng = random.Random(seed)
+    point = (rng.choice(code.words), rng.choice(fault_labels(code)))
+    inject(monkeypatch, "b_ext", point, fault)
+    assert outcome(verify_extension_monodromy, code, CAP) == outcome(
+        per_call_extension_monodromy, code, CAP
+    )
+
+
+@pytest.mark.parametrize("fault", FAULTS[:2], ids=FAULT_IDS[:2])
+def test_row_faults_give_the_same_first_failure(monkeypatch, fault):
+    # one wrong current or codeword fails many comparisons; the first one
+    # reported depends on the order of the walk
+    for k in (4, 5):
+        with monkeypatch.context() as m:
+            inject(m, "pf_b", (2, None), fault)
+            assert outcome(verify_monodromy_laws, k) == outcome(per_call_monodromy_laws, k)
+    for code in EXTENSION_CODES:
+        with monkeypatch.context() as m:
+            inject(m, "b_ext", (code.words[-1], None), fault)
+            got = outcome(verify_extension_monodromy, code, CAP)
+            assert got == outcome(per_call_extension_monodromy, code, CAP)
+            assert not got.passed
+    labels = V.all_labels(4)
+    inject(monkeypatch, "coset_add", (labels[5], None), next_label)
+    assert outcome(verify_group_laws, 4) == outcome(ordered_pair_group_laws, 4)
+
+
+@pytest.mark.parametrize("code", EXTENSION_CODES, ids=lambda c: f"k{c.k}-ell{c.ell}")
+def test_unfaulted_suites_match_references(code):
+    assert verify_extension_monodromy(code, CAP) == per_call_extension_monodromy(
+        code, CAP
+    )
+    assert verify_monodromy_laws(code.k) == per_call_monodromy_laws(code.k)
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "module, name, run, most",
+    [
+        # 18,528 unordered pairs at k=6, against 36,864 ordered ones
+        (V, "coset_add", lambda: verify_group_laws(6), 45_646),
+        # one k x n table of pf_b at k=10, against 3 calls per comparison
+        (V, "pf_b", lambda: verify_monodromy_laws(10), 550),
+        # 25 codewords x 65 spread labels, plus the sample and Case A check
+        (
+            V,
+            "b_ext",
+            lambda: verify_extension_monodromy(
+                span([(1, 2, 0, 0), (0, 0, 1, 2)], 5, 4), CAP
+            ),
+            3_850,
+        ),
+        # only the orbits not already emitted as mates are fused
+        (
+            pfkit.modules,
+            "fuse",
+            lambda: caseB_modules(span([(5, 0)], 10, 2)),
+            1_650,
+        ),
+    ],
+    ids=["coset_add", "pf_b", "b_ext", "fuse"],
+)
+def test_each_value_is_evaluated_once(monkeypatch, module, name, run, most):
+    calls = count_calls(monkeypatch, module, name)
+    result = run()
+    assert len(calls) <= most
+    if isinstance(result, VerifyResult):
+        assert result.passed
+
+
+@st.composite
+def caseB_codes(draw):
+    k = draw(st.sampled_from([2, 4, 6, 10]))
+    ell = draw(st.integers(1, {2: 4, 4: 3, 6: 3, 10: 2}[k]))
+    rows = draw(st.integers(1, 2))
+    gens = [tuple(draw(st.integers(0, k - 1)) for _ in range(ell)) for _ in range(rows)]
+    code = span(gens, k, ell)
+    assume(code.case is Case.B)
+    return code
+
+
+@settings(max_examples=40, deadline=None)
+@given(caseB_codes())
+def test_caseB_records_match_member_fusion(code):
+    assert caseB_modules(code) == caseB_by_member_fusion(code)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [span([(5, 0)], 10, 2), span([(1, 1, 1)], 6, 3), span([(3, 0), (0, 3)], 6, 2)],
+    ids=["k10", "k6-ell3", "k6-fixed-points"],
+)
+def test_caseB_records_match_member_fusion_on_fixed_codes(code):
+    assert caseB_modules(code) == caseB_by_member_fusion(code)
+
+
+def test_search_cap_trips_before_any_coset_label(monkeypatch, capsys):
+    def unreachable(k):
+        raise AssertionError(f"coset labels of level {k} were built")
+
+    for module in (pfkit.cosets, V):
+        monkeypatch.setattr(module, "all_labels", unreachable)
+    argv = ["--k", "13", "--ell", "1", "--analysis", "verify", "--verify-max-k", "13"]
+    assert main(argv) == 4
+    assert "exhaustive norm search is capped at rank 12, got 13" in capsys.readouterr().err
+
+
+def test_non_multiple_current_weight_raises(monkeypatch):
+    # 2k(k + 2) = 48 at k=4; 1/96 has no integer numerator over it
+    monkeypatch.setattr(V, "sc_weight", lambda k, p: Fraction(1, 96))
+    with pytest.raises(VerificationError, match="1/96 is not a multiple of 1/48"):
+        verify_extension_monodromy(span([(2, 2)], 4, 2), CAP)
+
+
+def test_check_numerator():
+    assert check_numerator(Fraction(3, 4), 8) == 6
+    assert check_numerator(2, 5) == 10
+    with pytest.raises(VerificationError, match="1/3 is not a multiple of 1/8"):
+        check_numerator(Fraction(1, 3), 8)
