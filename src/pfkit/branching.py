@@ -26,6 +26,7 @@ from math import lcm, prod
 from .errors import (
     CapExceededError,
     InvalidInputError,
+    VerificationError,
     check_bits,
     check_level,
     check_numerator,
@@ -48,7 +49,8 @@ class VirasoroLabel:
         return vir_h(self.m, self.r, self.s)
 
 
-def _check_kac(m: int, r: int, s: int) -> None:
+def _check_kac(m: int, r: int = 1, s: int = 1) -> None:
+    """Reject a minimal-model index m < 1, or (r, s) outside its Kac table."""
     if not isinstance(m, int) or m < 1:
         raise InvalidInputError(f"minimal-model index must be >= 1, got {m!r}")
     if not 1 <= r <= m + 1:
@@ -59,8 +61,7 @@ def _check_kac(m: int, r: int, s: int) -> None:
 
 def vir_c(m: int) -> Fraction:
     """Central charge of the m-th unitary minimal model."""
-    if not isinstance(m, int) or m < 1:
-        raise InvalidInputError(f"minimal-model index must be >= 1, got {m!r}")
+    _check_kac(m)
     return 1 - Fraction(6, (m + 2) * (m + 3))
 
 
@@ -163,13 +164,17 @@ def branch(k: int, j: int, bits) -> tuple[BranchComponent, ...]:
     return tuple(out)
 
 
+def _check_tail_bit(d: int) -> None:
+    if d not in (0, 1):
+        raise InvalidInputError(f"tail bit must be 0 or 1, got {d}")
+
+
 def branch_tail(k: int, j: int, d: int) -> tuple[tuple[VirasoroLabel, PfLabel], ...]:
     """Last-factor specialization: components of the coset (j, (0,...,0,d))
     visible as pairs (h^{k-1}_{1, i+1}, parafermion (i, j + (i-d)/2)) over
     i = d (mod 2), 0 <= i <= k.  No rank cap; the list has ~k/2 entries."""
     check_level(k)
-    if d not in (0, 1):
-        raise InvalidInputError(f"tail bit must be 0 or 1, got {d}")
+    _check_tail_bit(d)
     return tuple(
         (
             vir_canonicalize(k - 1, 1, i + 1),
@@ -187,13 +192,15 @@ def locate_pf(x: PfLabel, d: int) -> int:
     whose first index matches the parity of d; when k is even and no
     representative matches, the parity obstruction is reported as an error.
     """
-    if d not in (0, 1):
-        raise InvalidInputError(f"tail bit must be 0 or 1, got {d}")
+    _check_tail_bit(d)
     k = x.k
     for i, j in sorted(presentations(x)):
         if i % 2 == d:
             eta = (j - (i - d) // 2) % k
-            assert any(pf == x for _, pf in branch_tail(k, eta, d))
+            if not any(pf == x for _, pf in branch_tail(k, eta, d)):
+                raise VerificationError(
+                    f"{x} is missing from the tail coset ({eta}, (0,...,0,{d}))"
+                )
             return eta
     raise InvalidInputError(
         f"no representative of {x} matches tail parity {d} at even rank {k}"

@@ -85,7 +85,7 @@ class LatticeVector:
         return self.dot(self)
 
 
-def _check_same_rank(u: LatticeVector, v: LatticeVector) -> None:
+def _check_same_rank(u, v) -> None:
     if u.k != v.k:
         raise InvalidInputError(f"rank mismatch: {u.k} vs {v.k}")
 
@@ -144,8 +144,7 @@ def all_labels(k: int) -> tuple[CosetLabel, ...]:
 def coset_add(x: CosetLabel, y: CosetLabel) -> CosetLabel:
     """Group law on labels: bits combine by symmetric difference, the shift
     corrects by the support overlap."""
-    if x.k != y.k:
-        raise InvalidInputError(f"rank mismatch: {x.k} vs {y.k}")
+    _check_same_rank(x, y)
     overlap = sum(a & b for a, b in zip(x.bits, y.bits))
     bits = tuple(a ^ b for a, b in zip(x.bits, y.bits))
     return canonicalize(x.k, x.j + y.j - overlap, bits)
@@ -344,12 +343,16 @@ class ProductCoset:
         )
 
     def __add__(self, other: "ProductCoset") -> "ProductCoset":
-        if self.k != other.k or self.ell != other.ell:
-            raise InvalidInputError("product coset shape mismatch")
+        _check_same_shape(self, other)
         return ProductCoset(
             self.k,
             tuple(coset_add(a, b) for a, b in zip(self.labels, other.labels)),
         )
+
+
+def _check_same_shape(x: ProductCoset, y: ProductCoset) -> None:
+    if x.k != y.k or x.ell != y.ell:
+        raise InvalidInputError("product coset shape mismatch")
 
 
 def pairing(x, y) -> Fraction:
@@ -360,12 +363,10 @@ def pairing(x, y) -> Fraction:
     CosetLabels or two ProductCosets of matching shape.
     """
     if isinstance(x, CosetLabel) and isinstance(y, CosetLabel):
-        if x.k != y.k:
-            raise InvalidInputError(f"rank mismatch: {x.k} vs {y.k}")
+        _check_same_rank(x, y)
         pairs = ((x, y),)
     elif isinstance(x, ProductCoset) and isinstance(y, ProductCoset):
-        if x.k != y.k or x.ell != y.ell:
-            raise InvalidInputError("product coset shape mismatch")
+        _check_same_shape(x, y)
         pairs = zip(x.labels, y.labels)
     else:
         raise InvalidInputError(

@@ -100,22 +100,23 @@ def sc_ext_weight(k: int, xi: Codeword) -> Fraction:
     return sum(xi) - Fraction(sum(x * x for x in xi), k)
 
 
-def fuse(xi: Codeword, x: IrrLabel) -> IrrLabel:
-    """Factorwise simple-current fusion of a codeword with a label."""
+def _check_length(xi: Codeword, x: IrrLabel) -> None:
     if len(xi) != x.ell:
         raise InvalidInputError(
             f"codeword length {len(xi)} != label length {x.ell}"
         )
+
+
+def fuse(xi: Codeword, x: IrrLabel) -> IrrLabel:
+    """Factorwise simple-current fusion of a codeword with a label."""
+    _check_length(xi, x)
     return IrrLabel(x.k, tuple(sc_fuse(p, f) for p, f in zip(xi, x.factors)))
 
 
 def b_ext(xi: Codeword, x: IrrLabel) -> Fraction:
     """Fractional monodromy of the codeword current against the label:
     (xi | mu - 2 nu)/k mod 1, in [0, 1)."""
-    if len(xi) != x.ell:
-        raise InvalidInputError(
-            f"codeword length {len(xi)} != label length {x.ell}"
-        )
+    _check_length(xi, x)
     k = x.k
     t = sum(p * (f.i - 2 * f.j) for p, f in zip(xi, x.factors))
     return Fraction(t % k, k)
@@ -185,12 +186,16 @@ class Character:
         return ",".join(str(x) for x in self.rep)
 
 
+def _check_label_shape(x: IrrLabel, code: Code) -> None:
+    if x.k != code.k or x.ell != code.ell:
+        raise InvalidInputError("label shape does not match the code")
+
+
 def character_of(x: IrrLabel, code: Code) -> Character:
     """The character by which the code acts on the orbit of x, i.e. the
     coset of (mu - 2 nu) modulo the dual code."""
     k = code.k
-    if x.k != k or x.ell != code.ell:
-        raise InvalidInputError("label shape does not match the code")
+    _check_label_shape(x, code)
     return _reduce(code, tuple((f.i - 2 * f.j) % k for f in x.factors))
 
 
@@ -377,8 +382,7 @@ def realize(x: IrrLabel, code: Code) -> tuple[ProductCoset, bool]:
     eta = j - (i - d)/2.  The membership flag equals the triviality of the
     orbit character.
     """
-    if x.k != code.k or x.ell != code.ell:
-        raise InvalidInputError("label shape does not match the code")
+    _check_label_shape(x, code)
     eta, delta = zip(*(_tail(f) for f in x.factors))
     coset = ProductCoset.from_tail(code.k, eta, delta)
     return coset, dual_membership(eta, delta, code)

@@ -55,19 +55,13 @@ def pf_canonicalize(k: int, i: int, j: int) -> PfLabel:
 def pf_weight(k: int, i: int, j: int) -> Fraction:
     """Conformal weight of the module labeled (i, j).
 
-    For 0 <= j <= i the numerator is
+    On the canonical label (i, j), 0 <= j < i <= k, the numerator is
         P(i, j) = k(i - 2j) - (i - 2j)^2 + 2k(i - j + 1)j
-    over 2k(k + 2); otherwise the identified label (k - i, j - i) is used.
-    Both formulas agree where their ranges overlap.
+    over 2k(k + 2).
     """
-    check_level(k)
-    if not 0 <= i <= k:
-        raise InvalidInputError(f"first label index must lie in [0, {k}], got {i}")
-    j %= k
-    if j > i:
-        i, j = k - i, j - i
-    t = i - 2 * j
-    num = k * t - t * t + 2 * k * (i - j + 1) * j
+    x = pf_canonicalize(k, i, j)
+    t = x.i - 2 * x.j
+    num = k * t - t * t + 2 * k * (x.i - x.j + 1) * x.j
     return Fraction(num, 2 * k * (k + 2))
 
 

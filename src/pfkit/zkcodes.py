@@ -151,47 +151,41 @@ def span(generators, k: int, ell: int, cap: int = DEFAULT_ENUM_CAP) -> Code:
     return Code(k, ell, gens, ordered, case, d0, d1)
 
 
-def _reduce_generators(words: tuple[Codeword, ...], k: int) -> tuple[Codeword, ...]:
-    """Greedy small generating set for a subgroup given as a word list."""
-    ell = len(words[0])
-    zero = (0,) * ell
-    spanned = {zero}
-    gens: list[Codeword] = []
-    for w in words:
-        if w in spanned:
-            continue
-        gens.append(w)
-        closure = set(spanned)
-        frontier = [w]
-        while frontier:
-            fresh = []
-            for v in frontier:
-                for u in list(closure):
-                    s = word_add(v, u, k)
-                    if s not in closure:
-                        closure.add(s)
-                        fresh.append(s)
-            frontier = fresh
-        spanned = closure
-    return tuple(gens)
-
-
 def code_from_words(k: int, ell: int, words) -> Code:
-    """Build a Code from an explicit member list (must be a subgroup)."""
+    """Build a Code from an explicit member list (must be a subgroup).
+
+    Generators are picked greedily in sorted order: each member not yet
+    spanned becomes one, after every member plus it is checked to be a
+    member.  The span stays inside the members, and a set holding 0 and
+    closed under adding each generator is their span, so the list is closed
+    exactly when no check fails.  Cost O(|C| * #generators).
+    """
     check_shape(k, ell)
     member_set = {check_word(w, k, ell) for w in words}
-    if (0,) * ell not in member_set:
+    zero = (0,) * ell
+    if zero not in member_set:
         raise InvalidInputError("a code must contain the zero word")
     members = tuple(sorted(member_set))
+    spanned = {zero}
+    gens: list[Codeword] = []
     for x in members:
+        if x in spanned:
+            continue
         for y in members:
             if word_add(x, y, k) not in member_set:
                 raise InvalidInputError(
                     f"word list is not closed under addition: {x} + {y}"
                 )
-    gens = _reduce_generators(members, k)
-    case, d0, d1 = _classify_words(members, k, gens)
-    return Code(k, ell, gens, members, case, d0, d1)
+        gens.append(x)
+        grown = set(spanned)
+        multiple = x
+        while multiple not in spanned:
+            grown.update(word_add(s, multiple, k) for s in spanned)
+            multiple = word_add(multiple, x, k)
+        spanned = grown
+    generators = tuple(gens)
+    case, d0, d1 = _classify_words(members, k, generators)
+    return Code(k, ell, generators, members, case, d0, d1)
 
 
 def dual_code(code: Code, cap: int = DEFAULT_ENUM_CAP) -> Code:
@@ -205,14 +199,12 @@ def dual_code(code: Code, cap: int = DEFAULT_ENUM_CAP) -> Code:
         raise CapExceededError(
             f"dual enumeration over {total} words exceeds the cap of {cap}"
         )
-    words = tuple(
+    words = (
         w
         for w in product(range(code.k), repeat=code.ell)
         if all(inner(g, w, code.k) == 0 for g in code.generators)
     )
-    gens = _reduce_generators(words, code.k)
-    case, d0, d1 = _classify_words(words, code.k, gens)
-    return Code(code.k, code.ell, gens, words, case, d0, d1)
+    return code_from_words(code.k, code.ell, words)
 
 
 def binary_reduce(words, k: int) -> tuple[Codeword, ...]:
@@ -234,7 +226,7 @@ def binary_reduce(words, k: int) -> tuple[Codeword, ...]:
                 )
         out.append(tuple(0 if x == 0 else 1 for x in w))
     reduced = tuple(sorted(out))
-    if len(set(reduced)) != len(list(words)):
+    if len(set(reduced)) != len(out):
         raise InvalidInputError("binary reduction collapsed distinct words")
     return reduced
 

@@ -13,6 +13,7 @@ from pfkit import (
     CapExceededError,
     InvalidInputError,
     PfLabel,
+    VerificationError,
     VirasoroLabel,
     branch,
     branch_tail,
@@ -304,3 +305,17 @@ def test_locate_pf_membership():
 def test_locate_pf_parity_obstruction():
     with pytest.raises(InvalidInputError):
         locate_pf(pf_canonicalize(4, 2, 1), 1)
+
+
+def test_locate_pf_self_check_raises(monkeypatch):
+    # a tail list that omits x must fail even under `python -O`
+    x = pf_canonicalize(3, 2, 0)
+    real = pfkit.branching.branch_tail
+
+    def without_x(k, j, d):
+        return tuple(pair for pair in real(k, j, d) if pair[1] != x)
+
+    monkeypatch.setattr(pfkit.branching, "branch_tail", without_x)
+    missing = r"\(2,0\) is missing from the tail coset \(2, \(0,\.\.\.,0,0\)\)"
+    with pytest.raises(VerificationError, match=missing):
+        locate_pf(x, 0)

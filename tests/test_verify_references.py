@@ -13,9 +13,10 @@ orbit and compares.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pfkit.cosets
@@ -44,7 +45,7 @@ from pfkit.verify import (
     verify_group_laws,
     verify_monodromy_laws,
 )
-from pfkit.zkcodes import Case, span, word_add
+from pfkit.zkcodes import Case, inner, span, word_add
 
 CAP = 10**7
 
@@ -392,12 +393,21 @@ def test_each_value_is_evaluated_once(monkeypatch, module, name, run, most):
 
 @st.composite
 def caseB_codes(draw):
+    """A first row g0 with (g0|g0) = k/2 and an optional second row h with
+    (h|h) and (g0|h) in {0, k/2}: by bilinearity every pairing of the span
+    lies in {0, k/2}, so each draw is Case B."""
     k = draw(st.sampled_from([2, 4, 6, 10]))
-    ell = draw(st.integers(1, {2: 4, 4: 3, 6: 3, 10: 2}[k]))
-    rows = draw(st.integers(1, 2))
-    gens = [tuple(draw(st.integers(0, k - 1)) for _ in range(ell)) for _ in range(rows)]
+    # (x|x) = 2 mod 4 needs two entries at k=4
+    ell = draw(st.integers(2 if k == 4 else 1, {2: 4, 4: 3, 6: 3, 10: 2}[k]))
+    half = k // 2
+    words = list(product(range(k), repeat=ell))
+    g0 = draw(st.sampled_from([w for w in words if inner(w, w, k) == half]))
+    gens = [g0]
+    if draw(st.booleans()):
+        rows = [h for h in words if {inner(h, h, k), inner(g0, h, k)} <= {0, half}]
+        gens.append(draw(st.sampled_from(rows)))
     code = span(gens, k, ell)
-    assume(code.case is Case.B)
+    assert code.case is Case.B
     return code
 
 

@@ -1,10 +1,18 @@
-"""Codes over Z_k: spans, duals, classification, binary reduction."""
+"""Codes over Z_k: spans, duals, classification, binary reduction.
+
+`code_from_words` picks generators greedily and checks closure against
+them; the references below are the pairwise closure check and the
+quadratic subgroup closure it replaced.
+"""
 
 import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pfkit.zkcodes
 from pfkit import (
     CapExceededError,
     Case,
@@ -17,6 +25,7 @@ from pfkit import (
     radical_data,
     span,
 )
+from pfkit.zkcodes import Code, _classify_words, word_add
 
 
 def test_span_empty_is_zero_code():
@@ -177,7 +186,7 @@ def test_radical_data_rejects_non_square_index():
 
 
 def test_code_from_words_full_binary_code_within_budget():
-    # the closure check is quadratic in the word count; 512 words must stay fast
+    # the closure check costs |C| word additions per generator; 512 words must stay fast
     start = time.perf_counter()
     code = code_from_words(2, 9, product(range(2), repeat=9))
     elapsed = time.perf_counter() - start
@@ -190,3 +199,124 @@ def test_code_from_words_full_binary_code_within_budget():
         full.odd_part,
     )
     assert elapsed < 5.0, f"code_from_words took {elapsed:.2f}s, budget 5s"
+
+
+def test_binary_reduce_accepts_an_iterator():
+    assert binary_reduce(iter(((0, 0), (2, 2))), 4) == ((0, 0), (1, 1))
+    with pytest.raises(InvalidInputError, match="collapsed distinct words"):
+        binary_reduce(iter(((0, 2), (0, 2))), 4)
+
+
+def reduce_generators_reference(words, k):
+    """Greedy generators of a subgroup given as a word list, by closing the
+    span under addition with itself after each new generator."""
+    spanned = {(0,) * len(words[0])}
+    gens = []
+    for w in words:
+        if w in spanned:
+            continue
+        gens.append(w)
+        closure = set(spanned)
+        frontier = [w]
+        while frontier:
+            fresh = []
+            for v in frontier:
+                for u in list(closure):
+                    s = word_add(v, u, k)
+                    if s not in closure:
+                        closure.add(s)
+                        fresh.append(s)
+            frontier = fresh
+        spanned = closure
+    return tuple(gens)
+
+
+def code_from_words_reference(k, ell, words):
+    """Closure checked on every pair of members, then greedy generators."""
+    member_set = set(words)
+    if (0,) * ell not in member_set:
+        raise InvalidInputError("a code must contain the zero word")
+    members = tuple(sorted(member_set))
+    for x in members:
+        for y in members:
+            if word_add(x, y, k) not in member_set:
+                raise InvalidInputError(
+                    f"word list is not closed under addition: {x} + {y}"
+                )
+    gens = reduce_generators_reference(members, k)
+    return Code(k, ell, gens, members, *_classify_words(members, k, gens))
+
+
+def dual_code_reference(code):
+    k, ell = code.k, code.ell
+    words = [
+        w
+        for w in product(range(k), repeat=ell)
+        if all(inner(g, w, k) == 0 for g in code.generators)
+    ]
+    return code_from_words_reference(k, ell, words)
+
+
+@st.composite
+def small_spans(draw):
+    k = draw(st.integers(2, 8))
+    ell = draw(st.integers(1, {2: 7, 3: 5, 4: 4, 5: 3, 6: 3}.get(k, 2)))
+    word = st.tuples(*[st.integers(0, k - 1)] * ell)
+    return span(draw(st.lists(word, max_size=3)), k, ell)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_spans())
+def test_code_from_words_and_dual_match_the_references(code):
+    assert code_from_words(code.k, code.ell, code.words) == code_from_words_reference(
+        code.k, code.ell, code.words
+    )
+    assert dual_code(code) == dual_code_reference(code)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_spans(), st.data())
+def test_code_from_words_rejects_what_the_pairwise_check_rejects(code, data):
+    # a code less a few words, plus a few stray ones, may or may not be closed
+    k, ell = code.k, code.ell
+    dropped = set()
+    if code.size > 1:
+        dropped = data.draw(st.sets(st.sampled_from(code.words[1:]), max_size=2))
+    stray = data.draw(st.lists(st.tuples(*[st.integers(0, k - 1)] * ell), max_size=2))
+    words = [w for w in code.words if w not in dropped] + stray
+    try:
+        expected = code_from_words_reference(k, ell, words)
+    except InvalidInputError:
+        with pytest.raises(InvalidInputError, match="not closed under addition"):
+            code_from_words(k, ell, words)
+    else:
+        assert code_from_words(k, ell, words) == expected
+
+
+def count_word_adds(monkeypatch):
+    calls = [0]
+    real = pfkit.zkcodes.word_add
+
+    def counted(xi, eta, k):
+        calls[0] += 1
+        return real(xi, eta, k)
+
+    monkeypatch.setattr(pfkit.zkcodes, "word_add", counted)
+    return calls
+
+
+def test_dual_of_zero_code_word_adds(monkeypatch):
+    # 5 generators x 1,024 closure checks, 1,023 span words, 5 x 3 multiples
+    # (the pairwise check and subgroup closure made 838,178)
+    zero = span([], 4, 5)
+    calls = count_word_adds(monkeypatch)
+    assert dual_code(zero).size == 1024
+    assert calls[0] == 6158
+
+
+def test_full_binary_code_word_adds(monkeypatch):
+    # 9 generators x 512 closure checks, 511 span words, 9 x 1 multiples
+    # (the pairwise check and subgroup closure made 437,417)
+    calls = count_word_adds(monkeypatch)
+    assert code_from_words(2, 9, product(range(2), repeat=9)).size == 512
+    assert calls[0] == 5128
