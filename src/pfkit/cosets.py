@@ -115,13 +115,34 @@ def canonicalize(k: int, j: int, bits) -> CosetLabel:
     """Canonical label: reduce j mod k, then flip to the complement when
     j >= weight(bits).  The two presentations (j, bits) and
     (j - weight, ~bits) name the same coset."""
-    check_level(k)
-    bits = check_bits(k, bits)
-    j %= k
-    w = sum(bits)
+    return _unpack(k, _add_packed(k, _pack(CosetLabel(k, j, bits)), 0))
+
+
+def _pack(x: CosetLabel) -> int:
+    """The checked label as j << k | mask, bits[0] the top bit: packed
+    canonical labels sort as the labels do."""
+    check_level(x.k)
+    mask = 0
+    for b in check_bits(x.k, x.bits):
+        mask = mask << 1 | b
+    return x.j << x.k | mask
+
+
+def _unpack(k: int, x: int) -> CosetLabel:
+    return CosetLabel(k, x >> k, tuple(x >> (k - 1 - p) & 1 for p in range(k)))
+
+
+def _add_packed(k: int, x: int, y: int) -> int:
+    """The group law on packed labels, canonical out: XOR of the masks, the
+    shift less the popcount of their overlap, then the complement flip.
+    Adding 0, the identity as (0, 0...0), canonicalizes."""
+    full = (1 << k) - 1
+    mask = (x ^ y) & full
+    w = mask.bit_count()
+    j = ((x >> k) + (y >> k) - (x & y & full).bit_count()) % k
     if j < w:
-        return CosetLabel(k, j, bits)
-    return CosetLabel(k, (j - w) % k, tuple(1 - b for b in bits))
+        return j << k | mask
+    return (j - w) % k << k | mask ^ full
 
 
 def identity_label(k: int) -> CosetLabel:
@@ -142,12 +163,10 @@ def all_labels(k: int) -> tuple[CosetLabel, ...]:
 
 
 def coset_add(x: CosetLabel, y: CosetLabel) -> CosetLabel:
-    """Group law on labels: bits combine by symmetric difference, the shift
-    corrects by the support overlap."""
+    """Group law on labels (`_add_packed`): bits combine by symmetric
+    difference, the shift corrects by the support overlap."""
     _check_same_rank(x, y)
-    overlap = sum(a & b for a, b in zip(x.bits, y.bits))
-    bits = tuple(a ^ b for a, b in zip(x.bits, y.bits))
-    return canonicalize(x.k, x.j + y.j - overlap, bits)
+    return _unpack(x.k, _add_packed(x.k, _pack(x), _pack(y)))
 
 
 def coset_neg(x: CosetLabel) -> CosetLabel:

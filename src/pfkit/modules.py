@@ -430,7 +430,7 @@ def even_part_code(code: Code) -> Code:
     return even
 
 
-def caseB_modules(code: Code, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP) -> tuple[CaseBRecord, ...]:
+def caseB_modules(code: Code, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP, induced=None) -> tuple[CaseBRecord, ...]:
     """Pair up the even-part modules under the odd coset and report verdicts.
 
     Every irreducible module of the superalgebra restricts to the even part
@@ -445,7 +445,8 @@ def caseB_modules(code: Code, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP) -> 
     Only trivial-character orbits are processed: those are the ones carrying
     untwisted even-part modules.  Each unordered pair appears once.  A
     caller that already holds the orbits of the even part passes them as
-    `orbit_list`.
+    `orbit_list`, and their induced reports as `induced`, keyed by
+    representative (the trivial-character ones suffice).
     """
     even = even_part_code(code)
     if orbit_list is None:
@@ -465,11 +466,6 @@ def caseB_modules(code: Code, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP) -> 
             verdict = Verdict.SPLIT
         else:
             verdict = Verdict.INDETERMINATE
-        out.append(
-            CaseBRecord(
-                (orb.representative, mate),
-                induced_decomposition(orb, even),
-                verdict,
-            )
-        )
+        report = induced_decomposition(orb, even) if induced is None else induced[orb.representative]
+        out.append(CaseBRecord((orb.representative, mate), report, verdict))
     return tuple(out)

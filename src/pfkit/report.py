@@ -164,24 +164,16 @@ def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None
         )
     basis = modules.even_part_code(code) if code.case is Case.B else code
     orbit_list = modules.orbits(basis, job.orbit_cap)
-    case_b: list | None = None
-    if code.case is Case.B:
-        case_b = [
-            {
-                "pair": [str(rec.pair[0]), str(rec.pair[1])],
-                "verdict": rec.verdict.value,
-                "regime": rec.induced.regime.value,
-                "num_irreducibles": rec.induced.num_irreducibles,
-                "multiplicity": rec.induced.multiplicity,
-            }
-            for rec in modules.caseB_modules(code, orbit_list)
-        ]
     rows = []
+    trivial = {}
 
     def induced():
-        # each orbit's induced report, built once for its row and the counts
+        # each orbit's induced report, built once for its row, the counts
+        # and the Case B records
         for orb in orbit_list:
             rep = modules.induced_decomposition(orb, basis)
+            if code.case is Case.B and orb.character.trivial:
+                trivial[orb.representative] = rep
             rows.append(
                 {
                     "representative": str(orb.representative),
@@ -201,6 +193,18 @@ def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None
         {"character": str(chi), "count": totals[chi]}
         for chi in modules.characters(basis, orbit_list)
     ]
+    case_b: list | None = None
+    if code.case is Case.B:
+        case_b = [
+            {
+                "pair": [str(rec.pair[0]), str(rec.pair[1])],
+                "verdict": rec.verdict.value,
+                "regime": rec.induced.regime.value,
+                "num_irreducibles": rec.induced.num_irreducibles,
+                "multiplicity": rec.induced.multiplicity,
+            }
+            for rec in modules.caseB_modules(code, orbit_list, induced=trivial)
+        ]
     scope = "even_part" if code.case is Case.B else "code"
     return (
         {"acting_code": scope, "rows": rows},

@@ -6,10 +6,10 @@ reports pass/fail with the first counterexample.  Suites are deterministic.
 The realization and extension-monodromy suites check every label with
 integer sums over the level's label table (`modules.label_table`), and
 report the first counterexample in the order of `modules.all_irr_labels`.
-The realization suite walks the index tuples; the extension-monodromy
-bookkeeping is checked per slot, since its sums split into one term per
-slot.  Each also runs a seeded sample of 64 labels through the public
-per-label functions, which must agree with the table.
+Their sums split into one term per slot, so `_first_failing` folds
+per-slot increments over a small state instead of walking the labels.  Each
+also runs a seeded sample of 64 labels through the public per-label
+functions, which must agree with the table.
 """
 
 from __future__ import annotations
@@ -18,12 +18,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
 from .cosets import (
     ProductCoset,
+    _add_packed,
     _coset_of_scaled,
+    _pack,
     _scaled,
+    _unpack,
     all_labels,
     build_code_lattice,
     check_search_level,
@@ -95,10 +98,12 @@ def verify_group_laws(k: int) -> VerifyResult:
     for rank <= 6, seeded sample otherwise), seeded associativity, and the
     generator decomposition exhibiting invariant factors (2, ..., 2, 2k).
 
-    The inverse oracle runs on 2k-scaled integers; a seeded sample of 64
-    labels runs it through the public `representative` and
-    `coset_of_vector`.  A residue collision or a vector outside the dual
-    fails the suite with its message.
+    Identity and inverses run through the public functions for every
+    label, the inverse oracle on 2k-scaled integers, and through
+    `representative` and `coset_of_vector` for a seeded sample of 64.  The
+    pair laws run on packed labels (`cosets._add_packed`), which 64 seeded
+    pairs through `coset_add` must match.  A residue collision or a vector
+    outside the dual fails the suite with its message.
     """
     labels = all_labels(k)
     try:
@@ -119,48 +124,53 @@ def _group_law_failure(k: int, labels) -> str | None:
             return f"inverse oracle fails at {x}"
         if coset_add(x, neg) != e:
             return f"inverse fails at {x}"
-    for x in random.Random(k).sample(labels, min(64, len(labels))):
+    sample = random.Random(k).sample(labels, min(64, len(labels)))
+    for x, y in zip(sample, sample[1:] + sample[:1]):
         if coset_of_vector(-representative(x)) != coset_neg(x):
             return f"public inverse oracle fails at {x}"
+        if coset_add(x, y) != _unpack(k, _add_packed(k, _pack(x), _pack(y))):
+            return f"public coset_add fails at {x}, {y}"
+    packed = [_pack(x) for x in labels]
     rng = random.Random(20240 + k)
     if k <= 6:
         # symmetric in x, y: the first failing ordered pair has x <= y
-        pairs = combinations_with_replacement(labels, 2)
+        pairs = combinations_with_replacement(packed, 2)
     else:
-        pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(2000)]
+        pairs = [(rng.choice(packed), rng.choice(packed)) for _ in range(2000)]
     for x, y in pairs:
-        if coset_add(x, y) != coset_add(y, x):
-            return f"commutativity fails at {x}, {y}"
+        if _add_packed(k, x, y) != _add_packed(k, y, x):
+            return f"commutativity fails at {_unpack(k, x)}, {_unpack(k, y)}"
     for _ in range(2000):
-        x, y, z = (rng.choice(labels) for _ in range(3))
-        if coset_add(coset_add(x, y), z) != coset_add(x, coset_add(y, z)):
+        x, y, z = (rng.choice(packed) for _ in range(3))
+        if _add_packed(k, _add_packed(k, x, y), z) != _add_packed(k, x, _add_packed(k, y, z)):
+            x, y, z = (_unpack(k, v) for v in (x, y, z))
             return f"associativity fails at {x}, {y}, {z}"
-    return _check_invariant_factors(k, labels)
+    return _check_invariant_factors(k, packed)
 
 
-def _check_invariant_factors(k: int, labels) -> str | None:
+def _check_invariant_factors(k: int, packed) -> str | None:
     """Fold explicit generators of orders (2, ..., 2, 2k) and check that
-    their combinations enumerate the whole group bijectively.  They come
-    from the fundamental weights gamma/2k - alpha_p/2, 2k-scaled to
-    1 - k e_p."""
+    their combinations enumerate the whole group of packed labels
+    bijectively.  They come from the fundamental weights
+    gamma/2k - alpha_p/2, 2k-scaled to 1 - k e_p."""
 
     def fundamental(p: int) -> list[int]:
         return [1 - k * (q == p) for q in range(k)]
 
     last = fundamental(k - 1)
     gens = [
-        _coset_of_scaled(k, [a - b for a, b in zip(fundamental(p), last)])
+        _pack(_coset_of_scaled(k, [a - b for a, b in zip(fundamental(p), last)]))
         for p in range(1, k - 1)
     ]
-    g_last = _coset_of_scaled(k, last)
-    e = identity_label(k)
+    g_last = _pack(_coset_of_scaled(k, last))
+    e = _pack(identity_label(k))
     for g in gens:
-        if coset_add(g, g) != e or g == e:
-            return f"generator {g} does not have order 2"
+        if _add_packed(k, g, g) != e or g == e:
+            return f"generator {_unpack(k, g)} does not have order 2"
     power = g_last
     order = 1
     while power != e:
-        power = coset_add(power, g_last)
+        power = _add_packed(k, power, g_last)
         order += 1
         if order > 2 * k:
             return "cyclic generator order exceeds 2k"
@@ -169,12 +179,12 @@ def _check_invariant_factors(k: int, labels) -> str | None:
     combos = {e}
     cursor = e
     for _ in range(2 * k - 1):
-        cursor = coset_add(cursor, g_last)
+        cursor = _add_packed(k, cursor, g_last)
         combos.add(cursor)
     for g in gens:
-        combos |= {coset_add(x, g) for x in combos}
-    if len(combos) != len(labels):
-        return f"generators span {len(combos)} of {len(labels)} labels"
+        combos |= {_add_packed(k, x, g) for x in combos}
+    if len(combos) != len(packed):
+        return f"generators span {len(combos)} of {len(packed)} labels"
     return None
 
 
@@ -233,34 +243,34 @@ def verify_realization(code: Code, cap: int) -> VerifyResult:
     """Dual membership of the realization coset must equal character
     triviality, for every label.
 
-    Every label is checked with integer sums over the level's label table,
+    Every label is decided with integer sums over the level's label table,
     by two independent routes: the lattice side sums the pairing numerators
     of each slot's tail with the code generators, the code side pairs t with
-    the generators.  A seeded sample of 64 labels must give the same answers
-    through the public `realize` and `character_of`.
+    the generators.  `_first_failing` folds all 2 * rank sums per slot.  A
+    seeded sample of 64 labels must give the same answers through the
+    public `realize` and `character_of`.
     """
     basis = even_part_code(code) if code.case is Case.B else code
     k, ell = basis.k, basis.ell
     total = label_space_size(k, ell, cap)
     table = label_table(k)
-    lattice_rows, code_rows = _realization_rows(basis)
+    steps = _realization_steps(basis)
+    rank = len(basis.generators)
 
     def routes(index):
-        return (
-            _pairs_to_zero(lattice_rows, index, k),
-            _pairs_to_zero(code_rows, index, k),
-        )
+        sums = [sum(c) % k for c in zip(*(row[a] for row, a in zip(steps, index)))]
+        return not any(sums[:rank]), not any(sums[rank:])
 
-    for index in product(range(len(table.labels)), repeat=ell):
+    index = _first_failing(steps, k, lambda sums: any(sums[:rank]) != any(sums[rank:]))
+    if index is not None:
         member, trivial = routes(index)
-        if member != trivial:
-            eta, delta = zip(*(table.tail[a] for a in index))
-            coset = ProductCoset.from_tail(k, eta, delta)
-            return VerifyResult(
-                "realization_duality",
-                False,
-                f"label {table.label(index)}: member={member}, trivial={trivial} ({coset})",
-            )
+        eta, delta = zip(*(table.tail[a] for a in index))
+        coset = ProductCoset.from_tail(k, eta, delta)
+        return VerifyResult(
+            "realization_duality",
+            False,
+            f"label {table.label(index)}: member={member}, trivial={trivial} ({coset})",
+        )
     for index in _sample(k, len(table.labels), ell, total):
         x = table.label(index)
         public = (realize(x, basis)[1], character_of(x, basis).trivial)
@@ -289,27 +299,21 @@ def _pairing_numerators(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _realization_rows(basis: Code):
-    """The two routes of the realization check, as rows per generator and
-    slot, indexed by factor, of numerators over k.
-
-    Lattice side: the pairing numerators of each factor's tail with the
-    generator entry.  Code side: the generator entry times t.  A label is a
-    dual member (resp. trivial) when every generator's row sum is 0 mod k.
-    """
-    k = basis.k
-    t = label_table(k).t
+def _realization_steps(basis: Code) -> list[list[tuple[int, ...]]]:
+    """Per slot and factor, the increments of every generator's lattice
+    sum, then of its code sum, as numerators over k: the pairing numerator
+    of the factor's tail with the generator entry, and the entry times t.
+    A label is a dual member (resp. trivial) when all its lattice (resp.
+    code) sums are 0 mod k."""
+    k, gens = basis.k, basis.generators
     slots = _pairing_numerators(k)
-    lattice = [[slots[p] for p in g] for g in basis.generators]
-    code_side = [[tuple(p * c % k for c in t) for p in g] for g in basis.generators]
-    return lattice, code_side
-
-
-def _pairs_to_zero(rows_per_gen, index: tuple[int, ...], k: int) -> bool:
-    return all(
-        sum(row[a] for row, a in zip(rows, index)) % k == 0
-        for rows in rows_per_gen
-    )
+    return [
+        [
+            tuple(slots[g[s]][a] for g in gens) + tuple(g[s] * c % k for g in gens)
+            for a, c in enumerate(label_table(k).t)
+        ]
+        for s in range(basis.ell)
+    ]
 
 
 def _monodromy_rows(k: int, xi: Codeword) -> list[tuple[int, ...]]:
@@ -331,25 +335,37 @@ def _monodromy_rows(k: int, xi: Codeword) -> list[tuple[int, ...]]:
     return rows
 
 
-def _first_failing(rows, modulus: int) -> tuple[int, ...] | None:
-    """The first index tuple in lexicographic order whose row sum
-    sum_s rows[s][index[s]] is nonzero mod modulus, or None.
+def _first_failing(steps, modulus: int, fails=any) -> tuple[int, ...] | None:
+    """The first index tuple in lexicographic order whose state, the sum of
+    steps[s][index[s]] over the slots s mod modulus, fails; or None.
 
-    Every sum vanishes exactly when each row is constant mod modulus and the
-    constants sum to 0.  Past a failing all-zeros tuple, the first failure
-    is zero except at the last non-constant slot, which takes its row's
-    first entry that differs from entry 0.
-    """
-    index = [0] * len(rows)
-    if sum(row[0] for row in rows) % modulus:
-        return tuple(index)
-    for s in reversed(range(len(rows))):
-        row = rows[s]
-        for a, value in enumerate(row):
-            if (value - row[0]) % modulus:
-                index[s] = a
-                return tuple(index)
-    return None
+    The reachable states are folded forward slot by slot, the ones that can
+    still reach a failing state back, and the first failure takes at each
+    slot the first factor that stays on one.  No state set outgrows the
+    number of index tuples."""
+
+    def move(state, step):
+        return tuple((a + b) % modulus for a, b in zip(state, step))
+
+    zero = (0,) * len(steps[0][0])
+    distinct = [{move(zero, step) for step in row} for row in steps]
+    reach = [{zero}]
+    for incs in distinct[:-1]:
+        reach.append({move(u, v) for u in reach[-1] for v in incs})
+    alive = [fails]  # can the state after the last slot still fail?
+    for states, incs in zip(reversed(reach[1:]), reversed(distinct[1:])):
+        after = alive[-1]
+        live = {u for u in states if any(after(move(u, v)) for v in incs)}
+        alive.append(live.__contains__)
+    alive.reverse()  # alive[s]: can the state after slot s still fail?
+    index, state = [], zero
+    for row, ok in zip(steps, alive):
+        a = next((a for a, step in enumerate(row) if ok(move(state, step))), None)
+        if a is None:  # only at slot 0: nothing fails
+            return None
+        index.append(a)
+        state = move(state, row[a])
+    return tuple(index)
 
 
 def _sample(k: int, n: int, ell: int, total: int) -> list[tuple[int, ...]]:
@@ -386,7 +402,8 @@ def verify_extension_monodromy(code: Code, cap: int) -> VerifyResult:
     # the code is closed under addition, so xi + eta has its row here too
     b_rows = {xi: [b_ext(xi, x) for x in spread] for xi in code.words}
     for xi in code.words:
-        index = _first_failing(_monodromy_rows(k, xi), den)
+        rows = _monodromy_rows(k, xi)
+        index = _first_failing([[(v,) for v in row] for row in rows], den)
         if index is not None:
             got = Fraction(sum(p * t[a] for p, a in zip(xi, index)) % k, k)
             diff = Fraction(

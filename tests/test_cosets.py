@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pfkit import (
     CapExceededError,
@@ -28,6 +31,7 @@ from pfkit import (
     span,
     vector,
 )
+from pfkit.cosets import _add_packed, _pack, _unpack
 
 
 def test_canonicalize_examples():
@@ -235,3 +239,62 @@ def test_dual_membership_examples():
     assert dual_membership((0,), (0,), code)
     assert not dual_membership((0,), (1,), code)
     assert dual_membership((1,), (0,), code)
+
+
+def reference_canonical(k, j, bits):
+    """The canonical form by its definition, on tuples."""
+    j %= k
+    w = sum(bits)
+    if j < w:
+        return CosetLabel(k, j, tuple(bits))
+    return CosetLabel(k, (j - w) % k, tuple(1 - b for b in bits))
+
+
+def reference_add(x, y):
+    """The group law on tuples: XOR of the bits, shift less the overlap."""
+    overlap = sum(a & b for a, b in zip(x.bits, y.bits))
+    bits = tuple(a ^ b for a, b in zip(x.bits, y.bits))
+    return reference_canonical(x.k, x.j + y.j - overlap, bits)
+
+
+def packed_add(x, y):
+    return _unpack(x.k, _add_packed(x.k, _pack(x), _pack(y)))
+
+
+def check_public_against_kernel(x, y):
+    want = reference_add(x, y)
+    assert packed_add(x, y) == want
+    assert coset_add(x, y) == want
+    assert coset_add(y, x) == want
+    assert coset_neg(x) == reference_canonical(x.k, x.weight - x.j, x.bits)
+    pair = ProductCoset(x.k, (x, y)) + ProductCoset(x.k, (y, x))
+    assert pair.labels == (want, want)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_public_group_law_matches_kernel_on_every_pair(k):
+    labels = coset_labels(k)
+    packed = [_pack(x) for x in labels]
+    # packed canonical labels sort as the labels do
+    assert packed == sorted(packed)
+    assert [_unpack(k, v) for v in packed] == list(labels)
+    for x, y in combinations_with_replacement(labels, 2):
+        check_public_against_kernel(x, y)
+
+
+@st.composite
+def raw_pairs(draw):
+    k = draw(st.integers(2, 12))
+
+    def raw():
+        j = draw(st.integers(-2 * k, 2 * k))
+        return j, tuple(draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)))
+
+    return k, raw(), raw()
+
+
+@given(raw_pairs())
+def test_public_group_law_matches_kernel_random(data):
+    k, (i, a), (j, b) = data
+    assert canonicalize(k, i, a) == reference_canonical(k, i, a)
+    check_public_against_kernel(canonicalize(k, i, a), canonicalize(k, j, b))

@@ -60,8 +60,7 @@ from pfkit.parafermion import (
 from pfkit.verify import (
     _first_failing,
     _monodromy_rows,
-    _pairs_to_zero,
-    _realization_rows,
+    _realization_steps,
 )
 from pfkit.zkcodes import Case, classify_code, span
 
@@ -216,11 +215,13 @@ class TestVerifyTables:
         indices = list(product(range(len(table.labels)), repeat=code.ell))
         if code.case is not Case.UNSUPPORTED:
             basis = even_part_code(code) if code.case is Case.B else code
-            lattice, code_side = _realization_rows(basis)
+            steps = _realization_steps(basis)
+            rank = len(basis.generators)
             for index in indices:
                 x = table.label(index)
-                assert _pairs_to_zero(lattice, index, k) == realize(x, basis)[1]
-                assert _pairs_to_zero(code_side, index, k) == character_of(x, basis).trivial
+                sums = [sum(c) % k for c in zip(*(row[a] for row, a in zip(steps, index)))]
+                assert realize(x, basis)[1] is not any(sums[:rank])
+                assert character_of(x, basis).trivial is not any(sums[rank:])
         for xi in code.words:
             rows = _monodromy_rows(k, xi)
             for index in indices:
@@ -252,7 +253,8 @@ class TestVerifyTables:
             (i for i in indices if sum(r[a] for r, a in zip(rows, i)) % modulus),
             None,
         )
-        assert _first_failing(rows, modulus) == first
+        # each increment as a state of one residue
+        assert _first_failing([[(v,) for v in row] for row in rows], modulus) == first
 
 
 class TestCosetCanonicalForm:

@@ -6,9 +6,10 @@ the level's integer label table and run a seeded sample of labels through
 the public per-label functions.  A corrupted table entry must fail the
 suite at a named label, a corrupted public function must be caught by the
 sample, and the label-space cap must trip before any table is built.  The
-group-law suite runs its inverse oracle on 2k-scaled integers; a corrupted
-group law, scaled representative or public `coset_of_vector` must fail it
-with the check's message.
+group-law suite runs its inverse oracle on 2k-scaled integers and its pair
+laws on packed labels; a corrupted group law (public or packed), scaled
+representative or public `coset_of_vector` must fail it with the check's
+message.
 """
 
 from dataclasses import replace
@@ -30,7 +31,7 @@ from pfkit import (
     pf_canonicalize,
     span,
 )
-from pfkit.cosets import _residue_table, representative
+from pfkit.cosets import _pack, _residue_table, _unpack, all_labels, representative
 from pfkit.modules import label_table
 from pfkit.verify import (
     _pairing_numerators,
@@ -195,18 +196,48 @@ def test_corrupted_scaled_entry_fails_group_laws(monkeypatch, warm, detail):
     ],
 )
 def test_corrupted_coset_add_fails_group_laws(monkeypatch, law, detail):
-    original = pfkit.verify.coset_add
     e = identity_label(4)
     a, b = canonicalize(4, 0, (0, 0, 0, 1)), canonicalize(4, 0, (0, 0, 1, 0))
+    if law == "identity":
+        # identity runs through the public coset_add
+        original = pfkit.verify.coset_add
 
-    def corrupted(x, y):
-        wrong = (y == e) if law == "identity" else ((x, y) == (b, a))
-        return coset_neg(original(x, y)) if wrong else original(x, y)
+        def corrupted(x, y):
+            return coset_neg(original(x, y)) if y == e else original(x, y)
 
-    monkeypatch.setattr(pfkit.verify, "coset_add", corrupted)
+        monkeypatch.setattr(pfkit.verify, "coset_add", corrupted)
+    else:
+        # commutativity runs on packed labels, through the kernel
+        original = pfkit.cosets._add_packed
+        point = (4, _pack(b), _pack(a))
+
+        def corrupted(k, x, y):
+            value = original(k, x, y)
+            return _pack(coset_neg(_unpack(k, value))) if (k, x, y) == point else value
+
+        for module in (pfkit.cosets, pfkit.verify):
+            monkeypatch.setattr(module, "_add_packed", corrupted)
     result = verify_group_laws(4)
     assert not result.passed
     assert result.detail == detail
+
+
+def test_sample_catches_a_public_coset_add_fault(monkeypatch):
+    # wrong off the identity and inverse checks: only the pair sample, which
+    # compares coset_add with the packed law, can see it
+    original = pfkit.verify.coset_add
+
+    def corrupted(x, y):
+        value = original(x, y)
+        if y == identity_label(x.k) or y == coset_neg(x):
+            return value
+        labels = all_labels(x.k)
+        return labels[(labels.index(value) + 1) % len(labels)]
+
+    monkeypatch.setattr(pfkit.verify, "coset_add", corrupted)
+    result = verify_group_laws(5)
+    assert not result.passed
+    assert result.detail.startswith("public coset_add fails at ")
 
 
 def test_sample_catches_a_public_coset_of_vector_flip(monkeypatch):

@@ -3,14 +3,19 @@
 The group-law, monodromy-law and extension-monodromy suites evaluate each
 public value once per argument, outside their seeded samples.  The
 reference loops below evaluate the public functions once per comparison
-instead.  Under seeded single-point
-fault injection (one wrong value, or one raise, at one argument) each
+instead; the group-law reference adds through the public `coset_add`
+where the suite adds packed labels.  Under seeded single-point
+fault injection (one wrong value, or one raise, at one argument, of a
+public function or of the packed group law) each
 suite must give the same `VerifyResult` as its reference, or raise the
-same error.  Call counts pin the evaluations saved.  `caseB_modules` skips
+same error.  The realization suite folds per slot; its reference walks
+every label, under single-entry faults in either route.  Call counts pin
+the evaluations saved.  `caseB_modules` skips
 the orbits already emitted as mates; the reference fuses every trivial
 orbit and compares.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -39,11 +44,13 @@ from pfkit.modules import (
     orbits,
 )
 from pfkit.parafermion import vacuum
+from pfkit.report import JobSpec, run
 from pfkit.verify import (
     VerifyResult,
     verify_extension_monodromy,
     verify_group_laws,
     verify_monodromy_laws,
+    verify_realization,
 )
 from pfkit.zkcodes import Case, inner, span, word_add
 
@@ -51,8 +58,8 @@ CAP = 10**7
 
 
 def ordered_pair_group_laws(k):
-    """`verify_group_laws` with commutativity on every ordered pair and
-    `coset_neg` called per use."""
+    """`verify_group_laws` with commutativity on every ordered pair of
+    labels through the public `coset_add`, and `coset_neg` called per use."""
     labels = V.all_labels(k)
     try:
         detail = _ordered_pair_failure(k, labels)
@@ -70,9 +77,12 @@ def _ordered_pair_failure(k, labels):
             return f"inverse oracle fails at {x}"
         if V.coset_add(x, V.coset_neg(x)) != e:
             return f"inverse fails at {x}"
-    for x in random.Random(k).sample(labels, min(64, len(labels))):
+    sample = random.Random(k).sample(labels, min(64, len(labels)))
+    for x, y in zip(sample, sample[1:] + sample[:1]):
         if V.coset_of_vector(-V.representative(x)) != V.coset_neg(x):
             return f"public inverse oracle fails at {x}"
+        if V.coset_add(x, y) != V._unpack(k, V._add_packed(k, V._pack(x), V._pack(y))):
+            return f"public coset_add fails at {x}, {y}"
     rng = random.Random(20240 + k)
     if k <= 6:
         pairs = [(x, y) for x in labels for y in labels]
@@ -85,7 +95,45 @@ def _ordered_pair_failure(k, labels):
         x, y, z = (rng.choice(labels) for _ in range(3))
         if V.coset_add(V.coset_add(x, y), z) != V.coset_add(x, V.coset_add(y, z)):
             return f"associativity fails at {x}, {y}, {z}"
-    return V._check_invariant_factors(k, labels)
+    return V._check_invariant_factors(k, [V._pack(x) for x in labels])
+
+
+def realization_by_walk(code, cap):
+    """`verify_realization` deciding every label by walking the index tuples
+    in lexicographic order, instead of folding per slot."""
+    basis = even_part_code(code) if code.case is Case.B else code
+    k, ell = basis.k, basis.ell
+    total = V.label_space_size(k, ell, cap)
+    table = V.label_table(k)
+    steps = V._realization_steps(basis)
+    rank = len(basis.generators)
+
+    def routes(index):
+        lattice = [sum(steps[s][a][g] for s, a in enumerate(index)) % k for g in range(rank)]
+        code_side = [sum(steps[s][a][rank + g] for s, a in enumerate(index)) % k for g in range(rank)]
+        return not any(lattice), not any(code_side)
+
+    for index in product(range(len(table.labels)), repeat=ell):
+        member, trivial = routes(index)
+        if member != trivial:
+            eta, delta = zip(*(table.tail[a] for a in index))
+            coset = V.ProductCoset.from_tail(k, eta, delta)
+            return VerifyResult(
+                "realization_duality",
+                False,
+                f"label {table.label(index)}: member={member}, trivial={trivial} ({coset})",
+            )
+    for index in V._sample(k, len(table.labels), ell, total):
+        x = table.label(index)
+        public = (V.realize(x, basis)[1], V.character_of(x, basis).trivial)
+        if public != routes(index):
+            return VerifyResult(
+                "realization_duality",
+                False,
+                f"label {x}: realize/character_of give member, trivial = "
+                f"{public}; the table gives {routes(index)}",
+            )
+    return VerifyResult("realization_duality", True)
 
 
 def per_call_monodromy_laws(k):
@@ -122,7 +170,8 @@ def per_call_extension_monodromy(code, cap):
     n, den, t, w = len(table.labels), table.weight_den, table.t, table.weight
     spread = [V._digits(i, n, ell) for i in range(0, total, max(1, total // 64))]
     for xi in code.words:
-        index = V._first_failing(V._monodromy_rows(k, xi), den)
+        rows = V._monodromy_rows(k, xi)
+        index = V._first_failing([[(v,) for v in row] for row in rows], den)
         if index is not None:
             got = Fraction(sum(p * t[a] for p, a in zip(xi, index)) % k, k)
             diff = Fraction(
@@ -222,18 +271,25 @@ def raising(value, args):
     raise VerificationError(f"injected at {args}")
 
 
-def inject(monkeypatch, name, point, fault):
-    """Patch `pfkit.verify.<name>` so that the call with arguments `point`
-    returns `fault(value, point)`, which may raise; every other call is
-    untouched.  A `point` ending in None matches any last argument."""
-    original = getattr(V, name)
+def inject(monkeypatch, name, point, fault, modules=(V,)):
+    """Patch `<name>` in each of `modules` so that the call with arguments
+    `point` returns `fault(value, point)`, which may raise; every other call
+    is untouched.  A `point` ending in None matches any last argument."""
+    original = getattr(modules[0], name)
 
     def faulty(*args):
         value = original(*args)
         hit = args == point or (point[-1] is None and args[:-1] == point[:-1])
         return fault(value, args) if hit else value
 
-    monkeypatch.setattr(V, name, faulty)
+    for module in modules:
+        monkeypatch.setattr(module, name, faulty)
+
+
+def inject_kernel(monkeypatch, point, fault):
+    """Fault the packed group law, in `cosets` (behind the public
+    `coset_add`, `coset_neg` and `canonicalize`) and in the verify suite."""
+    inject(monkeypatch, "_add_packed", point, fault, (pfkit.cosets, V))
 
 
 def next_label(value, args):
@@ -241,16 +297,21 @@ def next_label(value, args):
     return labels[(labels.index(value) + 1) % len(labels)]
 
 
-@pytest.mark.parametrize("fault", [next_label, raising], ids=["wrong", "raise"])
+def next_packed(value, args):
+    packed = [V._pack(x) for x in V.all_labels(args[0])]
+    return packed[(packed.index(value) + 1) % len(packed)]
+
+
+@pytest.mark.parametrize("fault", [next_packed, raising], ids=["wrong", "raise"])
 @pytest.mark.parametrize("k, seed", [(k, s) for k in (3, 4, 5) for s in range(4)] + [(7, 0)])
 def test_group_laws_match_ordered_pair_loop(monkeypatch, k, seed, fault):
     labels = V.all_labels(k)
     rng = random.Random(seed)
-    point = (rng.choice(labels), rng.choice(labels))
-    inject(monkeypatch, "coset_add", point, fault)
+    point = (k, V._pack(rng.choice(labels)), V._pack(rng.choice(labels)))
+    inject_kernel(monkeypatch, point, fault)
     got = outcome(verify_group_laws, k)
     assert got == outcome(ordered_pair_group_laws, k)
-    if k <= 6 and point[0] != point[1]:
+    if k <= 6 and point[1] != point[2]:
         assert not got.passed
 
 
@@ -332,8 +393,7 @@ def test_row_faults_give_the_same_first_failure(monkeypatch, fault):
             got = outcome(verify_extension_monodromy, code, CAP)
             assert got == outcome(per_call_extension_monodromy, code, CAP)
             assert not got.passed
-    labels = V.all_labels(4)
-    inject(monkeypatch, "coset_add", (labels[5], None), next_label)
+    inject_kernel(monkeypatch, (4, V._pack(V.all_labels(4)[5]), None), next_packed)
     assert outcome(verify_group_laws, 4) == outcome(ordered_pair_group_laws, 4)
 
 
@@ -360,8 +420,9 @@ def count_calls(monkeypatch, module, name):
 @pytest.mark.parametrize(
     "module, name, run, most",
     [
-        # 18,528 unordered pairs at k=6, against 36,864 ordered ones
-        (V, "coset_add", lambda: verify_group_laws(6), 45_646),
+        # identity and inverse on 192 labels, and the 64 sampled pairs: the
+        # pair laws run on packed labels
+        (V, "coset_add", lambda: verify_group_laws(6), 448),
         # one k x n table of pf_b at k=10, against 3 calls per comparison
         (V, "pf_b", lambda: verify_monodromy_laws(10), 550),
         # 25 codewords x 65 spread labels, plus the sample and Case A check
@@ -380,8 +441,16 @@ def count_calls(monkeypatch, module, name):
             lambda: caseB_modules(span([(5, 0)], 10, 2)),
             1_650,
         ),
+        # one decomposition per orbit of the even part, shared by the rows,
+        # the counts and the Case B records
+        (
+            pfkit.modules,
+            "induced_decomposition",
+            lambda: run(JobSpec(10, 2, ((5, 0),), ("modules",))),
+            3_025,
+        ),
     ],
-    ids=["coset_add", "pf_b", "b_ext", "fuse"],
+    ids=["coset_add", "pf_b", "b_ext", "fuse", "induced_decomposition"],
 )
 def test_each_value_is_evaluated_once(monkeypatch, module, name, run, most):
     calls = count_calls(monkeypatch, module, name)
@@ -389,6 +458,84 @@ def test_each_value_is_evaluated_once(monkeypatch, module, name, run, most):
     assert len(calls) <= most
     if isinstance(result, VerifyResult):
         assert result.passed
+
+
+def shift_entry(steps, s, a, c, shift):
+    """The steps with component c of slot s, factor a shifted."""
+    steps = [list(row) for row in steps]
+    entry = steps[s][a]
+    steps[s][a] = entry[:c] + (entry[c] + shift,) + entry[c + 1 :]
+    return steps
+
+
+@st.composite
+def realization_faults(draw):
+    """A code with k <= 8, rank <= 2 and ell <= 4 whose label space the walk
+    covers quickly, and a single-entry fault in the lattice or the code
+    route (or none): (slot, factor, component, shift)."""
+    k = draw(st.integers(2, 8))
+    n = k * (k + 1) // 2
+    ell = draw(st.integers(1, max(e for e in range(1, 5) if n**e <= 4096)))
+    word = st.tuples(*[st.integers(0, k - 1)] * ell)
+    code = span(draw(st.lists(word, max_size=2)), k, ell)
+    basis = even_part_code(code) if code.case is Case.B else code
+    if not basis.generators or draw(st.integers(0, 4)) == 4:
+        return code, None
+    return code, (
+        draw(st.integers(0, ell - 1)),
+        draw(st.integers(0, n - 1)),
+        draw(st.integers(0, 2 * len(basis.generators) - 1)),
+        draw(st.integers(1, k - 1)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(realization_faults())
+def test_realization_fold_matches_walk(case):
+    code, fault = case
+    original = V._realization_steps
+
+    def faulted(basis):
+        return original(basis) if fault is None else shift_entry(original(basis), *fault)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(V, "_realization_steps", faulted)
+        got = outcome(verify_realization, code, CAP)
+        assert got == outcome(realization_by_walk, code, CAP)
+    if fault is None and code.case is not Case.UNSUPPORTED:
+        assert got.passed
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_realization_fold_matches_walk_on_fixed_faults(monkeypatch, seed):
+    # seeded single-entry faults in either route of a code with two generators
+    code = span([(2, 2, 0, 0), (0, 0, 2, 2)], 4, 4)
+    rng = random.Random(seed)
+    fault = (rng.randrange(4), rng.randrange(10), rng.randrange(4), rng.randrange(1, 4))
+    faulted = shift_entry(V._realization_steps(code), *fault)
+    monkeypatch.setattr(V, "_realization_steps", lambda basis: faulted)
+    got = outcome(verify_realization, code, CAP)
+    assert got == outcome(realization_by_walk, code, CAP)
+    assert not got.passed
+
+
+# stdout sha256 of `--k 5 --ell 5 --gen 1,2,0,0,0 --analysis verify` as the
+# label walk printed it: every suite passes
+SLOW_VERIFY_JOB = "--k 5 --ell 5 --gen 1,2,0,0,0 --analysis verify"
+SLOW_VERIFY_SHA256 = "9bbfb229f4acac864ee34a9c0bfa664843cae814b570019e3532511904afa40c"
+
+
+def test_off_bench_verify_job_report_is_pinned(capsys):
+    assert main(SLOW_VERIFY_JOB.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SLOW_VERIFY_SHA256
+
+
+def test_realization_builds_labels_only_for_its_sample(monkeypatch):
+    # 15^5 = 759,375 labels at k=5, ell=5: the fold decides them all
+    built = count_calls(monkeypatch, pfkit.modules.LabelTable, "label")
+    assert verify_realization(span([(1, 2, 0, 0, 0)], 5, 5), CAP).passed
+    assert len(built) == 64
 
 
 @st.composite
