@@ -30,6 +30,7 @@ from .errors import (
     check_bits,
     check_level,
     check_numerator,
+    check_tail_bit,
 )
 from .parafermion import PfLabel, pf_canonicalize, pf_weight, presentations
 
@@ -164,17 +165,12 @@ def branch(k: int, j: int, bits) -> tuple[BranchComponent, ...]:
     return tuple(out)
 
 
-def _check_tail_bit(d: int) -> None:
-    if d not in (0, 1):
-        raise InvalidInputError(f"tail bit must be 0 or 1, got {d}")
-
-
 def branch_tail(k: int, j: int, d: int) -> tuple[tuple[VirasoroLabel, PfLabel], ...]:
     """Last-factor specialization: components of the coset (j, (0,...,0,d))
     visible as pairs (h^{k-1}_{1, i+1}, parafermion (i, j + (i-d)/2)) over
     i = d (mod 2), 0 <= i <= k.  No rank cap; the list has ~k/2 entries."""
     check_level(k)
-    _check_tail_bit(d)
+    check_tail_bit(d)
     return tuple(
         (
             vir_canonicalize(k - 1, 1, i + 1),
@@ -192,7 +188,7 @@ def locate_pf(x: PfLabel, d: int) -> int:
     whose first index matches the parity of d; when k is even and no
     representative matches, the parity obstruction is reported as an error.
     """
-    _check_tail_bit(d)
+    check_tail_bit(d)
     k = x.k
     for i, j in sorted(presentations(x)):
         if i % 2 == d:

@@ -34,6 +34,7 @@ from .errors import (
     VerificationError,
     check_bits,
     check_level,
+    check_tail_bit,
 )
 from .zkcodes import Case, Code, Codeword, check_word, inner
 
@@ -125,6 +126,8 @@ def _pack(x: CosetLabel) -> int:
     mask = 0
     for b in check_bits(x.k, x.bits):
         mask = mask << 1 | b
+    if not isinstance(x.j, int):
+        raise InvalidInputError(f"coset shift must be an integer, got {x.j!r}")
     return x.j << x.k | mask
 
 
@@ -170,8 +173,9 @@ def coset_add(x: CosetLabel, y: CosetLabel) -> CosetLabel:
 
 
 def coset_neg(x: CosetLabel) -> CosetLabel:
-    """Group inverse: (j, bits) -> (weight - j, bits)."""
-    return canonicalize(x.k, x.weight - x.j, x.bits)
+    """Group inverse: (j, bits) -> (weight - j, bits), which is the coset
+    (-j, ~bits): on packed labels, (1 << k) - 1 minus the label."""
+    return _unpack(x.k, _add_packed(x.k, (1 << x.k) - 1 - _pack(x), 0))
 
 
 def _scaled(x: CosetLabel) -> tuple[int, ...]:
@@ -212,8 +216,7 @@ def coset_of_vector(v: LatticeVector) -> CosetLabel:
     must vanish and v must pair integrally with every beta_p.
     """
     k = v.k
-    if k < 2:
-        raise InvalidInputError(f"rank must be >= 2, got {k}")
+    check_level(k)
     if sum(v.coords) != 0:
         raise InvalidInputError("not a dual vector: coordinate sum is nonzero")
     scaled = []
@@ -347,12 +350,9 @@ class ProductCoset:
     @classmethod
     def from_tail(cls, k: int, eta, delta) -> "ProductCoset":
         """Tail form: factor r is the coset (eta_r, (0,...,0,delta_r))."""
-        eta = tuple(eta)
-        delta = tuple(delta)
+        eta, delta = tuple(eta), tuple(map(check_tail_bit, delta))
         if len(eta) != len(delta):
             raise InvalidInputError("eta and delta must have equal length")
-        if any(d not in (0, 1) for d in delta):
-            raise InvalidInputError(f"tail bits must be 0 or 1, got {delta}")
         return cls(
             k,
             tuple(

@@ -54,6 +54,13 @@ def check_bits(k: int, bits) -> tuple[int, ...]:
     return bits
 
 
+def check_tail_bit(d: int) -> int:
+    """Reject a tail bit that is not 0 or 1; return it."""
+    if d not in (0, 1):
+        raise InvalidInputError(f"tail bit must be 0 or 1, got {d}")
+    return d
+
+
 def check_numerator(x, den: int) -> int:
     """x * den for a Fraction x; VerificationError unless it is an integer."""
     num, rem = divmod(x.numerator * den, x.denominator)

@@ -236,21 +236,26 @@ def _half_words(code: Code) -> tuple[Codeword, ...]:
 
 @dataclass(frozen=True)
 class OrbitRecord:
-    """One fusion orbit: sorted members, stabilizer, character, and the
+    """One fusion orbit: sorted members as `label_table(character.k)` index
+    tuples, whose labels are built on access; stabilizer, character, and the
     minimum constituent weight (a lower bound for any twisted grading)."""
 
-    members: tuple[IrrLabel, ...]
+    indices: tuple[tuple[int, ...], ...]
     stabilizer: tuple[Codeword, ...]
     character: Character
     min_weight: Fraction
 
     @property
+    def members(self) -> tuple[IrrLabel, ...]:
+        return tuple(map(label_table(self.character.k).label, self.indices))
+
+    @property
     def representative(self) -> IrrLabel:
-        return self.members[0]
+        return label_table(self.character.k).label(self.indices[0])
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.indices)
 
 
 def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
@@ -258,10 +263,12 @@ def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
     CapExceededError, before allocating, when the label space exceeds the cap.
 
     One sweep over the index tuples of `label_table(k)`, in label order; an
-    n**ell-byte seen map, indexed by mixed radix, marks each member built, so
+    n**ell-byte seen map, indexed by mixed radix, marks each member found, so
     the first unseen index starts a new orbit, whose |D| integer fusions give
-    its members, stabilizer and minimum weight.  Labels whose t-vectors pair
-    alike with the generators share a character: `_reduce` runs <= |D| times."""
+    its members (kept as index tuples), stabilizer and minimum weight; the
+    stabilizer check builds the one label per orbit.  Labels whose t-vectors
+    pair alike with the generators share a character: `_reduce` runs <= |D|
+    times."""
     k, ell = code.k, code.ell
     seen = bytearray(label_space_size(k, ell, cap))
     table = label_table(k)
@@ -278,15 +285,14 @@ def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
         members = sorted(set(images))
         for y in members:
             seen[sum(map(mul, y, place))] = 1
-        labels = tuple(map(table.label, members))
         stab = tuple(xi for xi, y in zip(code.words, images) if y == index)
-        _check_stabilizer(code, labels[0], stab)
+        _check_stabilizer(code, table.label(index), stab)
         t = tuple(table.t[a] for a in index)
         key = tuple(sum(map(mul, g, t)) % k for g in code.generators)
         if key not in found:
             found[key] = _reduce(code, t)
         low = Fraction(min(sum(map(weight, y)) for y in members), table.weight_den)
-        out.append(OrbitRecord(labels, stab, found[key], low))
+        out.append(OrbitRecord(tuple(members), stab, found[key], low))
     return tuple(out)
 
 
@@ -304,14 +310,17 @@ class InducedReport:
 
     The induced module splits into `num_irreducibles` inequivalent
     irreducibles; each contains every orbit member with multiplicity
-    `multiplicity`, listed in `constituents`.
+    `multiplicity`, as `constituents` lists, built from the orbit on access.
     """
 
     orbit: OrbitRecord
     regime: Regime
     num_irreducibles: int
     multiplicity: int
-    constituents: tuple[tuple[IrrLabel, int], ...]
+
+    @property
+    def constituents(self) -> tuple[tuple[IrrLabel, int], ...]:
+        return tuple((y, self.multiplicity) for y in self.orbit.members)
 
 
 def induced_decomposition(orbit: OrbitRecord, code: Code) -> InducedReport:
@@ -336,8 +345,7 @@ def induced_decomposition(orbit: OrbitRecord, code: Code) -> InducedReport:
         else:
             regime = Regime.FIXED_K2MOD4
             num, mult = radical_data(binary_reduce(stab, code.k))
-    constituents = tuple((y, mult) for y in orbit.members)
-    return InducedReport(orbit, regime, num, mult, constituents)
+    return InducedReport(orbit, regime, num, mult)
 
 
 def twisted_counts(reports) -> Counter:
@@ -430,7 +438,7 @@ def even_part_code(code: Code) -> Code:
     return even
 
 
-def caseB_modules(code: Code, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP, induced=None) -> tuple[CaseBRecord, ...]:
+def caseB_modules(code: Code, cap: int = DEFAULT_ORBIT_CAP, induced=None) -> tuple[CaseBRecord, ...]:
     """Pair up the even-part modules under the odd coset and report verdicts.
 
     Every irreducible module of the superalgebra restricts to the even part
@@ -443,29 +451,31 @@ def caseB_modules(code: Code, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP, ind
     are reported Indeterminate.
 
     Only trivial-character orbits are processed: those are the ones carrying
-    untwisted even-part modules.  Each unordered pair appears once.  A
-    caller that already holds the orbits of the even part passes them as
-    `orbit_list`, and their induced reports as `induced`, keyed by
-    representative (the trivial-character ones suffice).
+    untwisted even-part modules.  Each unordered pair appears once; mates
+    are fused on index tuples.  A caller holding the even part's induced
+    reports, in orbit order, passes them as `induced`; otherwise the even
+    part is swept under `cap` and its trivial-character orbits decomposed.
     """
     even = even_part_code(code)
-    if orbit_list is None:
-        orbit_list = orbits(even, cap)
-    odd_rep = min(code.odd_part)
+    if induced is None:
+        induced = [induced_decomposition(o, even) for o in orbits(even, cap) if o.character.trivial]
+    table = label_table(code.k)
+    row = tuple(table.fuse[p] for p in min(code.odd_part))
     out = []
     mates = set()
-    for orb in orbit_list:
+    for report in induced:
+        orb = report.orbit
+        rep = orb.indices[0]
         # odd + odd is even: the odd coset pairs orbits, so a mate is not fused again
-        if not orb.character.trivial or orb.representative in mates:
+        if not orb.character.trivial or rep in mates:
             continue
-        mate = min(fuse(odd_rep, y) for y in orb.members)
+        mate = min(tuple(map(tuple.__getitem__, row, y)) for y in orb.indices)
         mates.add(mate)
-        if mate != orb.representative:
+        if mate != rep:
             verdict = Verdict.FUSED
         elif len(orb.stabilizer) == 1:
             verdict = Verdict.SPLIT
         else:
             verdict = Verdict.INDETERMINATE
-        report = induced_decomposition(orb, even) if induced is None else induced[orb.representative]
-        out.append(CaseBRecord((orb.representative, mate), report, verdict))
+        out.append(CaseBRecord((table.label(rep), table.label(mate)), report, verdict))
     return tuple(out)

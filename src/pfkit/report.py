@@ -19,7 +19,6 @@ from .errors import (
     CapExceededError,
     InvalidInputError,
     UnsupportedCodeError,
-    check_bits,
     check_shape,
 )
 from .parafermion import central_charge
@@ -63,10 +62,7 @@ def _validate(job: JobSpec) -> None:
     if job.orbit_cap < 1 or job.verify_max_k < 2:
         raise InvalidInputError("caps must be positive (verify max level >= 2)")
     if job.coset is not None:
-        j, bits = job.coset
-        check_bits(job.k, bits)
-        if not isinstance(j, int):
-            raise InvalidInputError(f"coset shift must be an integer, got {j!r}")
+        cosets.canonicalize(job.k, *job.coset)
 
 
 def _classification_section(code: Code) -> dict:
@@ -164,31 +160,22 @@ def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None
         )
     basis = modules.even_part_code(code) if code.case is Case.B else code
     orbit_list = modules.orbits(basis, job.orbit_cap)
-    rows = []
-    trivial = {}
-
-    def induced():
-        # each orbit's induced report, built once for its row, the counts
-        # and the Case B records
-        for orb in orbit_list:
-            rep = modules.induced_decomposition(orb, basis)
-            if code.case is Case.B and orb.character.trivial:
-                trivial[orb.representative] = rep
-            rows.append(
-                {
-                    "representative": str(orb.representative),
-                    "size": orb.size,
-                    "stabilizer_order": len(orb.stabilizer),
-                    "character": str(orb.character),
-                    "min_weight": rat(orb.min_weight),
-                    "regime": rep.regime.value,
-                    "num_irreducibles": rep.num_irreducibles,
-                    "multiplicity": rep.multiplicity,
-                }
-            )
-            yield rep
-
-    totals = modules.twisted_counts(induced())
+    # one induced report per orbit, shared by the rows, counts and Case B records
+    induced = [modules.induced_decomposition(orb, basis) for orb in orbit_list]
+    rows = [
+        {
+            "representative": str(rep.orbit.representative),
+            "size": rep.orbit.size,
+            "stabilizer_order": len(rep.orbit.stabilizer),
+            "character": str(rep.orbit.character),
+            "min_weight": rat(rep.orbit.min_weight),
+            "regime": rep.regime.value,
+            "num_irreducibles": rep.num_irreducibles,
+            "multiplicity": rep.multiplicity,
+        }
+        for rep in induced
+    ]
+    totals = modules.twisted_counts(induced)
     counts = [
         {"character": str(chi), "count": totals[chi]}
         for chi in modules.characters(basis, orbit_list)
@@ -203,7 +190,7 @@ def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None
                 "num_irreducibles": rec.induced.num_irreducibles,
                 "multiplicity": rec.induced.multiplicity,
             }
-            for rec in modules.caseB_modules(code, orbit_list, induced=trivial)
+            for rec in modules.caseB_modules(code, job.orbit_cap, induced)
         ]
     scope = "even_part" if code.case is Case.B else "code"
     return (

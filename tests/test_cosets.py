@@ -91,6 +91,22 @@ def test_coset_of_vector_rejects_outside_dual():
         coset_of_vector(vector(3, (Fraction(1, 4), Fraction(-1, 4), 0)))
 
 
+@pytest.mark.parametrize("j", [1.0, 1.5, "1"])
+def test_non_integer_shift_is_invalid_input(j):
+    bits = (1, 1, 0)
+    with pytest.raises(InvalidInputError, match="coset shift must be an integer"):
+        canonicalize(3, j, bits)
+    with pytest.raises(InvalidInputError, match="coset shift must be an integer"):
+        coset_add(CosetLabel(3, j, bits), CosetLabel(3, 1, bits))
+    with pytest.raises(InvalidInputError, match="coset shift must be an integer"):
+        coset_neg(CosetLabel(3, j, bits))
+
+
+def test_tail_bits_are_checked_one_by_one():
+    with pytest.raises(InvalidInputError, match="tail bit must be 0 or 1, got 2"):
+        ProductCoset.from_tail(3, (0, 1), (1, 2))
+
+
 def test_coset_add_examples():
     x = CosetLabel(3, 1, (1, 1, 0))
     assert coset_add(x, identity_label(3)) == x

@@ -193,6 +193,14 @@ class TestRunValidation:
         with pytest.raises(InvalidInputError):
             run(JobSpec(k=4, ell=1, analyses=("branch",), coset=(0, (1, 1))))
 
+    @pytest.mark.parametrize("j", [1.0, 1.5, "1"])
+    def test_coset_shift_must_be_an_integer(self, j):
+        from pfkit.errors import InvalidInputError
+
+        job = JobSpec(k=4, ell=1, analyses=("branch",), coset=(j, (1, 1, 0, 0)))
+        with pytest.raises(InvalidInputError, match="coset shift must be an integer"):
+            run(job)
+
     def test_verify_cap(self):
         from pfkit.errors import CapExceededError
 

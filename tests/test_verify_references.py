@@ -10,9 +10,9 @@ public function or of the packed group law) each
 suite must give the same `VerifyResult` as its reference, or raise the
 same error.  The realization suite folds per slot; its reference walks
 every label, under single-entry faults in either route.  Call counts pin
-the evaluations saved.  `caseB_modules` skips
-the orbits already emitted as mates; the reference fuses every trivial
-orbit and compares.
+the evaluations saved.  `caseB_modules` finds mates on index tuples and
+skips the orbits already emitted as mates; the reference fuses every member
+of every trivial orbit as labels and compares.
 """
 
 import hashlib
@@ -434,12 +434,19 @@ def count_calls(monkeypatch, module, name):
             ),
             3_850,
         ),
-        # only the orbits not already emitted as mates are fused
+        # mates are found on index tuples: no label is fused
         (
             pfkit.modules,
             "fuse",
             lambda: caseB_modules(span([(5, 0)], 10, 2)),
-            1_650,
+            0,
+        ),
+        # one label per orbit, its representative, for 2,025 orbits
+        (
+            pfkit.modules.LabelTable,
+            "label",
+            lambda: orbits(span([(1, 2, 0, 0), (0, 0, 1, 2)], 5, 4)),
+            2_025,
         ),
         # one decomposition per orbit of the even part, shared by the rows,
         # the counts and the Case B records
@@ -450,7 +457,7 @@ def count_calls(monkeypatch, module, name):
             3_025,
         ),
     ],
-    ids=["coset_add", "pf_b", "b_ext", "fuse", "induced_decomposition"],
+    ids=["coset_add", "pf_b", "b_ext", "fuse", "label", "induced_decomposition"],
 )
 def test_each_value_is_evaluated_once(monkeypatch, module, name, run, most):
     calls = count_calls(monkeypatch, module, name)
