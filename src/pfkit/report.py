@@ -29,6 +29,22 @@ ANALYSES = ("classify", "lattice", "branch", "modules", "verify")
 DEFAULT_ORBIT_CAP = modules.DEFAULT_ORBIT_CAP
 DEFAULT_VERIFY_MAX_K = 8
 
+# The row keys of each table section, in order: its JSON rows and text columns.
+_LATTICE_COLUMNS = ("coset", "min_norm", "count")
+_BRANCH_COLUMNS = ("indices", "virasoro", "pf", "weight")
+_ORBIT_COLUMNS = (
+    "representative",
+    "size",
+    "stabilizer_order",
+    "character",
+    "min_weight",
+    "regime",
+    "num_irreducibles",
+    "multiplicity",
+)
+_COUNT_COLUMNS = ("character", "count")
+_CASE_B_COLUMNS = ("pair", "verdict", "regime", "num_irreducibles", "multiplicity")
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -368,14 +384,14 @@ def _branch_row(rows: list, depth: int):
 
 
 _ROW_WRITERS = {
-    ("lattice", "min_norm_table"): (("coset", "min_norm", "count"), _lattice_row),
-    ("branch", "components"): (("indices", "virasoro", "pf", "weight"), _branch_row),
+    ("lattice", "min_norm_table"): (_LATTICE_COLUMNS, _lattice_row),
+    ("branch", "components"): (_BRANCH_COLUMNS, _branch_row),
 }
 _ROW_PARENTS = {path[:n] for path in _ROW_WRITERS for n in range(len(path))}
 
 
-def _table(rows: list[dict], columns: list[str]) -> list[str]:
-    return _grid([tuple(str(r[c]) for c in columns) for r in rows], columns)
+def _cells(rows: list[dict], columns: tuple[str, ...]) -> list[tuple[str, ...]]:
+    return [tuple(str(r[c]) for c in columns) for r in rows]
 
 
 def _grid(cells: list[tuple[str, ...]], columns: list[str]) -> list[str]:
@@ -388,34 +404,13 @@ def _grid(cells: list[tuple[str, ...]], columns: list[str]) -> list[str]:
     return [head, "-" * len(head), *map(template.__mod__, cells)]
 
 
-def to_text(report: dict) -> str:
-    lines: list[str] = []
-    inp = report["input"]
-    gens = "; ".join(",".join(str(x) for x in g) for g in inp["generators"])
-    lines.append(
-        f"code: k={inp['k']} ell={inp['ell']} generators=[{gens}]"
-    )
-    cls = report["classification"]
-    lines.append(
-        f"classification: {cls['case']} size={cls['size']}"
-        + (
-            f" even={cls['even_part_size']} odd={cls['odd_part_size']}"
-            if "even_part_size" in cls
-            else ""
-        )
-    )
-    lines.append(f"central charge: {report['central_charge']}")
-    if report["lattice"] is not None:
-        lat = report["lattice"]
-        lines.append("")
-        lines.append(
-            f"lattice: parity={lat['parity']} discriminant={lat['discriminant_order']}"
-        )
-        lines.extend(_table(lat["min_norm_table"], ["coset", "min_norm", "count"]))
-    if report["branch"] is not None:
-        br = report["branch"]
-        lines.append("")
-        lines.append(f"branch of coset {br['coset']} (min norm {br['min_norm']}):")
+def _tables(report: dict):
+    """(title, cells, columns) of each table section present, in report
+    order; each table's cells are built only when the loop reaches it."""
+    if (lat := report["lattice"]) is not None:
+        title = f"lattice: parity={lat['parity']} discriminant={lat['discriminant_order']}"
+        yield title, _cells(lat["min_norm_table"], _LATTICE_COLUMNS), _LATTICE_COLUMNS
+    if (br := report["branch"]) is not None:
         # each distinct Kac tuple is shared between rows: write it once
         kac = _by_identity(
             chain.from_iterable(c["virasoro"] for c in br["components"]),
@@ -430,49 +425,39 @@ def to_text(report: dict) -> str:
             )
             for c in br["components"]
         ]
-        lines.extend(_grid(cells, ["indices", "virasoro", "pf", "weight"]))
-    if report["orbits"] is not None:
-        orb = report["orbits"]
-        lines.append("")
-        lines.append(f"orbits (acting code: {orb['acting_code']}):")
-        lines.extend(
-            _table(
-                orb["rows"],
-                [
-                    "representative",
-                    "size",
-                    "stabilizer_order",
-                    "character",
-                    "min_weight",
-                    "regime",
-                    "num_irreducibles",
-                    "multiplicity",
-                ],
-            )
-        )
-    if report["counts"] is not None:
-        lines.append("")
-        lines.append("twisted module counts per character:")
-        lines.extend(_table(report["counts"]["rows"], ["character", "count"]))
-    if report["case_b"] is not None:
-        lines.append("")
-        lines.append("superalgebra sector pairing:")
-        rows = [
-            {
-                "pair": f"{r['pair'][0]} | {r['pair'][1]}",
-                "verdict": r["verdict"],
-                "regime": r["regime"],
-                "num_irreducibles": r["num_irreducibles"],
-                "multiplicity": r["multiplicity"],
-            }
-            for r in report["case_b"]
+        title = f"branch of coset {br['coset']} (min norm {br['min_norm']}):"
+        yield title, cells, _BRANCH_COLUMNS
+    if (orb := report["orbits"]) is not None:
+        title = f"orbits (acting code: {orb['acting_code']}):"
+        yield title, _cells(orb["rows"], _ORBIT_COLUMNS), _ORBIT_COLUMNS
+    if (counts := report["counts"]) is not None:
+        title = "twisted module counts per character:"
+        yield title, _cells(counts["rows"], _COUNT_COLUMNS), _COUNT_COLUMNS
+    if (case_b := report["case_b"]) is not None:
+        cells = [
+            (f"{r['pair'][0]} | {r['pair'][1]}", *(str(r[c]) for c in _CASE_B_COLUMNS[1:]))
+            for r in case_b
         ]
-        lines.extend(
-            _table(rows, ["pair", "verdict", "regime", "num_irreducibles", "multiplicity"])
-        )
+        yield "superalgebra sector pairing:", cells, _CASE_B_COLUMNS
+
+
+def to_text(report: dict) -> str:
+    inp, cls = report["input"], report["classification"]
+    gens = "; ".join(",".join(str(x) for x in g) for g in inp["generators"])
+    lines = [
+        f"code: k={inp['k']} ell={inp['ell']} generators=[{gens}]",
+        f"classification: {cls['case']} size={cls['size']}"
+        + (
+            f" even={cls['even_part_size']} odd={cls['odd_part_size']}"
+            if "even_part_size" in cls
+            else ""
+        ),
+        f"central charge: {report['central_charge']}",
+    ]
+    for title, cells, columns in _tables(report):
+        lines += ["", title, *_grid(cells, columns)]
     if report["verify"] is not None:
-        lines.append("")
-        lines.append("verification:")
+        lines += ["", "verification:"]
         for entry in report["verify"]:
             status = "pass" if entry["pass"] else "FAIL"
             detail = f" -- {entry['detail']}" if entry["detail"] else ""

@@ -339,30 +339,28 @@ def _first_failing(steps, modulus: int, fails=any) -> tuple[int, ...] | None:
     """The first index tuple in lexicographic order whose state, the sum of
     steps[s][index[s]] over the slots s mod modulus, fails; or None.
 
-    The reachable states are folded forward slot by slot, the ones that can
-    still reach a failing state back, and the first failure takes at each
-    slot the first factor that stays on one.  No state set outgrows the
-    number of index tuples."""
+    `live(s, state)`, memoized per call, asks whether the state before slot
+    s can still fail, over the slot's distinct increments; the first failure
+    takes at each slot the first factor that stays live.  The recursion is
+    len(steps) + 1 deep, and no memo outgrows the number of index tuples."""
 
     def move(state, step):
         return tuple((a + b) % modulus for a, b in zip(state, step))
 
     zero = (0,) * len(steps[0][0])
     distinct = [{move(zero, step) for step in row} for row in steps]
-    reach = [{zero}]
-    for incs in distinct[:-1]:
-        reach.append({move(u, v) for u in reach[-1] for v in incs})
-    alive = [fails]  # can the state after the last slot still fail?
-    for states, incs in zip(reversed(reach[1:]), reversed(distinct[1:])):
-        after = alive[-1]
-        live = {u for u in states if any(after(move(u, v)) for v in incs)}
-        alive.append(live.__contains__)
-    alive.reverse()  # alive[s]: can the state after slot s still fail?
+
+    @lru_cache(maxsize=None)
+    def live(s: int, state: tuple[int, ...]) -> bool:
+        if s == len(steps):
+            return bool(fails(state))
+        return any(live(s + 1, move(state, v)) for v in distinct[s])
+
+    if not live(0, zero):
+        return None
     index, state = [], zero
-    for row, ok in zip(steps, alive):
-        a = next((a for a, step in enumerate(row) if ok(move(state, step))), None)
-        if a is None:  # only at slot 0: nothing fails
-            return None
+    for s, row in enumerate(steps):
+        a = next(a for a, step in enumerate(row) if live(s + 1, move(state, step)))
         index.append(a)
         state = move(state, row[a])
     return tuple(index)

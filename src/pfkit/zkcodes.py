@@ -125,30 +125,32 @@ def classify_code(code: Code) -> Case:
 def span(generators, k: int, ell: int, cap: int = DEFAULT_ENUM_CAP) -> Code:
     """Additive closure of the generators, classified.
 
-    Breadth-first closure; raises CapExceededError when the subgroup would
-    exceed `cap` members.
+    Grows the closure by one generator at a time (`_grow`); raises
+    CapExceededError as soon as the subgroup would exceed `cap` members.
     """
     check_shape(k, ell)
     gens = tuple(check_word(g, k, ell) for g in generators)
-    zero = (0,) * ell
-    words = {zero}
-    frontier = [zero]
-    while frontier:
-        fresh = []
-        for w in frontier:
-            for g in gens:
-                s = word_add(w, g, k)
-                if s not in words:
-                    if len(words) >= cap:
-                        raise CapExceededError(
-                            f"span exceeds the cap of {cap} words"
-                        )
-                    words.add(s)
-                    fresh.append(s)
-        frontier = fresh
+    words = {(0,) * ell}
+    for g in gens:
+        words = _grow(words, g, k, cap)
     ordered = tuple(sorted(words))
     case, d0, d1 = _classify_words(ordered, k, gens)
     return Code(k, ell, gens, ordered, case, d0, d1)
+
+
+def _grow(spanned: set, x: Codeword, k: int, cap: int) -> set:
+    """The subgroup generated by the subgroup `spanned` and x: one coset of
+    `spanned` per multiple of x until a multiple lands back in it.  Those
+    cosets are disjoint, so each adds len(spanned) words; raises
+    CapExceededError before one would take the total past `cap`."""
+    grown = set(spanned)
+    multiple = x
+    while multiple not in spanned:
+        if len(grown) + len(spanned) > cap:
+            raise CapExceededError(f"span exceeds the cap of {cap} words")
+        grown.update(word_add(s, multiple, k) for s in spanned)
+        multiple = word_add(multiple, x, k)
+    return grown
 
 
 def code_from_words(k: int, ell: int, words) -> Code:
@@ -177,12 +179,7 @@ def code_from_words(k: int, ell: int, words) -> Code:
                     f"word list is not closed under addition: {x} + {y}"
                 )
         gens.append(x)
-        grown = set(spanned)
-        multiple = x
-        while multiple not in spanned:
-            grown.update(word_add(s, multiple, k) for s in spanned)
-            multiple = word_add(multiple, x, k)
-        spanned = grown
+        spanned = _grow(spanned, x, k, len(members))
     generators = tuple(gens)
     case, d0, d1 = _classify_words(members, k, generators)
     return Code(k, ell, generators, members, case, d0, d1)

@@ -8,8 +8,9 @@ is biadditive and consistent with conformal weights.  The integer orbit
 sweep is compared with two references on frozen dataclasses: the sweep it
 replaced, and an enumerator that rebuilds the orbit of every label.  The
 integer label table behind the realization and extension-monodromy suites is
-compared with the public per-label functions, and the per-slot monodromy
-check with enumeration of every index tuple.
+compared with the public per-label functions, and the slot fold with
+enumeration of every index tuple, on one-residue states and on the
+several-residue states of the realization predicate.
 """
 
 from fractions import Fraction
@@ -252,6 +253,46 @@ class TestVerifyTables:
         )
         # each increment as a state of one residue
         assert _first_failing([[(v,) for v in row] for row in rows], modulus) == first
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda dim: st.tuples(
+                st.lists(
+                    # repeated and all-zero increments make passing and
+                    # late-failing states common
+                    st.lists(
+                        st.sampled_from([(0,) * dim, (1,) * dim])
+                        | st.tuples(*[st.integers(-9, 9)] * dim),
+                        min_size=1,
+                        max_size=4,
+                    ),
+                    min_size=1,
+                    max_size=4,
+                ),
+                st.integers(0, dim),
+            )
+        ),
+        st.integers(1, 6),
+    )
+    def test_first_failing_matches_enumeration_on_several_residues(self, data, modulus):
+        # the realization predicate: the first `split` sums vanish all
+        # together exactly when the rest do
+        steps, split = data
+
+        def fails(sums):
+            return any(sums[:split]) != any(sums[split:])
+
+        indices = product(*(range(len(row)) for row in steps))
+        first = next(
+            (
+                i
+                for i in indices
+                if fails([sum(c) % modulus for c in zip(*(r[a] for r, a in zip(steps, i)))])
+            ),
+            None,
+        )
+        assert _first_failing(steps, modulus, fails) == first
 
 
 class TestCosetCanonicalForm:

@@ -5,7 +5,9 @@ pin it hard: key set, null sections for analyses that were not requested,
 rationals serialized as "p/q" strings, and byte-identical output across
 repeated runs.  The row-template JSON writer is compared with
 `json.dumps(report, indent=2)`, and the per-(j, weight) lattice table and
-the text tables with per-row references.
+the text tables with per-row references.  The text renderer is compared
+with a reference that renders each table by its own block, on random
+reports with empty tables and null sections.
 """
 
 import json
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfkit import modules
+from pfkit import report as R
 from pfkit.cli import main
 from pfkit.cosets import all_labels, min_norm_data
 from pfkit.report import JobSpec, rat, run, to_json, to_text, verify_passed
@@ -361,7 +364,191 @@ class TestTables:
         assert lines[start : start + len(branch)] == branch
 
 
+def to_text_reference(report):
+    """The text renderer as it was before its tables shared one loop: one
+    hand-written block per table, rows rebuilt as dicts of cell values, and
+    `table_by_row` for the grids."""
+    lines = []
+    inp = report["input"]
+    gens = "; ".join(",".join(str(x) for x in g) for g in inp["generators"])
+    lines.append(f"code: k={inp['k']} ell={inp['ell']} generators=[{gens}]")
+    cls = report["classification"]
+    lines.append(
+        f"classification: {cls['case']} size={cls['size']}"
+        + (
+            f" even={cls['even_part_size']} odd={cls['odd_part_size']}"
+            if "even_part_size" in cls
+            else ""
+        )
+    )
+    lines.append(f"central charge: {report['central_charge']}")
+    if report["lattice"] is not None:
+        lat = report["lattice"]
+        lines.append("")
+        lines.append(f"lattice: parity={lat['parity']} discriminant={lat['discriminant_order']}")
+        lines.extend(table_by_row(lat["min_norm_table"], ["coset", "min_norm", "count"]))
+    if report["branch"] is not None:
+        br = report["branch"]
+        lines.append("")
+        lines.append(f"branch of coset {br['coset']} (min norm {br['min_norm']}):")
+        rows = [
+            {
+                "indices": ",".join(str(i) for i in c["indices"]),
+                "virasoro": " ".join(f"({m},{r},{s})" for m, r, s in c["virasoro"]),
+                "pf": f"({c['pf'][0]},{c['pf'][1]})",
+                "weight": c["weight"],
+            }
+            for c in br["components"]
+        ]
+        lines.extend(table_by_row(rows, ["indices", "virasoro", "pf", "weight"]))
+    if report["orbits"] is not None:
+        orb = report["orbits"]
+        lines.append("")
+        lines.append(f"orbits (acting code: {orb['acting_code']}):")
+        lines.extend(table_by_row(orb["rows"], ORBIT_COLUMNS))
+    if report["counts"] is not None:
+        lines.append("")
+        lines.append("twisted module counts per character:")
+        lines.extend(table_by_row(report["counts"]["rows"], ["character", "count"]))
+    if report["case_b"] is not None:
+        lines.append("")
+        lines.append("superalgebra sector pairing:")
+        rows = [
+            {
+                "pair": f"{r['pair'][0]} | {r['pair'][1]}",
+                "verdict": r["verdict"],
+                "regime": r["regime"],
+                "num_irreducibles": r["num_irreducibles"],
+                "multiplicity": r["multiplicity"],
+            }
+            for r in report["case_b"]
+        ]
+        lines.extend(
+            table_by_row(rows, ["pair", "verdict", "regime", "num_irreducibles", "multiplicity"])
+        )
+    if report["verify"] is not None:
+        lines.append("")
+        lines.append("verification:")
+        for entry in report["verify"]:
+            status = "pass" if entry["pass"] else "FAIL"
+            detail = f" -- {entry['detail']}" if entry["detail"] else ""
+            lines.append(f"  {entry['name']}: {status}{detail}")
+    lines.append("")
+    return "\n".join(lines)
+
+
+ORBIT_COLUMNS = [
+    "representative",
+    "size",
+    "stabilizer_order",
+    "character",
+    "min_weight",
+    "regime",
+    "num_irreducibles",
+    "multiplicity",
+]
+cell_values = texts | st.integers(-(10**6), 10**6)
+kac = st.tuples(*[st.integers(-5, 99)] * 3)
+kac_rows = st.lists(
+    st.fixed_dictionaries(
+        {
+            "indices": int_lists | int_lists.map(tuple),
+            "virasoro": st.lists(kac, max_size=3),
+            "pf": st.tuples(st.integers(0, 9), st.integers(0, 9)),
+            "weight": texts,
+        }
+    ),
+    max_size=4,
+)
+
+
+def rows_of(columns):
+    return st.lists(st.fixed_dictionaries({c: cell_values for c in columns}), max_size=4)
+
+
+text_reports = st.fixed_dictionaries(
+    {
+        "input": st.fixed_dictionaries(
+            {
+                "k": st.integers(2, 12),
+                "ell": st.integers(1, 4),
+                "generators": st.lists(int_lists, max_size=2),
+            }
+        ),
+        "classification": st.fixed_dictionaries({"case": texts, "size": cell_values})
+        | st.fixed_dictionaries(
+            {"case": texts, "size": cell_values, "even_part_size": cell_values, "odd_part_size": cell_values}
+        ),
+        "central_charge": texts,
+        "lattice": st.none()
+        | st.fixed_dictionaries(
+            {"parity": texts, "discriminant_order": cell_values, "min_norm_table": lattice_rows}
+        ),
+        "branch": st.none()
+        | st.fixed_dictionaries({"coset": texts, "min_norm": texts, "components": kac_rows}),
+        "orbits": st.none()
+        | st.fixed_dictionaries({"acting_code": texts, "rows": rows_of(ORBIT_COLUMNS)}),
+        "counts": st.none()
+        | st.fixed_dictionaries({"acting_code": texts, "rows": rows_of(["character", "count"])}),
+        "case_b": st.none()
+        | st.lists(
+            st.fixed_dictionaries(
+                {
+                    "pair": st.lists(texts, min_size=2, max_size=2),
+                    "verdict": texts,
+                    "regime": texts,
+                    "num_irreducibles": cell_values,
+                    "multiplicity": cell_values,
+                }
+            ),
+            max_size=4,
+        ),
+        "verify": st.none()
+        | st.lists(
+            st.fixed_dictionaries(
+                {"name": texts, "pass": st.booleans(), "detail": st.none() | texts}
+            ),
+            max_size=3,
+        ),
+    }
+)
+
+
 class TestTextFormat:
+    @settings(max_examples=200, deadline=None)
+    @given(text_reports, st.booleans())
+    def test_matches_reference_on_random_reports(self, report, share):
+        if share and report["branch"] is not None:  # one Kac tuple object, as `run` shares them
+            lab = (1, 2, 2)
+            for row in report["branch"]["components"]:
+                row["virasoro"] = [lab] * len(row["virasoro"])
+        assert to_text(report) == to_text_reference(report)
+
+    @pytest.mark.parametrize("job", TEST_JOBS)
+    def test_matches_reference_on_test_jobs(self, job):
+        report = run(job)
+        assert to_text(report) == to_text_reference(report)
+
+    def test_row_keys_are_the_column_tuples(self):
+        sections = {
+            ("lattice", "min_norm_table"): R._LATTICE_COLUMNS,
+            ("branch", "components"): R._BRANCH_COLUMNS,
+            ("orbits", "rows"): R._ORBIT_COLUMNS,
+            ("counts", "rows"): R._COUNT_COLUMNS,
+            ("case_b",): R._CASE_B_COLUMNS,
+        }
+        seen = set()
+        for job in TEST_JOBS:
+            report = run(job)
+            for path, columns in sections.items():
+                rows = report
+                for key in path:
+                    rows = rows[key] if rows is not None else None
+                if rows:
+                    assert all(tuple(row) == columns for row in rows), path
+                    seen.add(path)
+        assert seen == set(sections)  # every section had rows in some job
+
     def test_mentions_key_facts(self):
         text = to_text(run(full_job(fmt="text")))
         assert "CaseA" in text

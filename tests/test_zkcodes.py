@@ -67,6 +67,17 @@ def test_span_cap():
         span([(1, 0), (0, 1)], 101, 2, cap=100)
 
 
+@pytest.mark.parametrize(
+    "gens, k, ell, size",
+    [([(1, 0), (0, 1)], 6, 2, 36), ([(2, 0), (0, 3), (2, 3)], 6, 2, 6), ([(1, 1, 0)], 4, 3, 4)],
+)
+def test_span_cap_is_exact(gens, k, ell, size):
+    # a code of exactly `cap` words is allowed, one word more is not
+    assert span(gens, k, ell, cap=size).size == size
+    with pytest.raises(CapExceededError, match=f"span exceeds the cap of {size - 1} words"):
+        span(gens, k, ell, cap=size - 1)
+
+
 def test_inner_examples():
     assert inner((1, 2), (1, 2), 5) == 0
     assert inner((0, 0, 0), (4, 1, 3), 5) == 0
