@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, gcd
+from math import comb, gcd, prod
 
 from .errors import (
     CapExceededError,
@@ -488,9 +488,7 @@ def _discriminant_by_smith_form(code: Code, expected: int) -> tuple[int, ...]:
             line.append(int(val))
         gram.append(line)
     diag = _smith_diagonal(gram)
-    order = 1
-    for d in diag:
-        order *= d
+    order = prod(diag)
     if order != expected:
         raise VerificationError(
             f"Smith-form discriminant {order} != index formula {expected}"
@@ -535,51 +533,15 @@ def _hermite_rows(rows: list[list[int]]) -> list[list[int]]:
 
 
 def _smith_diagonal(matrix: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith normal form of a square integer matrix."""
-    m = [list(row) for row in matrix]
-    n = len(m)
-    diag: list[int] = []
-    top = 0
-    while top < n:
-        # find a nonzero entry in the remaining block
-        pivot = None
-        for r in range(top, n):
-            for c in range(top, n):
-                if m[r][c]:
-                    pivot = (r, c)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        r, c = pivot
-        m[top], m[r] = m[r], m[top]
-        for row in m:
-            row[top], row[c] = row[c], row[top]
-        while True:
-            # clear column
-            again = False
-            for r in range(top + 1, n):
-                while m[r][top]:
-                    q = m[r][top] // m[top][top]
-                    m[r] = [a - q * b for a, b in zip(m[r], m[top])]
-                    if m[r][top]:
-                        m[top], m[r] = m[r], m[top]
-                        again = True
-            # clear row
-            for c in range(top + 1, n):
-                while m[top][c]:
-                    q = m[top][c] // m[top][top]
-                    for row in m:
-                        row[c] -= q * row[top]
-                    if m[top][c]:
-                        for row in m:
-                            row[top], row[c] = row[c], row[top]
-                        again = True
-            if not again:
-                break
-        diag.append(abs(m[top][top]))
-        top += 1
+    """Diagonal of the Smith normal form of an integer matrix, zeros left
+    out.  Row Hermite forms of the matrix and of its transpose, in turn,
+    make it diagonal (Kannan and Bachem, SIAM J. Comput. 8, 1979): each
+    pass leaves the rows already cleared alone and shrinks the first pivot
+    that does not divide its row."""
+    m = _hermite_rows(matrix)
+    while any(v for r, row in enumerate(m) for c, v in enumerate(row) if r != c):
+        m = _hermite_rows([list(col) for col in zip(*m)])
+    diag = [abs(m[i][i]) for i in range(len(m))]
     # enforce the divisibility chain
     for a in range(len(diag)):
         for b in range(a + 1, len(diag)):

@@ -206,20 +206,21 @@ def _reduce(code: Code, word: Codeword) -> Character:
 
 def stabilizer(x: IrrLabel, code: Code) -> tuple[Codeword, ...]:
     """Codewords fixing the label under fusion, checked by `_check_stabilizer`."""
-    return _check_stabilizer(code, x, tuple(xi for xi in code.words if fuse(xi, x) == x))
+    return _check_stabilizer(code, x.factors, tuple(xi for xi in code.words if fuse(xi, x) == x))
 
 
-def _check_stabilizer(code: Code, x: IrrLabel, direct: tuple[Codeword, ...]) -> tuple[Codeword, ...]:
-    """`direct`, checked against the closed criterion: a nonzero word fixes x
-    exactly when k is even, its entries are 0 or k/2, and each k/2 sits on a
-    factor with first index k/2.  Disagreement raises VerificationError."""
+def _check_stabilizer(code: Code, factors, direct: tuple[Codeword, ...]) -> tuple[Codeword, ...]:
+    """`direct`, checked against the closed criterion (a nonzero word fixes
+    the label of `factors` iff k is even, its entries are 0 or k/2, and each
+    k/2 sits on a factor with first index k/2); a mismatch raises VerificationError."""
     half = code.k // 2
     criterion = tuple(
         xi
         for xi in _half_words(code)
-        if all(p == 0 or half == f.i for p, f in zip(xi, x.factors))
+        if all(p == 0 or half == f.i for p, f in zip(xi, factors))
     )
     if direct != criterion:
+        x = IrrLabel(code.k, tuple(factors))
         raise VerificationError(
             f"stabilizer criterion disagrees with direct fusion at {x}"
         )
@@ -266,9 +267,9 @@ def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
     n**ell-byte seen map, indexed by mixed radix, marks each member found, so
     the first unseen index starts a new orbit, whose |D| integer fusions give
     its members (kept as index tuples), stabilizer and minimum weight; the
-    stabilizer check builds the one label per orbit.  Labels whose t-vectors
-    pair alike with the generators share a character: `_reduce` runs <= |D|
-    times."""
+    stabilizer check reads factor labels and builds no label.  Labels whose
+    t-vectors pair alike with the generators share a character: `_reduce`
+    runs <= |D| times."""
     k, ell = code.k, code.ell
     seen = bytearray(label_space_size(k, ell, cap))
     table = label_table(k)
@@ -286,7 +287,7 @@ def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
         for y in members:
             seen[sum(map(mul, y, place))] = 1
         stab = tuple(xi for xi, y in zip(code.words, images) if y == index)
-        _check_stabilizer(code, table.label(index), stab)
+        _check_stabilizer(code, [table.labels[a] for a in index], stab)
         t = tuple(table.t[a] for a in index)
         key = tuple(sum(map(mul, g, t)) % k for g in code.generators)
         if key not in found:

@@ -10,14 +10,18 @@ Their sums split into one term per slot, so `_first_failing` folds
 per-slot increments over a small state instead of walking the labels.  Each
 also runs a seeded sample of 64 labels through the public per-label
 functions, which must agree with the table.
+
+Every suite but `verify_lattice_discriminant` is a check that returns its
+first counterexample, or None; `_suite` makes it a `VerifyResult`.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations_with_replacement
 
 from .cosets import (
@@ -64,7 +68,23 @@ class VerifyResult:
     detail: str | None = None
 
 
-def verify_minimal_norms(k: int) -> VerifyResult:
+def _suite(name: str):
+    """A check that returns its first counterexample, or None, as the suite
+    `name`: it passes exactly when there is none."""
+
+    def wrap(check):
+        @wraps(check)
+        def suite(*args, **kwargs) -> VerifyResult:
+            detail = check(*args, **kwargs)
+            return VerifyResult(name, detail is None, detail)
+
+        return suite
+
+    return wrap
+
+
+@_suite("minimal_norms")
+def verify_minimal_norms(k: int) -> str | None:
     """Closed-form minimal norms and counts vs exhaustive search, every
     canonical coset.  The search depends only on (j, weight), so it runs
     once per pair; a seeded sample of 64 labels must reproduce the memo."""
@@ -77,23 +97,16 @@ def verify_minimal_norms(k: int) -> VerifyResult:
             memo[key] = min_norm_oracle(lab)
         closed = min_norm_data(k, lab.j, lab.bits)
         if closed != memo[key]:
-            return VerifyResult(
-                "minimal_norms",
-                False,
-                f"label ({lab.j}, {lab.bits}): closed form {closed}, search {memo[key]}",
-            )
+            return f"label ({lab.j}, {lab.bits}): closed form {closed}, search {memo[key]}"
     for lab in random.Random(k).sample(labels, min(64, len(labels))):
         searched = min_norm_oracle(lab)
         if searched != memo[(lab.j, lab.weight)]:
-            return VerifyResult(
-                "minimal_norms",
-                False,
-                f"label ({lab.j}, {lab.bits}): search {searched} differs from its (j, weight) memo",
-            )
-    return VerifyResult("minimal_norms", True)
+            return f"label ({lab.j}, {lab.bits}): search {searched} differs from its (j, weight) memo"
+    return None
 
 
-def verify_group_laws(k: int) -> VerifyResult:
+@_suite("coset_group_laws")
+def verify_group_laws(k: int) -> str | None:
     """Identity, inverses via the vector oracle, commutativity (all pairs
     for rank <= 6, seeded sample otherwise), seeded associativity, and the
     generator decomposition exhibiting invariant factors (2, ..., 2, 2k).
@@ -107,10 +120,9 @@ def verify_group_laws(k: int) -> VerifyResult:
     """
     labels = all_labels(k)
     try:
-        detail = _group_law_failure(k, labels)
+        return _group_law_failure(k, labels)
     except (InvalidInputError, VerificationError) as err:
-        detail = str(err)
-    return VerifyResult("coset_group_laws", detail is None, detail)
+        return str(err)
 
 
 def _group_law_failure(k: int, labels) -> str | None:
@@ -188,7 +200,8 @@ def _check_invariant_factors(k: int, packed) -> str | None:
     return None
 
 
-def verify_pairing_forms(k: int) -> VerifyResult:
+@_suite("pairing_forms")
+def verify_pairing_forms(k: int) -> str | None:
     """Representative-based pairing vs the closed forms: pure x pure is
     -2 p q / k, pure x tail is p (d - 2 eta) / k, both mod 1."""
     for p in range(k):
@@ -197,23 +210,18 @@ def verify_pairing_forms(k: int) -> VerifyResult:
             got = pairing(pure_p, ProductCoset.from_word(k, (q,)))
             want = Fraction((-2 * p * q) % k, k)
             if got != want:
-                return VerifyResult(
-                    "pairing_forms", False, f"pure {p} x pure {q}: {got} != {want}"
-                )
+                return f"pure {p} x pure {q}: {got} != {want}"
         for eta in range(k):
             for d in (0, 1):
                 got = pairing(pure_p, ProductCoset.from_tail(k, (eta,), (d,)))
                 want = Fraction((p * (d - 2 * eta)) % k, k)
                 if got != want:
-                    return VerifyResult(
-                        "pairing_forms",
-                        False,
-                        f"pure {p} x tail ({eta},{d}): {got} != {want}",
-                    )
-    return VerifyResult("pairing_forms", True)
+                    return f"pure {p} x tail ({eta},{d}): {got} != {want}"
+    return None
 
 
-def verify_monodromy_laws(k: int) -> VerifyResult:
+@_suite("monodromy_laws")
+def verify_monodromy_laws(k: int) -> str | None:
     """Closed-form monodromy vs the weight bookkeeping
     h(fusion) - h(current) - h(x) mod 1, plus additivity in the current."""
     labels = pf_all_labels(k)
@@ -224,22 +232,17 @@ def verify_monodromy_laws(k: int) -> VerifyResult:
             fused = sc_fuse(p, x)
             diff = pf_weight(k, fused.i, fused.j) - hp - pf_weight(k, x.i, x.j)
             if (lhs - diff) % 1 != 0:
-                return VerifyResult(
-                    "monodromy_laws", False, f"current {p} vs {x}: {lhs} != {diff}"
-                )
+                return f"current {p} vs {x}: {lhs} != {diff}"
     for p in range(k):
         for q in range(k):
             for x, lhs, bp, bq in zip(labels, b[(p + q) % k], b[p], b[q]):
                 if lhs != (bp + bq) % 1:
-                    return VerifyResult(
-                        "monodromy_laws",
-                        False,
-                        f"additivity fails at {p}, {q}, {x}",
-                    )
-    return VerifyResult("monodromy_laws", True)
+                    return f"additivity fails at {p}, {q}, {x}"
+    return None
 
 
-def verify_realization(code: Code, cap: int) -> VerifyResult:
+@_suite("realization_duality")
+def verify_realization(code: Code, cap: int) -> str | None:
     """Dual membership of the realization coset must equal character
     triviality, for every label.
 
@@ -252,7 +255,7 @@ def verify_realization(code: Code, cap: int) -> VerifyResult:
     """
     basis = even_part_code(code) if code.case is Case.B else code
     k, ell = basis.k, basis.ell
-    total = label_space_size(k, ell, cap)
+    total = _label_count(k, ell, cap)
     table = label_table(k)
     steps = _realization_steps(basis)
     rank = len(basis.generators)
@@ -266,22 +269,22 @@ def verify_realization(code: Code, cap: int) -> VerifyResult:
         member, trivial = routes(index)
         eta, delta = zip(*(table.tail[a] for a in index))
         coset = ProductCoset.from_tail(k, eta, delta)
-        return VerifyResult(
-            "realization_duality",
-            False,
-            f"label {table.label(index)}: member={member}, trivial={trivial} ({coset})",
-        )
+        return f"label {table.label(index)}: member={member}, trivial={trivial} ({coset})"
     for index in _sample(k, len(table.labels), ell, total):
         x = table.label(index)
         public = (realize(x, basis)[1], character_of(x, basis).trivial)
         if public != routes(index):
-            return VerifyResult(
-                "realization_duality",
-                False,
+            return (
                 f"label {x}: realize/character_of give member, trivial = "
-                f"{public}; the table gives {routes(index)}",
+                f"{public}; the table gives {routes(index)}"
             )
-    return VerifyResult("realization_duality", True)
+    return None
+
+
+def _label_count(k: int, ell: int, cap: int) -> int:
+    """The label count, checked against the cap and against the range that
+    the seeded sample can draw from (a C ssize_t)."""
+    return label_space_size(k, ell, min(cap, sys.maxsize))
 
 
 @lru_cache(maxsize=8)
@@ -382,7 +385,8 @@ def _digits(position: int, n: int, ell: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def verify_extension_monodromy(code: Code, cap: int) -> VerifyResult:
+@_suite("extension_monodromy")
+def verify_extension_monodromy(code: Code, cap: int) -> str | None:
     """Monodromy of codeword currents: weight bookkeeping, additivity, and
     vanishing on the code itself when the code is even.
 
@@ -392,7 +396,7 @@ def verify_extension_monodromy(code: Code, cap: int) -> VerifyResult:
     public `fuse`, `tensor_weight` and `b_ext`.
     """
     k, ell = code.k, code.ell
-    total = label_space_size(k, ell, cap)
+    total = _label_count(k, ell, cap)
     table = label_table(k)
     n, den, t, w = len(table.labels), table.weight_den, table.t, table.weight
     step = max(1, total // 64)
@@ -407,54 +411,37 @@ def verify_extension_monodromy(code: Code, cap: int) -> VerifyResult:
             diff = Fraction(
                 sum(w[table.fuse[p][a]] - w[a] for p, a in zip(xi, index)), den
             ) - sum(sc_weight(k, p) for p in xi)
-            return VerifyResult(
-                "extension_monodromy",
-                False,
-                f"word {xi} vs {table.label(index)}: {got} vs {diff}",
-            )
+            return f"word {xi} vs {table.label(index)}: {got} vs {diff}"
         for eta in code.words:
             merged = b_rows[word_add(xi, eta, k)]
             for x, m, a, b in zip(spread, merged, b_rows[xi], b_rows[eta]):
                 if m != (a + b) % 1:
-                    return VerifyResult(
-                        "extension_monodromy",
-                        False,
-                        f"additivity fails at {xi}, {eta}, {x}",
-                    )
+                    return f"additivity fails at {xi}, {eta}, {x}"
     for index in _sample(k, n, ell, total):
         x = table.label(index)
         weight = Fraction(sum(w[a] for a in index), den)
         if tensor_weight(x) != weight:
-            return VerifyResult(
-                "extension_monodromy",
-                False,
-                f"label {x}: tensor_weight gives {tensor_weight(x)}, the table {weight}",
-            )
+            return f"label {x}: tensor_weight gives {tensor_weight(x)}, the table {weight}"
         for xi in code.words:
             fused = table.label(tuple(table.fuse[p][a] for p, a in zip(xi, index)))
             monodromy = Fraction(sum(p * t[a] for p, a in zip(xi, index)) % k, k)
             if fuse(xi, x) != fused or b_ext(xi, x) != monodromy:
-                return VerifyResult(
-                    "extension_monodromy",
-                    False,
+                return (
                     f"word {xi} vs {x}: fuse/b_ext give {fuse(xi, x)}, "
-                    f"{b_ext(xi, x)}; the table {fused}, {monodromy}",
+                    f"{b_ext(xi, x)}; the table {fused}, {monodromy}"
                 )
     if code.case is Case.A:
         currents = [fuse(eta, IrrLabel(k, (vacuum(k),) * ell)) for eta in code.words]
         for xi in code.words:
             for eta, x in zip(code.words, currents):
                 if b_ext(xi, x) != 0:
-                    return VerifyResult(
-                        "extension_monodromy",
-                        False,
-                        f"nonzero monodromy {xi} against code current {eta}",
-                    )
-    return VerifyResult("extension_monodromy", True)
+                    return f"nonzero monodromy {xi} against code current {eta}"
+    return None
 
 
 def verify_lattice_discriminant(code: Code) -> VerifyResult:
-    """Index-formula discriminant vs the Smith-form computation."""
+    """Index-formula discriminant vs the Smith-form computation; it passes
+    with the order and the invariant factors as its detail."""
     try:
         lat = build_code_lattice(code, verify=True)
     except VerificationError as err:

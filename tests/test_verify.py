@@ -1,5 +1,4 @@
-"""Fault injection into the coset group-law, realization and
-extension-monodromy suites.
+"""Fault injection into the verify suites.
 
 The realization and extension-monodromy suites check every label through
 the level's integer label table and run a seeded sample of labels through
@@ -9,9 +8,11 @@ sample, and the label-space cap must trip before any table is built.  The
 group-law suite runs its inverse oracle on 2k-scaled integers and its pair
 laws on packed labels; a corrupted group law (public or packed), scaled
 representative or public `coset_of_vector` must fail it with the check's
-message.
+message.  A corrupted closed form fails the minimal-norm, pairing-form and
+monodromy-law suites under their own names.
 """
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -31,12 +32,18 @@ from pfkit import (
     pf_canonicalize,
     span,
 )
+from pfkit.cli import main
 from pfkit.cosets import _pack, _residue_table, _unpack, all_labels, representative
 from pfkit.modules import label_table
 from pfkit.verify import (
+    VerifyResult,
     _pairing_numerators,
+    run_suites,
     verify_extension_monodromy,
     verify_group_laws,
+    verify_minimal_norms,
+    verify_monodromy_laws,
+    verify_pairing_forms,
     verify_realization,
 )
 
@@ -155,6 +162,74 @@ def test_cap_trips_before_any_table(code44, suite):
         suite(code44, 9999)
     assert label_table.cache_info().misses == 0
     assert _pairing_numerators.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("suite", SUITES, ids=lambda fn: fn.__name__)
+def test_label_count_past_the_sample_range_trips_the_cap(suite):
+    # 3^45 labels: random.sample draws from a range of at most sys.maxsize
+    with pytest.raises(
+        CapExceededError,
+        match=f"label space of size {3**45} exceeds the cap of {sys.maxsize}$",
+    ):
+        suite(span([], 2, 45), 10**200)
+    assert label_table.cache_info().misses == 0
+
+
+def test_label_count_past_the_sample_range_exits_four(capsys):
+    argv = ["--k", "2", "--ell", "45", "--analysis", "verify"]
+    assert main([*argv, "--orbit-cap", str(10**200)]) == 4
+    assert f"exceeds the cap of {sys.maxsize}" in capsys.readouterr().err
+
+
+def test_run_suites_order():
+    results = run_suites(span([(1, 2)], 5, 2), CAP)
+    assert [r.name for r in results] == [
+        "minimal_norms",
+        "coset_group_laws",
+        "pairing_forms",
+        "monodromy_laws",
+        "lattice_discriminant",
+        "realization_duality",
+        "extension_monodromy",
+    ]
+    assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize(
+    "suite, value, fault, name, detail",
+    [
+        # every closed form is off the searched norm
+        (
+            verify_minimal_norms,
+            "min_norm_data",
+            lambda v: (v[0] + 1, v[1]),
+            "minimal_norms",
+            "label (0, (0, 0, 0, 1)): closed form (Fraction(11, 8), 1), "
+            "search (Fraction(3, 8), 1)",
+        ),
+        # a pairing outside [0, 1) never equals its closed form
+        (
+            verify_pairing_forms,
+            "pairing",
+            lambda v: v + 1,
+            "pairing_forms",
+            "pure 0 x pure 0: 1 != 0",
+        ),
+        # half a unit off the weight bookkeeping
+        (
+            verify_monodromy_laws,
+            "pf_b",
+            lambda v: v + Fraction(1, 2),
+            "monodromy_laws",
+            "current 0 vs (1,0): 1/2 != 0",
+        ),
+    ],
+    ids=["minimal_norms", "pairing_forms", "monodromy_laws"],
+)
+def test_corrupted_closed_form_fails_its_suite(monkeypatch, suite, value, fault, name, detail):
+    original = getattr(pfkit.verify, value)
+    monkeypatch.setattr(pfkit.verify, value, lambda *args: fault(original(*args)))
+    assert suite(4) == VerifyResult(name, False, detail)
 
 
 def test_corrupted_neg_fails_inverse_oracle(monkeypatch):

@@ -12,22 +12,26 @@ same error.  The realization suite folds per slot; its reference walks
 every label, under single-entry faults in either route.  Call counts pin
 the evaluations saved.  `caseB_modules` finds mates on index tuples and
 skips the orbits already emitted as mates; the reference fuses every member
-of every trivial orbit as labels and compares.
+of every trivial orbit as labels and compares.  The Smith form of the
+discriminant oracle alternates row Hermite forms; its reference eliminates
+pivot by pivot, on rows and columns at once.
 """
 
 import hashlib
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pfkit.cosets
 import pfkit.modules
 import pfkit.verify as V
 from pfkit.cli import main
+from pfkit.cosets import _smith_diagonal, build_code_lattice
 from pfkit.errors import (
     InvalidInputError,
     PfkitError,
@@ -441,11 +445,19 @@ def count_calls(monkeypatch, module, name):
             lambda: caseB_modules(span([(5, 0)], 10, 2)),
             0,
         ),
-        # one label per orbit, its representative, for 2,025 orbits
+        # the sweep checks each stabilizer on the factor labels: no label
         (
             pfkit.modules.LabelTable,
             "label",
             lambda: orbits(span([(1, 2, 0, 0), (0, 0, 1, 2)], 5, 4)),
+            0,
+        ),
+        # the census report builds one label per orbit, its representative's,
+        # for 2,025 orbits
+        (
+            pfkit.modules.LabelTable,
+            "label",
+            lambda: run(JobSpec(5, 4, ((1, 2, 0, 0), (0, 0, 1, 2)), ("modules",))),
             2_025,
         ),
         # one decomposition per orbit of the even part, shared by the rows,
@@ -457,7 +469,7 @@ def count_calls(monkeypatch, module, name):
             3_025,
         ),
     ],
-    ids=["coset_add", "pf_b", "b_ext", "fuse", "label", "induced_decomposition"],
+    ids=["coset_add", "pf_b", "b_ext", "fuse", "label", "label-report", "induced_decomposition"],
 )
 def test_each_value_is_evaluated_once(monkeypatch, module, name, run, most):
     calls = count_calls(monkeypatch, module, name)
@@ -603,3 +615,129 @@ def test_check_numerator():
     assert check_numerator(2, 5) == 10
     with pytest.raises(VerificationError, match="1/3 is not a multiple of 1/8"):
         check_numerator(Fraction(1, 3), 8)
+
+
+def smith_by_pivots(matrix):
+    """Diagonal of the Smith normal form of a square integer matrix, by the
+    pivot elimination that `_smith_diagonal` ran before it alternated Hermite
+    forms: clear the pivot's column and row until both are clear."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    diag = []
+    top = 0
+    while top < n:
+        # find a nonzero entry in the remaining block
+        pivot = None
+        for r in range(top, n):
+            for c in range(top, n):
+                if m[r][c]:
+                    pivot = (r, c)
+                    break
+            if pivot:
+                break
+        if pivot is None:
+            break
+        r, c = pivot
+        m[top], m[r] = m[r], m[top]
+        for row in m:
+            row[top], row[c] = row[c], row[top]
+        while True:
+            # clear column
+            again = False
+            for r in range(top + 1, n):
+                while m[r][top]:
+                    q = m[r][top] // m[top][top]
+                    m[r] = [a - q * b for a, b in zip(m[r], m[top])]
+                    if m[r][top]:
+                        m[top], m[r] = m[r], m[top]
+                        again = True
+            # clear row
+            for c in range(top + 1, n):
+                while m[top][c]:
+                    q = m[top][c] // m[top][top]
+                    for row in m:
+                        row[c] -= q * row[top]
+                    if m[top][c]:
+                        for row in m:
+                            row[top], row[c] = row[c], row[top]
+                        again = True
+            if not again:
+                break
+        diag.append(abs(m[top][top]))
+        top += 1
+    # enforce the divisibility chain
+    for a in range(len(diag)):
+        for b in range(a + 1, len(diag)):
+            x, y = diag[a], diag[b]
+            if y % x:
+                g = gcd(x, y)
+                diag[a], diag[b] = g, x * y // g
+    return diag
+
+
+def determinant(matrix):
+    """Exact determinant by Gaussian elimination over the rationals."""
+    m = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for c in range(len(m)):
+        r = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            m[c], m[r] = m[r], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-20, 20)
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_smith_form_matches_pivot_elimination(matrix):
+    det = determinant(matrix)
+    assume(det != 0)
+    diag = _smith_diagonal(matrix)
+    assert diag == smith_by_pivots(matrix)
+    assert prod(diag) == abs(det)
+    assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[], [[0, 0], [0, 0]], [[2, 4], [3, 6]], [[0, 6, 4], [0, 3, 2], [0, 0, 0]]],
+    ids=["empty", "zero", "rank-1", "rank-1-zero-column"],
+)
+def test_singular_smith_forms_leave_out_the_zeros(matrix):
+    assert _smith_diagonal(matrix) == smith_by_pivots(matrix)
+
+
+@st.composite
+def supported_codes(draw):
+    """A code with k <= 6 and ell <= 4 from up to two generators of
+    self-pairing 0 or k/2, so each spans a Case A or Case B code alone; a
+    pair that leaves both cases keeps its first generator."""
+    k = draw(st.integers(2, 6))
+    ell = draw(st.integers(1, 4))
+    allowed = {0, k // 2} if k % 2 == 0 else {0}
+    words = [w for w in product(range(k), repeat=ell) if inner(w, w, k) in allowed]
+    gens = draw(st.lists(st.sampled_from(words), max_size=2))
+    code = span(gens, k, ell)
+    return span(gens[:1], k, ell) if code.case is Case.UNSUPPORTED else code
+
+
+@settings(max_examples=100, deadline=None)
+@given(supported_codes())
+def test_code_lattice_factors_match_pivot_elimination(code):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pfkit.cosets, "_smith_diagonal", smith_by_pivots)
+        want = build_code_lattice(code, verify=True).invariant_factors
+    assert build_code_lattice(code, verify=True).invariant_factors == want
