@@ -24,10 +24,10 @@ from itertools import accumulate
 from math import lcm, prod
 
 from .errors import (
-    CapExceededError,
     InvalidInputError,
     VerificationError,
     check_bits,
+    check_cap,
     check_level,
     check_numerator,
     check_tail_bit,
@@ -126,10 +126,7 @@ def branch(k: int, j: int, bits) -> tuple[BranchComponent, ...]:
     grows like prod(s/2).
     """
     check_level(k)
-    if k > BRANCH_MAX_LEVEL:
-        raise CapExceededError(
-            f"branching is capped at rank {BRANCH_MAX_LEVEL}, got {k}"
-        )
+    check_cap("branching rank", k, BRANCH_MAX_LEVEL)
     bits = check_bits(k, bits)
     choices = _step_choices(bits)
     den = weight_den(k)

@@ -28,11 +28,11 @@ from itertools import product
 from math import comb, gcd, prod
 
 from .errors import (
-    CapExceededError,
     InvalidInputError,
     UnsupportedCodeError,
     VerificationError,
     check_bits,
+    check_cap,
     check_level,
     check_tail_bit,
 )
@@ -275,10 +275,7 @@ def minimizer_count(x: CosetLabel) -> int:
 
 def check_search_level(k: int) -> None:
     """Reject a rank above the exhaustive norm search's cap."""
-    if k > SEARCH_MAX_LEVEL:
-        raise CapExceededError(
-            f"exhaustive norm search is capped at rank {SEARCH_MAX_LEVEL}, got {k}"
-        )
+    check_cap("exhaustive norm search rank", k, SEARCH_MAX_LEVEL)
 
 
 def min_norm_oracle(x: CosetLabel) -> tuple[Fraction, int]:

@@ -4,6 +4,8 @@ Each subclass corresponds to one failure mode of the public API and, through
 the command line front end, to the process exit code in its `exit_code`.
 """
 
+import sys
+
 
 class PfkitError(Exception):
     """Base class for every error raised by this package."""
@@ -59,6 +61,15 @@ def check_tail_bit(d: int) -> int:
     if d not in (0, 1):
         raise InvalidInputError(f"tail bit must be 0 or 1, got {d}")
     return d
+
+
+def check_cap(what: str, value: int, cap: int) -> int:
+    """Return value; CapExceededError when it passes the cap, or sys.maxsize,
+    the most a list, set, bytearray or `random.sample` can index."""
+    cap = min(cap, sys.maxsize)
+    if value > cap:
+        raise CapExceededError(f"{what} {value} exceeds the cap of {cap}")
+    return value
 
 
 def check_numerator(x, den: int) -> int:

@@ -26,6 +26,7 @@ from .errors import (
     CapExceededError,
     InvalidInputError,
     VerificationError,
+    check_cap,
     check_numerator,
     check_shape,
 )
@@ -72,12 +73,7 @@ class IrrLabel:
 def label_space_size(k: int, ell: int, cap: int = DEFAULT_ORBIT_CAP) -> int:
     """irr_count(k) ** ell; raises CapExceededError when it exceeds the cap."""
     check_shape(k, ell)
-    total = irr_count(k) ** ell
-    if total > cap:
-        raise CapExceededError(
-            f"label space of size {total} exceeds the cap of {cap}"
-        )
-    return total
+    return check_cap("label space of size", irr_count(k) ** ell, cap)
 
 
 def all_irr_labels(k: int, ell: int, cap: int = DEFAULT_ORBIT_CAP) -> tuple[IrrLabel, ...]:
@@ -261,7 +257,8 @@ class OrbitRecord:
 
 def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
     """All fusion orbits, in order of their smallest member; raises
-    CapExceededError, before allocating, when the label space exceeds the cap.
+    CapExceededError, before sweeping, when the label space exceeds the cap
+    or its seen map does not fit in memory.
 
     One sweep over the index tuples of `label_table(k)`, in label order; an
     n**ell-byte seen map, indexed by mixed radix, marks each member found, so
@@ -271,7 +268,11 @@ def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
     t-vectors pair alike with the generators share a character: `_reduce`
     runs <= |D| times."""
     k, ell = code.k, code.ell
-    seen = bytearray(label_space_size(k, ell, cap))
+    total = label_space_size(k, ell, cap)
+    try:
+        seen = bytearray(total)
+    except MemoryError:
+        raise CapExceededError(f"label space of size {total} does not fit in memory") from None
     table = label_table(k)
     n = len(table.labels)
     place = tuple(n ** (ell - 1 - r) for r in range(ell))

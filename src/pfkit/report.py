@@ -16,9 +16,9 @@ from json.encoder import encode_basestring_ascii
 
 from . import branching, cosets, modules, verify
 from .errors import (
-    CapExceededError,
     InvalidInputError,
     UnsupportedCodeError,
+    check_cap,
     check_shape,
 )
 from .parafermion import central_charge
@@ -95,12 +95,7 @@ def _classification_section(code: Code) -> dict:
 
 def _lattice_section(code: Code, job: JobSpec) -> dict:
     k = code.k
-    rows = 2 ** (k - 1) * k
-    if rows > job.orbit_cap:
-        raise CapExceededError(
-            f"minimal-norm table with {rows} rows exceeds the orbit cap of "
-            f"{job.orbit_cap} (--orbit-cap)"
-        )
+    check_cap("minimal-norm table of size", 2 ** (k - 1) * k, job.orbit_cap)
     lat = cosets.build_code_lattice(code)
     # the closed form depends on (j, weight) only: one call per pair j < w
     cell = {}
@@ -131,11 +126,7 @@ def _branch_section(code: Code, job: JobSpec) -> dict:
         j, bits = lab.j, lab.bits
     label = cosets.canonicalize(code.k, j, bits)
     size = branching.component_count(code.k, label.bits)
-    if size > job.orbit_cap:
-        raise CapExceededError(
-            f"branching table with {size} components exceeds the orbit cap of "
-            f"{job.orbit_cap} (--orbit-cap)"
-        )
+    check_cap("branching table of size", size, job.orbit_cap)
     components = branching.branch(code.k, label.j, label.bits)
     count_data = cosets.min_norm_data(code.k, label.j, label.bits)
     # `branch` shares its labels and weights between components: convert
@@ -260,10 +251,7 @@ def run(job: JobSpec) -> dict:
         report["counts"] = counts_sec
         report["case_b"] = case_b
     if "verify" in want:
-        if job.k > job.verify_max_k:
-            raise CapExceededError(
-                f"verification is capped at level {job.verify_max_k}, job has {job.k}"
-            )
+        check_cap("verification level", job.k, job.verify_max_k)
         results = verify.run_suites(code, job.orbit_cap)
         report["verify"] = [
             {"name": r.name, "pass": r.passed, "detail": r.detail}

@@ -18,7 +18,6 @@ first counterexample, or None; `_suite` makes it a `VerifyResult`.
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
@@ -98,7 +97,7 @@ def verify_minimal_norms(k: int) -> str | None:
         closed = min_norm_data(k, lab.j, lab.bits)
         if closed != memo[key]:
             return f"label ({lab.j}, {lab.bits}): closed form {closed}, search {memo[key]}"
-    for lab in random.Random(k).sample(labels, min(64, len(labels))):
+    for lab in _sample(labels, k):
         searched = min_norm_oracle(lab)
         if searched != memo[(lab.j, lab.weight)]:
             return f"label ({lab.j}, {lab.bits}): search {searched} differs from its (j, weight) memo"
@@ -136,7 +135,7 @@ def _group_law_failure(k: int, labels) -> str | None:
             return f"inverse oracle fails at {x}"
         if coset_add(x, neg) != e:
             return f"inverse fails at {x}"
-    sample = random.Random(k).sample(labels, min(64, len(labels)))
+    sample = _sample(labels, k)
     for x, y in zip(sample, sample[1:] + sample[:1]):
         if coset_of_vector(-representative(x)) != coset_neg(x):
             return f"public inverse oracle fails at {x}"
@@ -255,8 +254,9 @@ def verify_realization(code: Code, cap: int) -> str | None:
     """
     basis = even_part_code(code) if code.case is Case.B else code
     k, ell = basis.k, basis.ell
-    total = _label_count(k, ell, cap)
+    total = label_space_size(k, ell, cap)
     table = label_table(k)
+    n = len(table.labels)
     steps = _realization_steps(basis)
     rank = len(basis.generators)
 
@@ -270,7 +270,7 @@ def verify_realization(code: Code, cap: int) -> str | None:
         eta, delta = zip(*(table.tail[a] for a in index))
         coset = ProductCoset.from_tail(k, eta, delta)
         return f"label {table.label(index)}: member={member}, trivial={trivial} ({coset})"
-    for index in _sample(k, len(table.labels), ell, total):
+    for index in (_digits(i, n, ell) for i in _sample(range(total), k)):
         x = table.label(index)
         public = (realize(x, basis)[1], character_of(x, basis).trivial)
         if public != routes(index):
@@ -279,12 +279,6 @@ def verify_realization(code: Code, cap: int) -> str | None:
                 f"{public}; the table gives {routes(index)}"
             )
     return None
-
-
-def _label_count(k: int, ell: int, cap: int) -> int:
-    """The label count, checked against the cap and against the range that
-    the seeded sample can draw from (a C ssize_t)."""
-    return label_space_size(k, ell, min(cap, sys.maxsize))
 
 
 @lru_cache(maxsize=8)
@@ -369,11 +363,10 @@ def _first_failing(steps, modulus: int, fails=any) -> tuple[int, ...] | None:
     return tuple(index)
 
 
-def _sample(k: int, n: int, ell: int, total: int) -> list[tuple[int, ...]]:
-    """A seeded sample of 64 index tuples (all when fewer), drawn with
-    `random.Random(k)` as in `verify_minimal_norms`."""
-    picks = random.Random(k).sample(range(total), min(64, total))
-    return [_digits(i, n, ell) for i in picks]
+def _sample(population, k: int) -> list:
+    """A seeded sample of 64 members of `population` (all when fewer), drawn
+    with `random.Random(k)`."""
+    return random.Random(k).sample(population, min(64, len(population)))
 
 
 def _digits(position: int, n: int, ell: int) -> tuple[int, ...]:
@@ -396,7 +389,7 @@ def verify_extension_monodromy(code: Code, cap: int) -> str | None:
     public `fuse`, `tensor_weight` and `b_ext`.
     """
     k, ell = code.k, code.ell
-    total = _label_count(k, ell, cap)
+    total = label_space_size(k, ell, cap)
     table = label_table(k)
     n, den, t, w = len(table.labels), table.weight_den, table.t, table.weight
     step = max(1, total // 64)
@@ -417,7 +410,7 @@ def verify_extension_monodromy(code: Code, cap: int) -> str | None:
             for x, m, a, b in zip(spread, merged, b_rows[xi], b_rows[eta]):
                 if m != (a + b) % 1:
                     return f"additivity fails at {xi}, {eta}, {x}"
-    for index in _sample(k, n, ell, total):
+    for index in (_digits(i, n, ell) for i in _sample(range(total), k)):
         x = table.label(index)
         weight = Fraction(sum(w[a] for a in index), den)
         if tensor_weight(x) != weight:

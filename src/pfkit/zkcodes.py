@@ -18,7 +18,7 @@ from enum import Enum
 from itertools import product
 from math import isqrt
 
-from .errors import CapExceededError, InvalidInputError, check_shape
+from .errors import InvalidInputError, check_cap, check_shape
 
 Codeword = tuple[int, ...]
 BinaryCode = tuple[tuple[int, ...], ...]
@@ -146,8 +146,7 @@ def _grow(spanned: set, x: Codeword, k: int, cap: int) -> set:
     grown = set(spanned)
     multiple = x
     while multiple not in spanned:
-        if len(grown) + len(spanned) > cap:
-            raise CapExceededError(f"span exceeds the cap of {cap} words")
+        check_cap("span of size at least", len(grown) + len(spanned), cap)
         grown.update(word_add(s, multiple, k) for s in spanned)
         multiple = word_add(multiple, x, k)
     return grown
@@ -191,11 +190,7 @@ def dual_code(code: Code, cap: int = DEFAULT_ENUM_CAP) -> Code:
     Brute force over (Z_k)^ell, capped.  Checking against the generators is
     enough, by bilinearity.
     """
-    total = code.k ** code.ell
-    if total > cap:
-        raise CapExceededError(
-            f"dual enumeration over {total} words exceeds the cap of {cap}"
-        )
+    check_cap("dual enumeration of size", code.k ** code.ell, cap)
     words = (
         w
         for w in product(range(code.k), repeat=code.ell)

@@ -11,6 +11,7 @@ reports with empty tables and null sections.
 """
 
 import json
+import sys
 from itertools import product
 
 import pytest
@@ -640,8 +641,7 @@ class TestCli:
         )
         assert rc == 4
         err = capsys.readouterr().err
-        assert "minimal-norm table with 80 rows exceeds the orbit cap of 79" in err
-        assert "--orbit-cap" in err
+        assert "minimal-norm table of size 80 exceeds the cap of 79" in err
 
     def test_branch_cap_trips_before_branching(self, capsys, monkeypatch):
         def unreachable(k, j, bits):
@@ -653,12 +653,57 @@ class TestCli:
         )
         assert rc == 4
         err = capsys.readouterr().err
-        assert "branching table with 144 components exceeds the orbit cap of 143" in err
-        assert "--orbit-cap" in err
+        assert "branching table of size 144 exceeds the cap of 143" in err
 
     def test_branch_rank_cap_still_exits_four(self, capsys):
         assert main(["--k", "11", "--ell", "1", "--analysis", "branch"]) == 4
-        assert "capped at rank 10" in capsys.readouterr().err
+        assert "branching rank 11 exceeds the cap of 10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                "--k 3 --ell 3 --analysis modules --orbit-cap 215",
+                "label space of size 216 exceeds the cap of 215",
+            ),
+            (
+                "--k 5 --ell 1 --analysis lattice --orbit-cap 79",
+                "minimal-norm table of size 80 exceeds the cap of 79",
+            ),
+            (
+                "--k 6 --ell 1 --analysis branch --orbit-cap 143",
+                "branching table of size 144 exceeds the cap of 143",
+            ),
+            ("--k 11 --ell 1 --analysis branch", "branching rank 11 exceeds the cap of 10"),
+            (
+                "--k 13 --ell 1 --analysis verify --verify-max-k 13",
+                "exhaustive norm search rank 13 exceeds the cap of 12",
+            ),
+            ("--k 10 --ell 1 --analysis verify", "verification level 10 exceeds the cap of 8"),
+            # 3^39 < 2^63 - 1 < 3^41: the seen map's 3^39 bytes cannot be allocated
+            (
+                f"--k 2 --ell 39 --analysis modules --orbit-cap {10**200}",
+                f"label space of size {3**39} does not fit in memory",
+            ),
+            (
+                f"--k 2 --ell 41 --analysis modules --orbit-cap {10**200}",
+                f"label space of size {3**41} exceeds the cap of {sys.maxsize}",
+            ),
+        ],
+        ids=[
+            "label-space",
+            "lattice",
+            "branch-table",
+            "branch-rank",
+            "search-rank",
+            "verify-level",
+            "label-space-memory",
+            "label-space-index-range",
+        ],
+    )
+    def test_each_cap_exits_four_and_names_itself(self, capsys, argv, message):
+        assert main(argv.split()) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_verification_error_mid_analysis_exits_five(self, capsys, monkeypatch):
         from pfkit.errors import VerificationError

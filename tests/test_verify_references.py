@@ -127,7 +127,7 @@ def realization_by_walk(code, cap):
                 False,
                 f"label {table.label(index)}: member={member}, trivial={trivial} ({coset})",
             )
-    for index in V._sample(k, len(table.labels), ell, total):
+    for index in (V._digits(i, len(table.labels), ell) for i in V._sample(range(total), k)):
         x = table.label(index)
         public = (V.realize(x, basis)[1], V.character_of(x, basis).trivial)
         if public != routes(index):
@@ -195,7 +195,7 @@ def per_call_extension_monodromy(code, cap):
                         False,
                         f"additivity fails at {xi}, {eta}, {x}",
                     )
-    for index in V._sample(k, n, ell, total):
+    for index in (V._digits(i, n, ell) for i in V._sample(range(total), k)):
         x = table.label(index)
         weight = Fraction(sum(w[a] for a in index), den)
         if V.tensor_weight(x) != weight:
@@ -363,7 +363,8 @@ def fault_labels(code):
     n = len(table.labels)
     total = n**ell
     indices = [V._digits(i, n, ell) for i in range(0, total, max(1, total // 64))]
-    out = [table.label(i) for i in indices + V._sample(k, n, ell, total)]
+    indices += [V._digits(i, n, ell) for i in V._sample(range(total), k)]
+    out = [table.label(i) for i in indices]
     if code.case is Case.A:
         out += [V.fuse(eta, IrrLabel(k, (vacuum(k),) * ell)) for eta in code.words]
     return out
@@ -600,7 +601,7 @@ def test_search_cap_trips_before_any_coset_label(monkeypatch, capsys):
         monkeypatch.setattr(module, "all_labels", unreachable)
     argv = ["--k", "13", "--ell", "1", "--analysis", "verify", "--verify-max-k", "13"]
     assert main(argv) == 4
-    assert "exhaustive norm search is capped at rank 12, got 13" in capsys.readouterr().err
+    assert "exhaustive norm search rank 13 exceeds the cap of 12" in capsys.readouterr().err
 
 
 def test_non_multiple_current_weight_raises(monkeypatch):

@@ -74,7 +74,9 @@ def test_span_cap():
 def test_span_cap_is_exact(gens, k, ell, size):
     # a code of exactly `cap` words is allowed, one word more is not
     assert span(gens, k, ell, cap=size).size == size
-    with pytest.raises(CapExceededError, match=f"span exceeds the cap of {size - 1} words"):
+    with pytest.raises(
+        CapExceededError, match=f"span of size at least {size} exceeds the cap of {size - 1}$"
+    ):
         span(gens, k, ell, cap=size - 1)
 
 
