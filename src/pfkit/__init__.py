@@ -99,7 +99,6 @@ from .zkcodes import (
     radical_data,
     span,
     word_add,
-    word_neg,
 )
 
 __version__ = "0.1.0"

@@ -114,16 +114,13 @@ def component_count(k: int, bits) -> int:
     return prod(len(c) for c in _step_choices(check_bits(k, bits)))
 
 
-def branch(k: int, j: int, bits) -> tuple[BranchComponent, ...]:
-    """All components of the coset module labeled (j, bits).
-
-    Extends every index prefix (i_1, ..., i_s) by the allowed i_{s+1} in
-    increasing order, so components come out in lexicographic index order.
-    Weights are carried as integer numerators over `weight_den(k)`; the Kac
-    label and weight numerator of each step (s, i_s, i_{s+1}), the
-    parafermion label of each i_k and the Fraction of each distinct weight
-    are built once and shared.  Capped at rank 10; the component count
-    grows like prod(s/2).
+def _walk(k: int, j: int, bits, kac) -> list[tuple]:
+    """The components of the coset module (j, bits) as rows (indices, Kac
+    entries, weight numerator over `weight_den(k)`, PfLabel), in
+    lexicographic index order: each prefix (i_1, ..., i_s) is extended by
+    the allowed i_{s+1} in increasing order.  `kac(s, i_s + 1, i_{s+1} + 1)`
+    builds each step's Kac entry once, each tail is built once per i_k, and
+    the rows share them.  Capped at rank 10; the count grows like prod(s/2).
     """
     check_level(k)
     check_cap("branching rank", k, BRANCH_MAX_LEVEL)
@@ -132,12 +129,9 @@ def branch(k: int, j: int, bits) -> tuple[BranchComponent, ...]:
     den = weight_den(k)
     walk = [((i,), (), 0) for i in choices[0]]
     for s in range(1, k):
-        # i_s -> [(i_{s+1}, Kac label, h numerator)] for this step
+        # i_s -> [(i_{s+1}, Kac entry, h numerator)] for this step
         step = {
-            a: [
-                (b, vir_canonicalize(s, a + 1, b + 1), check_numerator(vir_h(s, a + 1, b + 1), den))
-                for b in choices[s]
-            ]
+            a: [(b, kac(s, a + 1, b + 1), check_numerator(vir_h(s, a + 1, b + 1), den)) for b in choices[s]]
             for a in choices[s - 1]
         }
         walk = [
@@ -146,20 +140,20 @@ def branch(k: int, j: int, bits) -> tuple[BranchComponent, ...]:
             for b, lab, h in step[tup[-1]]
         ]
     w = sum(bits)
-    tail = {}  # i_k -> (parafermion label, weight numerator)
+    tail = {}  # i_k -> (weight numerator, parafermion label)
     for i in choices[-1]:
         pf = pf_canonicalize(k, i, j + (i - w) // 2)
-        tail[i] = (pf, check_numerator(pf_weight(k, pf.i, pf.j), den))
-    weights: dict[int, Fraction] = {}
-    out = []
-    for tup, vir, hnum in walk:
-        pf, pnum = tail[tup[-1]]
-        num = hnum + pnum
-        weight = weights.get(num)
-        if weight is None:
-            weight = weights[num] = Fraction(num, den)
-        out.append(BranchComponent(tup, vir, pf, weight))
-    return tuple(out)
+        tail[i] = (check_numerator(pf_weight(k, pf.i, pf.j), den), pf)
+    return [(tup, vir, hnum + tail[tup[-1]][0], tail[tup[-1]][1]) for tup, vir, hnum in walk]
+
+
+def branch(k: int, j: int, bits) -> tuple[BranchComponent, ...]:
+    """All components of the coset module labeled (j, bits), in `_walk`
+    order; they share their Kac labels, pf labels and weight Fractions."""
+    rows = _walk(k, j, bits, vir_canonicalize)
+    den = weight_den(k)
+    weights = {num: Fraction(num, den) for num in {row[2] for row in rows}}
+    return tuple(BranchComponent(tup, vir, pf, weights[num]) for tup, vir, num, pf in rows)
 
 
 def branch_tail(k: int, j: int, d: int) -> tuple[tuple[VirasoroLabel, PfLabel], ...]:

@@ -257,8 +257,8 @@ class OrbitRecord:
 
 def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
     """All fusion orbits, in order of their smallest member; raises
-    CapExceededError, before sweeping, when the label space exceeds the cap
-    or its seen map does not fit in memory.
+    CapExceededError, before sweeping, when the label space or the dual
+    enumeration exceeds its cap, or the seen map does not fit in memory.
 
     One sweep over the index tuples of `label_table(k)`, in label order; an
     n**ell-byte seen map, indexed by mixed radix, marks each member found, so
@@ -269,6 +269,7 @@ def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
     runs <= |D| times."""
     k, ell = code.k, code.ell
     total = label_space_size(k, ell, cap)
+    _dual_words(code)
     try:
         seen = bytearray(total)
     except MemoryError:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from json.encoder import encode_basestring_ascii
 
 from . import branching, cosets, modules, verify
@@ -127,37 +127,23 @@ def _branch_section(code: Code, job: JobSpec) -> dict:
     label = cosets.canonicalize(code.k, j, bits)
     size = branching.component_count(code.k, label.bits)
     check_cap("branching table of size", size, job.orbit_cap)
-    components = branching.branch(code.k, label.j, label.bits)
+    shared: dict = {}  # one canonical (m, r, s) tuple per distinct Kac label
+
+    def kac(m: int, r: int, s: int) -> tuple[int, int, int]:
+        lab = branching.vir_canonicalize(m, r, s)
+        return shared.setdefault((lab.m, lab.r, lab.s), (lab.m, lab.r, lab.s))
+
+    rows = branching._walk(code.k, label.j, label.bits, kac)
     count_data = cosets.min_norm_data(code.k, label.j, label.bits)
-    # `branch` shares its labels and weights between components: convert
-    # each distinct one once, keyed by identity (`components` keeps them alive)
-    kac = _by_identity(
-        chain.from_iterable(comp.virasoro for comp in components),
-        lambda lab: (lab.m, lab.r, lab.s),
-    ).__getitem__
-    pf = _by_identity((comp.pf for comp in components), lambda x: (x.i, x.j))
-    weight = _by_identity((comp.weight for comp in components), rat)
-    return {
-        "coset": str(label),
-        "min_norm": rat(count_data[0]),
-        "components": [
-            {
-                "indices": comp.indices,
-                "virasoro": tuple(map(kac, map(id, comp.virasoro))),
-                "pf": pf[id(comp.pf)],
-                "weight": weight[id(comp.weight)],
-            }
-            for comp in components
-        ],
-    }
-
-
-def _by_identity(objects, convert) -> dict:
-    """id(x) -> convert(x) over the distinct objects x; the caller keeps the
-    objects alive while it uses the keys."""
-    objects = list(objects)
-    distinct = dict(zip(map(id, objects), objects))
-    return {key: convert(x) for key, x in distinct.items()}
+    den = branching.weight_den(code.k)
+    weights = {num: rat(Fraction(num, den)) for num in {row[2] for row in rows}}
+    tails = {indices[-1]: pf for indices, _, _, pf in rows}  # one PfLabel per i_k
+    pairs = {i: (pf.i, pf.j) for i, pf in tails.items()}
+    components = [
+        {"indices": indices, "virasoro": vir, "pf": pairs[indices[-1]], "weight": weights[num]}
+        for indices, vir, num, _ in rows
+    ]
+    return {"coset": str(label), "min_norm": rat(count_data[0]), "components": components}
 
 
 def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None]:
@@ -301,15 +287,43 @@ def _dump(node, depth: int, path: tuple[str, ...]) -> str:
 _str = encode_basestring_ascii  # what json.dumps uses by default (ensure_ascii)
 
 
-def _ints(values, depth: int) -> str:
-    """A list or tuple of ints as `json.dumps(..., indent=2)` writes it at
-    `depth`; raises TypeError on anything else."""
-    if type(values) not in (list, tuple) or not all(type(v) is int for v in values):
-        raise TypeError("expected a list of ints")
-    if not values:
-        return "[]"
+def _int(value) -> str:
+    """An int as `json.dumps` writes it; TypeError on anything else, bools too."""
+    if type(value) is not int:
+        raise TypeError("expected an int")
+    return repr(value)
+
+
+def _array(texts, values, depth: int) -> str:
+    """A list or tuple as `json.dumps(..., indent=2)` writes it at `depth`,
+    its items written by the `_Texts` cache `texts`; TypeError on anything else."""
+    if type(values) not in (list, tuple):
+        raise TypeError("expected a list")
     pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + ("," + pad).join(map(repr, values)) + "\n" + "  " * depth + "]"
+    return "[" + pad + texts.join("," + pad, values) + pad[:-2] + "]" if values else "[]"
+
+
+class _Texts(dict):
+    """The text of each object, filled on first sight and keyed by identity,
+    so equal values of other types (True and 1) keep their own text.  It
+    holds every object it has converted, so no key can be reused."""
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert, self.held = convert, []
+
+    def one(self, x) -> str:
+        text = self.get(id(x))
+        if text is None:
+            text = self[id(x)] = self.convert(x)
+            self.held.append(x)
+        return text
+
+    def join(self, sep: str, values) -> str:
+        try:
+            return sep.join(map(self.__getitem__, map(id, values)))
+        except KeyError:
+            return sep.join(map(self.one, values))
 
 
 def _rows(rows: list, depth: int, keys: tuple[str, ...], renderer) -> str | None:
@@ -348,23 +362,15 @@ def _branch_row(rows: list, depth: int):
         "{%s\"indices\": %%s,%s\"virasoro\": %%s,%s\"pf\": %%s,%s\"weight\": %%s%s}"
         % (inner, inner, inner, inner, outer)
     )
-    # `_branch_section` shares its Kac tuples and pf pairs between rows:
-    # write each distinct one once, keyed by identity (`rows` keeps them alive)
-    kac = _by_identity(
-        chain.from_iterable(row["virasoro"] for row in rows),
-        lambda lab: _ints(lab, depth + 2),
-    ).__getitem__
-    pairs = _by_identity((row["pf"] for row in rows), lambda pf: _ints(pf, depth + 1))
-    kac_open, kac_sep = "[" + inner + "  ", "," + inner + "  "
+    # `_branch_section` shares its ints, Kac tuples and pf pairs between rows
+    ints, kac = _Texts(_int), _Texts(lambda lab: _array(ints, lab, depth + 2))
+    pairs = _Texts(lambda pf: _array(ints, pf, depth + 1))
 
     def render(row):
-        vir = row["virasoro"]
-        if type(vir) not in (list, tuple):
-            raise TypeError("virasoro must be a list")
         return template % (
-            _ints(row["indices"], depth + 1),
-            kac_open + kac_sep.join(map(kac, map(id, vir))) + inner + "]" if vir else "[]",
-            pairs[id(row["pf"])],
+            _array(ints, row["indices"], depth + 1),
+            _array(kac, row["virasoro"], depth + 1),
+            pairs.one(row["pf"]),
             _str(row["weight"]),
         )
 
@@ -399,16 +405,14 @@ def _tables(report: dict):
         title = f"lattice: parity={lat['parity']} discriminant={lat['discriminant_order']}"
         yield title, _cells(lat["min_norm_table"], _LATTICE_COLUMNS), _LATTICE_COLUMNS
     if (br := report["branch"]) is not None:
-        # each distinct Kac tuple is shared between rows: write it once
-        kac = _by_identity(
-            chain.from_iterable(c["virasoro"] for c in br["components"]),
-            lambda lab: "(%s,%s,%s)" % tuple(lab),
-        ).__getitem__
+        # each distinct int, Kac tuple and pf pair is shared between rows
+        ints, kac = _Texts(str), _Texts(lambda lab: "(%s,%s,%s)" % tuple(lab))
+        pairs = _Texts(lambda pf: f"({pf[0]},{pf[1]})")
         cells = [
             (
-                ",".join(map(str, c["indices"])),
-                " ".join(map(kac, map(id, c["virasoro"]))),
-                f"({c['pf'][0]},{c['pf'][1]})",
+                ints.join(",", c["indices"]),
+                kac.join(" ", c["virasoro"]),
+                pairs.one(c["pf"]),
                 str(c["weight"]),
             )
             for c in br["components"]

@@ -110,12 +110,12 @@ def verify_group_laws(k: int) -> str | None:
     for rank <= 6, seeded sample otherwise), seeded associativity, and the
     generator decomposition exhibiting invariant factors (2, ..., 2, 2k).
 
-    Identity and inverses run through the public functions for every
-    label, the inverse oracle on 2k-scaled integers, and through
-    `representative` and `coset_of_vector` for a seeded sample of 64.  The
-    pair laws run on packed labels (`cosets._add_packed`), which 64 seeded
-    pairs through `coset_add` must match.  A residue collision or a vector
-    outside the dual fails the suite with its message.
+    Identity and inverses run on packed labels (`cosets._add_packed`) for
+    every label, the inverse oracle on 2k-scaled integers, and through the
+    public `coset_add`, `coset_neg`, `representative` and `coset_of_vector`
+    for a seeded sample of 64.  The pair laws run on packed labels, which 64
+    seeded pairs through `coset_add` must match.  A residue collision or a
+    vector outside the dual fails the suite with its message.
     """
     labels = all_labels(k)
     try:
@@ -126,22 +126,28 @@ def verify_group_laws(k: int) -> str | None:
 
 def _group_law_failure(k: int, labels) -> str | None:
     e = identity_label(k)
-    for x in labels:
-        if coset_add(x, e) != x:
+    packed, one, full = [_pack(x) for x in labels], _pack(e), (1 << k) - 1
+    for x, p in zip(labels, packed):
+        if _add_packed(k, p, one) != p:
             return f"identity fails at {x}"
-        oracle = _coset_of_scaled(k, [-c for c in _scaled(x)])
-        neg = coset_neg(x)
-        if oracle != neg:
+        neg = _add_packed(k, full - p, 0)
+        if _coset_of_scaled(k, [-c for c in _scaled(x)]) != _unpack(k, neg):
             return f"inverse oracle fails at {x}"
-        if coset_add(x, neg) != e:
+        if _add_packed(k, p, neg) != one:
             return f"inverse fails at {x}"
     sample = _sample(labels, k)
-    for x, y in zip(sample, sample[1:] + sample[:1]):
-        if coset_of_vector(-representative(x)) != coset_neg(x):
+    # in label order, so a public fault is named at its first sampled label
+    for x in sorted(sample):
+        neg = coset_neg(x)
+        if coset_add(x, e) != x:
+            return f"identity fails at {x}"
+        if neg != _unpack(k, _add_packed(k, full - _pack(x), 0)):
+            return f"inverse oracle fails at {x}"
+        if coset_of_vector(-representative(x)) != neg:
             return f"public inverse oracle fails at {x}"
+    for x, y in zip(sample, sample[1:] + sample[:1]):
         if coset_add(x, y) != _unpack(k, _add_packed(k, _pack(x), _pack(y))):
             return f"public coset_add fails at {x}, {y}"
-    packed = [_pack(x) for x in labels]
     rng = random.Random(20240 + k)
     if k <= 6:
         # symmetric in x, y: the first failing ordered pair has x <= y

@@ -49,10 +49,6 @@ def word_add(xi: Codeword, eta: Codeword, k: int) -> Codeword:
     return tuple((x + y) % k for x, y in zip(xi, eta))
 
 
-def word_neg(xi: Codeword, k: int) -> Codeword:
-    return tuple((-x) % k for x in xi)
-
-
 def inner(xi: Codeword, eta: Codeword, k: int) -> int:
     """Standard inner product sum(xi_r * eta_r), reduced mod k."""
     if len(xi) != len(eta):

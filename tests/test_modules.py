@@ -225,6 +225,31 @@ def test_orbit_cap():
         orbits(span([(2,)], 4, 1), cap=5)
 
 
+def test_dual_cap_trips_before_the_seen_map_is_allocated(monkeypatch):
+    # at k**ell > 10**6 a raised --orbit-cap lets the label space through,
+    # and the n**ell-byte seen map must not be filled before the dual cap trips
+    allocated = []
+
+    def recording_bytearray(n):
+        allocated.append(n)
+        return bytearray(n)
+
+    def over_cap(code):
+        raise CapExceededError("dual enumeration of size 1048576 exceeds the cap of 1000000")
+
+    monkeypatch.setattr(modules, "bytearray", recording_bytearray, raising=False)
+    code = span([], 2, 3)
+    orbits(code)
+    assert allocated == [27]
+    monkeypatch.setattr(modules, "_dual_words", over_cap)
+    with pytest.raises(CapExceededError, match="^dual enumeration"):
+        orbits(code)
+    assert allocated == [27]
+    # the label-space cap still trips first, with its own message
+    with pytest.raises(CapExceededError, match="^label space of size 27 exceeds the cap of 26$"):
+        orbits(code, cap=26)
+
+
 def test_orbit_records_hold_index_tuples():
     code = span([(2,)], 4, 1)
     table = modules.label_table(4)

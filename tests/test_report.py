@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfkit import modules
+from pfkit import branching, modules
 from pfkit import report as R
 from pfkit.cli import main
 from pfkit.cosets import all_labels, min_norm_data
@@ -240,6 +240,20 @@ def lattice_table_by_label(k):
     return rows
 
 
+def branch_rows_by_component(k, j, bits):
+    """Reference: the rows built from the public `branching.branch`, each
+    component's labels converted entry by entry."""
+    return [
+        {
+            "indices": c.indices,
+            "virasoro": tuple((lab.m, lab.r, lab.s) for lab in c.virasoro),
+            "pf": (c.pf.i, c.pf.j),
+            "weight": rat(c.weight),
+        }
+        for c in branching.branch(k, j, bits)
+    ]
+
+
 def table_by_row(rows, columns):
     """Reference text table: cell strings rebuilt for the widths and again
     for the lines."""
@@ -343,6 +357,35 @@ class TestTables:
         assert len({id(lab) for lab in kac}) == len(set(kac))
         assert len({id(row["weight"]) for row in rows}) == len({row["weight"] for row in rows})
         assert all(type(row["indices"]) is tuple and len(row["pf"]) == 2 for row in rows)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_branch_rows_match_public_branch_on_every_coset(self, k):
+        for lab in all_labels(k):
+            job = JobSpec(k=k, ell=1, analyses=("branch",), coset=(lab.j, lab.bits))
+            rows = run(job)["branch"]["components"]
+            assert rows == branch_rows_by_component(k, lab.j, lab.bits)
+            kac = [entry for row in rows for entry in row["virasoro"]]
+            assert len({id(entry) for entry in kac}) == len(set(kac))
+
+    def test_run_builds_no_branch_component(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the report path built a BranchComponent")
+
+        monkeypatch.setattr(branching, "branch", unreachable)
+        monkeypatch.setattr(branching, "BranchComponent", unreachable)
+        report = run(JobSpec(k=5, ell=1, analyses=("branch",)))
+        assert len(report["branch"]["components"]) == branching.component_count(5, (1,) * 5)
+
+    def test_renderers_keep_bools_apart_from_equal_ints(self):
+        # the text caches are keyed by identity: True == 1, but json.dumps
+        # writes true and str writes True
+        report = run(JobSpec(k=3, ell=1, analyses=("branch",)))
+        first, second = report["branch"]["components"][:2]
+        first.update(indices=(1, 2, 1), virasoro=((1, 2, 2), (True, 2, 2)), pf=(1, 0))
+        second.update(indices=(True, 2, 1), virasoro=((True, 2, 2), (1, 2, 2)), pf=(True, 0))
+        assert to_json(report) == json.dumps(report, indent=2)
+        assert to_text(report) == to_text_reference(report)
+        assert "(True,2,2) (1,2,2)" in to_text(report)
 
     @pytest.mark.parametrize("k", (2, 5, 7))
     def test_text_tables_match_per_row_reference(self, k):
@@ -685,6 +728,11 @@ class TestCli:
                 f"--k 2 --ell 39 --analysis modules --orbit-cap {10**200}",
                 f"label space of size {3**39} does not fit in memory",
             ),
+            # ... but 2^39 > 10^6 dual words trip their cap before it is tried
+            (
+                f"--k 2 --ell 39 --analysis modules --orbit-cap {10**200}",
+                f"dual enumeration of size {2**39} exceeds the cap of 1000000",
+            ),
             (
                 f"--k 2 --ell 41 --analysis modules --orbit-cap {10**200}",
                 f"label space of size {3**41} exceeds the cap of {sys.maxsize}",
@@ -698,10 +746,14 @@ class TestCli:
             "search-rank",
             "verify-level",
             "label-space-memory",
+            "dual-enumeration",
             "label-space-index-range",
         ],
     )
-    def test_each_cap_exits_four_and_names_itself(self, capsys, argv, message):
+    def test_each_cap_exits_four_and_names_itself(self, capsys, monkeypatch, argv, message):
+        if message.endswith("does not fit in memory"):
+            # pass the dual-enumeration cap, which trips before the seen map
+            monkeypatch.setattr(modules, "_dual_words", lambda code: ())
         assert main(argv.split()) == 4
         assert capsys.readouterr().err == f"error: {message}\n"
 
