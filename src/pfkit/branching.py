@@ -114,43 +114,64 @@ def component_count(k: int, bits) -> int:
     return prod(len(c) for c in _step_choices(check_bits(k, bits)))
 
 
-def _walk(k: int, j: int, bits, kac) -> list[tuple]:
-    """The components of the coset module (j, bits) as rows (indices, Kac
-    entries, weight numerator over `weight_den(k)`, PfLabel), in
-    lexicographic index order: each prefix (i_1, ..., i_s) is extended by
-    the allowed i_{s+1} in increasing order.  `kac(s, i_s + 1, i_{s+1} + 1)`
-    builds each step's Kac entry once, each tail is built once per i_k, and
-    the rows share them.  Capped at rank 10; the count grows like prod(s/2).
+def _walk(k: int, j: int, bits, kac):
+    """The components of the coset module (j, bits) as a function `rows`
+    whose every call yields them afresh, as rows (indices, Kac entries,
+    weight numerator over `weight_den(k)`, PfLabel), in lexicographic index
+    order: each prefix (i_1, ..., i_s) is extended by the allowed i_{s+1} in
+    increasing order.
+
+    Every check runs before `_walk` returns: the level, the rank cap,
+    `check_bits`, and `check_numerator` on each step and tail.  So do the
+    calls `kac(s, i_s + 1, i_{s+1} + 1)`, which build each step's Kac entry
+    once, and each tail, built once per i_k.  The rows share them.  The last
+    step is merged with the tail, and a call of `rows` holds only the
+    prefixes up to i_{k-1}: the rows themselves are yielded one at a time.
+    Capped at rank 10; the count grows like prod(s/2).
     """
     check_level(k)
     check_cap("branching rank", k, BRANCH_MAX_LEVEL)
     bits = check_bits(k, bits)
     choices = _step_choices(bits)
     den = weight_den(k)
-    walk = [((i,), (), 0) for i in choices[0]]
-    for s in range(1, k):
-        # i_s -> [(i_{s+1}, Kac entry, h numerator)] for this step
-        step = {
+    # per step s, i_s -> [(i_{s+1}, Kac entry, h numerator)]
+    steps = [
+        {
             a: [(b, kac(s, a + 1, b + 1), check_numerator(vir_h(s, a + 1, b + 1), den)) for b in choices[s]]
             for a in choices[s - 1]
         }
-        walk = [
-            (tup + (b,), vir + (lab,), hnum + h)
-            for tup, vir, hnum in walk
-            for b, lab, h in step[tup[-1]]
-        ]
+        for s in range(1, k)
+    ]
     w = sum(bits)
     tail = {}  # i_k -> (weight numerator, parafermion label)
     for i in choices[-1]:
         pf = pf_canonicalize(k, i, j + (i - w) // 2)
         tail[i] = (check_numerator(pf_weight(k, pf.i, pf.j), den), pf)
-    return [(tup, vir, hnum + tail[tup[-1]][0], tail[tup[-1]][1]) for tup, vir, hnum in walk]
+    # i_{k-1} -> [(i_k, Kac entry, step and tail numerator, parafermion label)]
+    last = {
+        a: [(b, lab, h + tail[b][0], tail[b][1]) for b, lab, h in entries]
+        for a, entries in steps.pop().items()
+    }
+
+    def rows():
+        walk = [((i,), (), 0) for i in choices[0]]
+        for step in steps:
+            walk = [
+                (tup + (b,), vir + (lab,), hnum + h)
+                for tup, vir, hnum in walk
+                for b, lab, h in step[tup[-1]]
+            ]
+        for tup, vir, hnum in walk:
+            for b, lab, h, pf in last[tup[-1]]:
+                yield tup + (b,), vir + (lab,), hnum + h, pf
+
+    return rows
 
 
 def branch(k: int, j: int, bits) -> tuple[BranchComponent, ...]:
     """All components of the coset module labeled (j, bits), in `_walk`
     order; they share their Kac labels, pf labels and weight Fractions."""
-    rows = _walk(k, j, bits, vir_canonicalize)
+    rows = tuple(_walk(k, j, bits, vir_canonicalize)())
     den = weight_den(k)
     weights = {num: Fraction(num, den) for num in {row[2] for row in rows}}
     return tuple(BranchComponent(tup, vir, pf, weights[num]) for tup, vir, num, pf in rows)

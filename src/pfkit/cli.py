@@ -3,7 +3,10 @@
 Exit codes, carried by the error classes: 0 success, 2 invalid input,
 3 unsupported code, 4 cap exceeded, 5 verification failure (a verify suite
 failed, or an internal cross-check failed mid-analysis).  An --output file
-that cannot be written also exits 2.
+or a stdout that cannot be written also exits 2.
+
+The report is written in chunks as its rows are built, after every check
+has run, so a job that fails prints nothing.
 """
 
 from __future__ import annotations
@@ -13,7 +16,11 @@ import os
 import sys
 
 from .errors import InvalidInputError, PfkitError
-from .report import ANALYSES, JobSpec, run, to_json, to_text, verify_passed
+from .report import ANALYSES, JobSpec, to_json, to_text, verify_passed
+
+# The CLI builds the streaming report; perfbench/tracing.py times this step
+# under the name `run`.
+from .report import build as run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,15 +102,15 @@ def _parse_coset(text: str) -> tuple[int, tuple[int, ...]]:
     return j, bit_tuple
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write text to a temporary file next to path, then rename it over
-    path, so a failed write leaves no partial report behind."""
+def _write_atomic(path: str, write) -> None:
+    """Call `write(handle)` on a temporary file next to path, then rename it
+    over path, so a failed write leaves no partial report behind."""
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     handle = open(tmp, "x", encoding="utf-8")
     try:
         with handle:
-            handle.write(text)
+            write(handle)
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
@@ -131,10 +138,16 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
 
-    text = to_json(report) if args.fmt == "json" else to_text(report)
+    def write(out) -> None:
+        if args.fmt == "json":
+            to_json(report, out)
+            out.write("\n")
+        else:
+            to_text(report, out)
+
     if args.output:
         try:
-            _write_atomic(args.output, text if text.endswith("\n") else text + "\n")
+            _write_atomic(args.output, write)
         except OSError as err:
             print(
                 f"error: cannot write {args.output}: {err.strerror or err}",
@@ -142,7 +155,18 @@ def main(argv=None) -> int:
             )
             return 2
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        stdout = sys.stdout
+        try:
+            if stdout is None:  # the process started with stdout closed
+                raise OSError("stdout is closed")
+            write(stdout)
+            stdout.flush()
+        except OSError as err:
+            print(f"error: cannot write stdout: {err.strerror or err}", file=sys.stderr)
+            if stdout is not None and stdout is sys.__stdout__:
+                # let the interpreter's own flush of stdout at exit succeed
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
+            return 2
     if not verify_passed(report):
         return 5
     return 0

@@ -2,6 +2,8 @@
 
 A job names a code (level, length, generators) and a set of analyses; `run`
 returns a plain dict whose JSON and text renderings are byte-deterministic.
+`build` returns the same report with its two large tables as row sources,
+which `to_json` and `to_text` write to a handle in chunks.
 Rationals are serialized as "p/q" strings, always with an explicit
 denominator.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from json.encoder import encode_basestring_ascii
 
 from . import branching, cosets, modules, verify
@@ -93,6 +95,16 @@ def _classification_section(code: Code) -> dict:
     return section
 
 
+class _Rows:
+    """A re-iterable row source: each iteration runs `rows(*args)` afresh."""
+
+    def __init__(self, rows, *args):
+        self.rows, self.args = rows, args
+
+    def __iter__(self):
+        return self.rows(*self.args)
+
+
 def _lattice_section(code: Code, job: JobSpec) -> dict:
     k = code.k
     check_cap("minimal-norm table of size", 2 ** (k - 1) * k, job.orbit_cap)
@@ -104,18 +116,20 @@ def _lattice_section(code: Code, job: JobSpec) -> dict:
         for j in range(w):
             value, count = cosets.min_norm_data(k, j, bits)
             cell[j, w] = (rat(value), count)
+    return {
+        "parity": lat.parity,
+        "discriminant_order": lat.discriminant_order,
+        "min_norm_table": _Rows(_lattice_rows, k, cell),
+    }
+
+
+def _lattice_rows(k: int, cell: dict):
     words = [("".join(map(str, bits)), sum(bits)) for bits in product((0, 1), repeat=k)]
-    table = []
     for j in range(k):  # the order of cosets.all_labels(k)
         for text, w in words:
             if j < w:
                 value, count = cell[j, w]
-                table.append({"coset": f"{j}:{text}", "min_norm": value, "count": count})
-    return {
-        "parity": lat.parity,
-        "discriminant_order": lat.discriminant_order,
-        "min_norm_table": table,
-    }
+                yield {"coset": f"{j}:{text}", "min_norm": value, "count": count}
 
 
 def _branch_section(code: Code, job: JobSpec) -> dict:
@@ -133,17 +147,23 @@ def _branch_section(code: Code, job: JobSpec) -> dict:
         lab = branching.vir_canonicalize(m, r, s)
         return shared.setdefault((lab.m, lab.r, lab.s), (lab.m, lab.r, lab.s))
 
-    rows = branching._walk(code.k, label.j, label.bits, kac)
+    walk = branching._walk(code.k, label.j, label.bits, kac)
     count_data = cosets.min_norm_data(code.k, label.j, label.bits)
-    den = branching.weight_den(code.k)
-    weights = {num: rat(Fraction(num, den)) for num in {row[2] for row in rows}}
-    tails = {indices[-1]: pf for indices, _, _, pf in rows}  # one PfLabel per i_k
-    pairs = {i: (pf.i, pf.j) for i, pf in tails.items()}
-    components = [
-        {"indices": indices, "virasoro": vir, "pf": pairs[indices[-1]], "weight": weights[num]}
-        for indices, vir, num, _ in rows
-    ]
-    return {"coset": str(label), "min_norm": rat(count_data[0]), "components": components}
+    return {
+        "coset": str(label),
+        "min_norm": rat(count_data[0]),
+        "components": _Rows(_branch_rows, walk, branching.weight_den(code.k)),
+    }
+
+
+def _branch_rows(walk, den: int):
+    # one weight string per numerator and one pf pair per i_k, shared by the rows
+    weights: dict = {}
+    pairs: dict = {}
+    for indices, vir, num, pf in walk():
+        weight = weights.get(num) or weights.setdefault(num, rat(Fraction(num, den)))
+        pair = pairs.get(indices[-1]) or pairs.setdefault(indices[-1], (pf.i, pf.j))
+        yield {"indices": indices, "virasoro": vir, "pf": pair, "weight": weight}
 
 
 def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None]:
@@ -193,10 +213,15 @@ def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None
     )
 
 
-def run(job: JobSpec) -> dict:
-    """Execute the requested analyses; returns the report dict.
+def build(job: JobSpec) -> dict:
+    """Execute the requested analyses; returns the report dict with the two
+    large tables, `lattice.min_norm_table` and `branch.components`, as row
+    sources that build their row dicts afresh on each iteration.
 
-    Analyses not requested appear as null sections so the schema is stable.
+    Every validation, cap and cross-check runs before `build` returns, so
+    writing the report with `to_json` or `to_text` cannot raise a
+    `PfkitError`.  Analyses not requested appear as null sections so the
+    schema is stable.
     """
     _validate(job)
     code = span(job.generators, job.k, job.ell)
@@ -246,6 +271,15 @@ def run(job: JobSpec) -> dict:
     return report
 
 
+def run(job: JobSpec) -> dict:
+    """`build`, with every row source turned into a list: a plain dict."""
+    report = build(job)
+    for section, key in _ROW_WRITERS:
+        if report[section] is not None:
+            report[section][key] = list(report[section][key])
+    return report
+
+
 def verify_passed(report: dict) -> bool:
     """True unless the report carries a failed verification suite."""
     section = report.get("verify")
@@ -254,34 +288,69 @@ def verify_passed(report: dict) -> bool:
     return all(entry["pass"] for entry in section)
 
 
-def to_json(report: dict) -> str:
-    """`json.dumps(report, indent=2)`, byte for byte.
+def to_json(report: dict, out=None) -> str | None:
+    """`json.dumps(report, indent=2)`, byte for byte; a `build` report gives
+    the bytes of its `run` dict.
 
-    The two large row lists, `lattice.min_norm_table` and
-    `branch.components`, are written by a fixed per-row template; the rest
-    goes through `json.dumps`.  A list whose rows do not have the shape
-    `run` builds falls back to `json.dumps` too.
+    With no `out` it returns the string.  With a text handle `out` it writes
+    the same characters to `out` in chunks (`_emit`) and returns None,
+    holding only the rows of the write in progress.  The two large row
+    sections, `lattice.min_norm_table` and `branch.components`, are written
+    row by row, each by a fixed per-row template; a row that does not have
+    the shape `run` builds goes through `json.dumps` on its own, and
+    everything else through `json.dumps` whole.
     """
-    return _dump(report, 0, ())
+    return _emit(_dump(report, 0, ()), out)
 
 
-def _dump(node, depth: int, path: tuple[str, ...]) -> str:
-    """`node` as `json.dumps(..., indent=2)` writes it at nesting `depth`;
-    `path` is the chain of keys from the report to `node`."""
-    if path in _ROW_WRITERS and type(node) is list and node:
-        text = _rows(node, depth, *_ROW_WRITERS[path])
-        if text is not None:
-            return text
-    if path in _ROW_PARENTS and type(node) is dict and node:
-        if all(type(key) is str for key in node):
-            pad = "\n" + "  " * (depth + 1)
-            items = [
-                f"{_str(key)}: {_dump(value, depth + 1, path + (key,))}"
-                for key, value in node.items()
-            ]
-            return "{" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "}"
+def _emit(chunks, out):
+    """The joined `chunks`, or None once they are written to `out` in writes
+    of at least `_WRITE_SIZE` characters, but the last."""
+    if out is None:
+        return "".join(chunks)
+    pending, size = [], 0
+    for chunk in chunks:
+        pending.append(chunk)
+        size += len(chunk)
+        if size >= _WRITE_SIZE:
+            out.write("".join(pending))
+            pending, size = [], 0
+    out.write("".join(pending))
+    return None
+
+
+_CHUNK_ROWS = 1024  # rows per chunk that the writers join
+# An unbuffered stdout (python -u) passes each write to the OS as it is, so
+# the small chunks are gathered: a report under this size is one write.
+_WRITE_SIZE = 1 << 18
+
+
+def _dumps(node, depth: int) -> str:
+    """`node` as `json.dumps(..., indent=2)` writes it at nesting `depth`."""
     # encoded strings hold no raw newline, so re-indenting is a replace
     return json.dumps(node, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _dump(node, depth: int, path: tuple[str, ...]):
+    """The chunks of `node` as `_dumps(node, depth)` writes it; `path` is the
+    chain of keys from the report to `node`."""
+    if path in _ROW_WRITERS and type(node) in (list, _Rows):
+        yield from _rows(node, depth, *_ROW_WRITERS[path])
+    elif (
+        path in _ROW_PARENTS
+        and type(node) is dict
+        and node
+        and all(type(key) is str for key in node)
+    ):
+        pad = "\n" + "  " * (depth + 1)
+        sep = "{" + pad
+        for key, value in node.items():
+            yield sep + _str(key) + ": "
+            yield from _dump(value, depth + 1, path + (key,))
+            sep = "," + pad
+        yield "\n" + "  " * depth + "}"
+    else:
+        yield _dumps(node, depth)
 
 
 _str = encode_basestring_ascii  # what json.dumps uses by default (ensure_ascii)
@@ -326,22 +395,36 @@ class _Texts(dict):
             return sep.join(map(self.one, values))
 
 
-def _rows(rows: list, depth: int, keys: tuple[str, ...], renderer) -> str | None:
-    """A list of row dicts, each written by the template of
-    `renderer(rows, depth + 1)`; None when a row does not have exactly
-    `keys`, in order, or holds a value of another type than `run` puts
-    there."""
-    if not all(type(row) is dict and tuple(row) == keys for row in rows):
-        return None
+def _rows(rows, depth: int, keys: tuple[str, ...], renderer):
+    """The chunks of a list of rows at `depth`, `_CHUNK_ROWS` rows each.  A
+    dict with exactly `keys`, in order, is written by the template of
+    `renderer(depth + 1)`; any other row, or one holding a value of another
+    type than `run` puts there, by `_dumps`, which writes the same bytes as
+    `json.dumps` of the whole list."""
+    render = renderer(depth + 1)
+
+    def text(row) -> str:
+        if type(row) is dict and tuple(row) == keys:
+            try:
+                return render(row)
+            except TypeError:
+                pass
+        return _dumps(row, depth + 1)
+
+    texts = map(text, rows)
+    chunk = list(islice(texts, _CHUNK_ROWS))
+    if not chunk:
+        yield "[]"
+        return
     pad = "\n" + "  " * (depth + 1)
-    try:
-        body = ("," + pad).join(map(renderer(rows, depth + 1), rows))
-    except TypeError:
-        return None
-    return "[" + pad + body + "\n" + "  " * depth + "]"
+    sep = "," + pad
+    yield "[" + pad + sep.join(chunk)
+    while chunk := list(islice(texts, _CHUNK_ROWS)):
+        yield sep + sep.join(chunk)
+    yield "\n" + "  " * depth + "]"
 
 
-def _lattice_row(rows: list, depth: int):
+def _lattice_row(depth: int):
     inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
     template = "{%s\"coset\": %%s,%s\"min_norm\": %%s,%s\"count\": %%s%s}" % (
         inner, inner, inner, outer
@@ -356,7 +439,7 @@ def _lattice_row(rows: list, depth: int):
     return render
 
 
-def _branch_row(rows: list, depth: int):
+def _branch_row(depth: int):
     inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
     template = (
         "{%s\"indices\": %%s,%s\"virasoro\": %%s,%s\"pf\": %%s,%s\"weight\": %%s%s}"
@@ -384,23 +467,34 @@ _ROW_WRITERS = {
 _ROW_PARENTS = {path[:n] for path in _ROW_WRITERS for n in range(len(path))}
 
 
-def _cells(rows: list[dict], columns: tuple[str, ...]) -> list[tuple[str, ...]]:
-    return [tuple(str(r[c]) for c in columns) for r in rows]
+def _cells(rows, columns: tuple[str, ...], render=None) -> list[list[str]]:
+    """Each column's cell strings, from one pass over `rows`: `render(row)`
+    gives a row's strings in column order, by default `str` of each value."""
+    render = render or (lambda row: [str(row[c]) for c in columns])
+    cells: list[list[str]] = [[] for _ in columns]
+    texts = map(render, rows)
+    while chunk := list(islice(texts, _CHUNK_ROWS)):
+        for column, part in zip(cells, zip(*chunk)):
+            column.extend(part)
+    return cells
 
 
-def _grid(cells: list[tuple[str, ...]], columns: list[str]) -> list[str]:
-    """Left-justified columns under a header and a dash line; `cells` holds
-    each row's strings in column order."""
-    widths = [max(len(c), *map(len, col)) for c, col in zip(columns, zip(*cells))]
-    widths = widths or [len(c) for c in columns]
+def _grid(cells: list[list[str]], columns: tuple[str, ...]):
+    """Left-justified columns under a header and a dash line, in chunks of
+    lines; `cells` holds each column's strings."""
+    widths = [max(len(c), max(map(len, col), default=0)) for c, col in zip(columns, cells)]
     template = "  ".join(f"%-{w}s" for w in widths)
     head = template % tuple(columns)
-    return [head, "-" * len(head), *map(template.__mod__, cells)]
+    yield f"{head}\n{'-' * len(head)}\n"
+    lines = map(template.__mod__, zip(*cells))
+    while chunk := list(islice(lines, _CHUNK_ROWS)):
+        yield "\n".join(chunk) + "\n"
 
 
 def _tables(report: dict):
     """(title, cells, columns) of each table section present, in report
-    order; each table's cells are built only when the loop reaches it."""
+    order, with each column's cells; each table's cells are built only when
+    the loop reaches it."""
     if (lat := report["lattice"]) is not None:
         title = f"lattice: parity={lat['parity']} discriminant={lat['discriminant_order']}"
         yield title, _cells(lat["min_norm_table"], _LATTICE_COLUMNS), _LATTICE_COLUMNS
@@ -408,17 +502,17 @@ def _tables(report: dict):
         # each distinct int, Kac tuple and pf pair is shared between rows
         ints, kac = _Texts(str), _Texts(lambda lab: "(%s,%s,%s)" % tuple(lab))
         pairs = _Texts(lambda pf: f"({pf[0]},{pf[1]})")
-        cells = [
-            (
+
+        def render(c):
+            return (
                 ints.join(",", c["indices"]),
                 kac.join(" ", c["virasoro"]),
                 pairs.one(c["pf"]),
                 str(c["weight"]),
             )
-            for c in br["components"]
-        ]
+
         title = f"branch of coset {br['coset']} (min norm {br['min_norm']}):"
-        yield title, cells, _BRANCH_COLUMNS
+        yield title, _cells(br["components"], _BRANCH_COLUMNS, render), _BRANCH_COLUMNS
     if (orb := report["orbits"]) is not None:
         title = f"orbits (acting code: {orb['acting_code']}):"
         yield title, _cells(orb["rows"], _ORBIT_COLUMNS), _ORBIT_COLUMNS
@@ -426,14 +520,25 @@ def _tables(report: dict):
         title = "twisted module counts per character:"
         yield title, _cells(counts["rows"], _COUNT_COLUMNS), _COUNT_COLUMNS
     if (case_b := report["case_b"]) is not None:
-        cells = [
-            (f"{r['pair'][0]} | {r['pair'][1]}", *(str(r[c]) for c in _CASE_B_COLUMNS[1:]))
-            for r in case_b
-        ]
-        yield "superalgebra sector pairing:", cells, _CASE_B_COLUMNS
+
+        def pairing(r):
+            return (f"{r['pair'][0]} | {r['pair'][1]}", *(str(r[c]) for c in _CASE_B_COLUMNS[1:]))
+
+        yield "superalgebra sector pairing:", _cells(case_b, _CASE_B_COLUMNS, pairing), _CASE_B_COLUMNS
 
 
-def to_text(report: dict) -> str:
+def to_text(report: dict, out=None) -> str | None:
+    """The text report; a `build` report gives the text of its `run` dict.
+
+    With no `out` it returns the string; with a text handle `out` it writes
+    the same characters to `out` in chunks and returns None.  Each table's
+    column widths need all its cells first, so a table holds its cell
+    strings, column by column, until its lines are written.
+    """
+    return _emit(_text(report), out)
+
+
+def _text(report: dict):
     inp, cls = report["input"], report["classification"]
     gens = "; ".join(",".join(str(x) for x in g) for g in inp["generators"])
     lines = [
@@ -446,13 +551,14 @@ def to_text(report: dict) -> str:
         ),
         f"central charge: {report['central_charge']}",
     ]
+    yield "\n".join(lines) + "\n"
     for title, cells, columns in _tables(report):
-        lines += ["", title, *_grid(cells, columns)]
+        yield f"\n{title}\n"
+        yield from _grid(cells, columns)
     if report["verify"] is not None:
-        lines += ["", "verification:"]
+        lines = ["", "verification:"]
         for entry in report["verify"]:
             status = "pass" if entry["pass"] else "FAIL"
             detail = f" -- {entry['detail']}" if entry["detail"] else ""
             lines.append(f"  {entry['name']}: {status}{detail}")
-    lines.append("")
-    return "\n".join(lines)
+        yield "\n".join(lines) + "\n"

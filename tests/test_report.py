@@ -10,19 +10,26 @@ with a reference that renders each table by its own block, on random
 reports with empty tables and null sections.
 """
 
+import hashlib
+import io
 import json
 import sys
+import tempfile
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfkit import branching, modules
+from pfkit import branching, cosets, modules
 from pfkit import report as R
 from pfkit.cli import main
 from pfkit.cosets import all_labels, min_norm_data
-from pfkit.report import JobSpec, rat, run, to_json, to_text, verify_passed
+from pfkit.errors import VerificationError
+from pfkit.report import JobSpec, build, rat, run, to_json, to_text, verify_passed
 from pfkit.verify import VerifyResult
 from pfkit.zkcodes import span
 
@@ -889,3 +896,203 @@ class TestCli:
             )
         )
         assert cli_text.rstrip("\n") == lib_text.rstrip("\n")
+
+
+def argv_of(job):
+    """The command line that runs `job`."""
+    argv = ["--k", str(job.k), "--ell", str(job.ell), "--format", job.fmt]
+    argv += ["--orbit-cap", str(job.orbit_cap), "--verify-max-k", str(job.verify_max_k)]
+    for row in job.generators:
+        argv += ["--gen", ",".join(map(str, row))]
+    for name in job.analyses:
+        argv += ["--analysis", name]
+    if job.coset is not None:
+        argv.append(f"--coset={job.coset[0]}:{''.join(map(str, job.coset[1]))}")
+    return argv
+
+
+def dict_path_text(job):
+    """What the CLI prints for `job`, rendered from the plain `run` dict."""
+    report = run(job)
+    return to_json(report) + "\n" if job.fmt == "json" else to_text(report)
+
+
+def cli_text(job, output=None):
+    """(exit code, stdout, stderr) of `main` on `job`, in process."""
+    out, err = io.StringIO(), io.StringIO()
+    argv = argv_of(job) + (["--output", str(output)] if output else [])
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class DigestSink:
+    """A text stdout that keeps only the byte count and sha256 of what it gets."""
+
+    def __init__(self):
+        self.size, self.sha = 0, hashlib.sha256()
+
+    def write(self, text):
+        data = text.encode("utf-8")
+        self.size += len(data)
+        self.sha.update(data)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class BrokenStdout:
+    """A stdout whose reader has gone away after `room` writes."""
+
+    def __init__(self, room=0):
+        self.room = room
+
+    def write(self, text):
+        if self.room == 0:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.room -= 1
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestStreaming:
+    """The CLI writes `build` reports in chunks; the bytes are those of the
+    plain `run` dict, and a job that fails writes nothing."""
+
+    @pytest.mark.parametrize("job", TEST_JOBS)
+    def test_cli_matches_dict_path_on_test_jobs(self, job, tmp_path):
+        want = dict_path_text(job)
+        assert cli_text(job) == (0, want, "")
+        target = tmp_path / "report"
+        assert cli_text(job, target) == (0, "", "")
+        assert target.read_text(encoding="utf-8") == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_cli_matches_dict_path_on_random_selectors(self, data):
+        k = data.draw(st.integers(2, 6))
+        job = JobSpec(
+            k=k,
+            ell=1,
+            analyses=data.draw(st.sampled_from([("lattice", "branch"), ("branch",), ("lattice",)])),
+            fmt=data.draw(st.sampled_from(["text", "json"])),
+            coset=(data.draw(st.integers(-k, 2 * k)), data.draw(st.tuples(*[st.integers(0, 1)] * k))),
+        )
+        want = dict_path_text(job)
+        assert cli_text(job) == (0, want, "")
+        with tempfile.TemporaryDirectory() as directory:
+            target = Path(directory) / "report"
+            assert cli_text(job, target) == (0, "", "")
+            assert target.read_text(encoding="utf-8") == want
+
+    @pytest.mark.parametrize("job", TEST_JOBS)
+    def test_a_built_report_writes_the_same_bytes_twice(self, job):
+        report = build(job)
+        write = to_json if job.fmt == "json" else to_text
+        first, second = io.StringIO(), io.StringIO()
+        assert write(report, first) is None
+        write(report, second)
+        assert first.getvalue() == second.getvalue() == write(report) == write(run(job))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["coset", "count", "indices", "virasoro", "pf", "weight", None]),
+        odd_values,
+        st.integers(0, 100),
+    )
+    def test_odd_row_in_a_row_source_falls_back_alone(self, key, value, at):
+        job = JobSpec(k=3, ell=1, analyses=("lattice", "branch"))
+        plain, report = run(job), build(job)
+        section, name = ("lattice", "min_norm_table") if key in ("coset", "count") else ("branch", "components")
+        rows = plain[section][name]
+        at %= len(rows)
+        rows[at] = ["not", "a", "row"] if key is None else {**rows[at], key: value}
+        for section, name in (("lattice", "min_norm_table"), ("branch", "components")):
+            report[section][name] = R._Rows(iter, plain[section][name])
+        assert to_json(report) == json.dumps(plain, indent=2)
+
+    def test_json_memory_stays_flat(self, monkeypatch):
+        job = JobSpec(k=9, ell=1, analyses=("branch",), fmt="json")
+        want = dict_path_text(job).encode("utf-8")
+        size, digest = len(want), hashlib.sha256(want).hexdigest()
+        del want
+        sink = DigestSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            assert main(argv_of(job)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (sink.size, sink.sha.hexdigest()) == (size, digest)
+        assert size > 11 * 10**6  # the full 11.9 MB report went through
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "--k 4 --ell 1 --gen 2 --analysis lattice --analysis branch --analysis modules",
+            "--k 4 --ell 1 --gen 2 --analysis lattice --analysis branch --format json",
+            "--k 8 --ell 1 --analysis branch --format json",
+        ],
+    )
+    def test_stdout_gets_few_large_writes(self, monkeypatch, argv):
+        # an unbuffered stdout passes each write to the OS as it is
+        writes = []
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        monkeypatch.setattr(sys.stdout, "write", writes.append)
+        assert main(argv.split()) == 0
+        if "json" in argv:
+            assert writes.pop() == "\n"
+        assert all(len(text) >= R._WRITE_SIZE for text in writes[:-1])
+        if sum(map(len, writes)) < R._WRITE_SIZE:
+            assert len(writes) == 1
+        else:
+            assert len(writes) > 1
+
+    @pytest.mark.parametrize("room", [0, 3])
+    def test_broken_stdout_exits_two(self, monkeypatch, capsys, room):
+        monkeypatch.setattr(sys, "stdout", BrokenStdout(room))
+        # 2.1 MB of JSON: the reader goes away before, or in the middle of, the report
+        assert main("--k 8 --ell 1 --analysis branch --format json".split()) == 2
+        assert capsys.readouterr().err == "error: cannot write stdout: Broken pipe\n"
+
+    def test_closed_stdout_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["--k", "2", "--ell", "1"]) == 2
+        assert capsys.readouterr().err == "error: cannot write stdout: stdout is closed\n"
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    @pytest.mark.parametrize("analysis", ["lattice", "branch"])
+    def test_failure_inside_a_table_writes_nothing(self, monkeypatch, capsys, tmp_path, analysis, to_file):
+        k = 6
+        if analysis == "lattice":  # the last closed-form cell, (j, w) = (k - 1, k)
+            real_norm = cosets.min_norm_data
+
+            def norm(level, j, bits):
+                if j == k - 1:
+                    raise VerificationError("forced in the lattice table")
+                return real_norm(level, j, bits)
+
+            monkeypatch.setattr(cosets, "min_norm_data", norm)
+        else:  # the last Virasoro step of the walk
+            real_h = branching.vir_h
+
+            def h(m, r, s):
+                if m == k - 1:
+                    raise VerificationError("forced in the branch table")
+                return real_h(m, r, s)
+
+            monkeypatch.setattr(branching, "vir_h", h)
+        target = tmp_path / "report.txt"
+        target.write_bytes(b"old report\n")
+        argv = ["--k", str(k), "--ell", "1", "--analysis", analysis]
+        assert main(argv + (["--output", str(target)] if to_file else [])) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: forced in the {analysis} table\n"
+        assert target.read_bytes() == b"old report\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["report.txt"]
