@@ -14,7 +14,7 @@ verdict: Fused, Split, or Indeterminate.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -233,40 +233,72 @@ def _half_words(code: Code) -> tuple[Codeword, ...]:
 
 @dataclass(frozen=True)
 class OrbitRecord:
-    """One fusion orbit: sorted members as `label_table(character.k)` index
-    tuples, whose labels are built on access; stabilizer, character, and the
-    minimum constituent weight (a lower bound for any twisted grading)."""
+    """One fusion orbit, in constant size: the representative (the smallest
+    member) as a `label_table(code.k)` index tuple, the orbit size
+    |D| // |Stab|, the stabilizer (one tuple object per distinct stabilizer
+    of a sweep), the character, the minimum constituent weight's numerator
+    over `label_table(code.k).weight_den` (a lower bound for any twisted
+    grading), and the acting code, shared by every record of a sweep.
 
-    indices: tuple[tuple[int, ...], ...]
+    `indices` and `members` recompute the sorted orbit from the |D| integer
+    fusions of the representative; `representative` and `min_weight` build
+    their values on access."""
+
+    index: tuple[int, ...]
+    size: int
     stabilizer: tuple[Codeword, ...]
     character: Character
-    min_weight: Fraction
+    weight: int
+    code: Code = field(repr=False)
+
+    @property
+    def indices(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(sorted(set(_images(_fusion_rows(self.code), self.index))))
 
     @property
     def members(self) -> tuple[IrrLabel, ...]:
-        return tuple(map(label_table(self.character.k).label, self.indices))
+        return tuple(map(label_table(self.code.k).label, self.indices))
 
     @property
     def representative(self) -> IrrLabel:
-        return label_table(self.character.k).label(self.indices[0])
+        return label_table(self.code.k).label(self.index)
 
     @property
-    def size(self) -> int:
-        return len(self.indices)
+    def min_weight(self) -> Fraction:
+        return Fraction(self.weight, label_table(self.code.k).weight_den)
+
+
+def _fusion_rows(code: Code) -> list[tuple[tuple[int, ...], ...]]:
+    """Per codeword, in code order, its per-slot rows of `label_table(k).fuse`."""
+    fuse = label_table(code.k).fuse
+    return [tuple(fuse[p] for p in xi) for xi in code.words]
+
+
+def _images(rows, index: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The fusions of a label's index tuple by the `_fusion_rows` `rows`, in
+    their order, repeats kept."""
+    return [tuple(map(tuple.__getitem__, row, index)) for row in rows]
 
 
 def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
-    """All fusion orbits, in order of their smallest member; raises
-    CapExceededError, before sweeping, when the label space or the dual
-    enumeration exceeds its cap, or the seen map does not fit in memory.
+    """All fusion orbits, in order of their smallest member, as constant-size
+    records; raises CapExceededError, before sweeping, when the label space
+    or the dual enumeration exceeds its cap, or the seen map does not fit in
+    memory.
 
     One sweep over the index tuples of `label_table(k)`, in label order; an
-    n**ell-byte seen map, indexed by mixed radix, marks each member found, so
-    the first unseen index starts a new orbit, whose |D| integer fusions give
-    its members (kept as index tuples), stabilizer and minimum weight; the
-    stabilizer check reads factor labels and builds no label.  Labels whose
-    t-vectors pair alike with the generators share a character: `_reduce`
-    runs <= |D| times."""
+    n**ell-byte seen map, indexed by mixed radix, marks each label found.
+    The first unseen index is the smallest member of a new orbit, and its
+    |D| integer fusions, each one sum over per-slot tables of weight and
+    position, mark the orbit seen and give its stabilizer and minimum
+    weight numerator; no member list is kept or sorted.  The
+    stabilizer is checked against its closed criterion: at odd k by
+    comparison with the zero word alone, with `_check_stabilizer` naming the
+    label on a mismatch, and at even k by `_check_stabilizer`, which reads
+    factor labels and builds no label.  Labels whose t-vectors pair alike
+    with the generators share a character: `_reduce` runs <= |D| times.
+    After the sweep the orbit sizes |D| // |Stab| must add up to the label
+    count n**ell (orbit-stabilizer), or VerificationError is raised."""
     k, ell = code.k, code.ell
     total = label_space_size(k, ell, cap)
     _dual_words(code)
@@ -276,26 +308,49 @@ def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
         raise CapExceededError(f"label space of size {total} does not fit in memory") from None
     table = label_table(k)
     n = len(table.labels)
-    place = tuple(n ** (ell - 1 - r) for r in range(ell))
-    rows = [tuple(table.fuse[p] for p in xi) for xi in code.words]
-    weight, get = table.weight.__getitem__, tuple.__getitem__
+    # per slot and current, each image's weight numerator times `total` plus
+    # its mixed-radix position: one sum per codeword gives both for the
+    # fused label, and `% total` and `// total` split them
+    slot = [
+        [tuple(table.weight[f] * total + n ** (ell - 1 - r) * f for f in row) for row in table.fuse]
+        for r in range(ell)
+    ]
+    rows = [tuple(map(list.__getitem__, slot, xi)) for xi in code.words]
+    get, t_of = tuple.__getitem__, table.t.__getitem__
+    words = code.words
+    # with the zero word the only half word (every odd k), the criterion is
+    # that word for every label; a mismatch still goes to the full check
+    half = _half_words(code)
+    alone = half if len(half) == 1 else None
     found: dict[tuple[int, ...], Character] = {}
+    shared: dict[tuple[Codeword, ...], tuple[Codeword, ...]] = {}
     out = []
+    covered = 0
     for pos, index in enumerate(product(range(n), repeat=ell)):
         if seen[pos]:
             continue
-        images = [tuple(map(get, row, index)) for row in rows]
-        members = sorted(set(images))
-        for y in members:
-            seen[sum(map(mul, y, place))] = 1
-        stab = tuple(xi for xi, y in zip(code.words, images) if y == index)
-        _check_stabilizer(code, [table.labels[a] for a in index], stab)
-        t = tuple(table.t[a] for a in index)
+        values = [sum(map(get, row, index)) for row in rows]
+        stab = []
+        for xi, value in zip(words, values):
+            at = value % total
+            seen[at] = 1
+            if at == pos:
+                stab.append(xi)
+        stab = tuple(stab)
+        if stab != alone:
+            _check_stabilizer(code, [table.labels[a] for a in index], stab)
+        stab = shared.setdefault(stab, stab)
+        t = tuple(map(t_of, index))
         key = tuple(sum(map(mul, g, t)) % k for g in code.generators)
         if key not in found:
             found[key] = _reduce(code, t)
-        low = Fraction(min(sum(map(weight, y)) for y in members), table.weight_den)
-        out.append(OrbitRecord(tuple(members), stab, found[key], low))
+        size = len(words) // len(stab)
+        covered += size
+        out.append(OrbitRecord(index, size, stab, found[key], min(values) // total, code))
+    if covered != total:
+        raise VerificationError(
+            f"orbit sizes add up to {covered}, not to the {total} labels"
+        )
     return tuple(out)
 
 
@@ -333,22 +388,26 @@ def induced_decomposition(orbit: OrbitRecord, code: Code) -> InducedReport:
     the level mod 4: for k = 0 (mod 4) the stabilizer order counts the
     summands with multiplicity one; for k = 2 (mod 4) the stabilizer reduces
     to a binary code whose radical order counts the summands and the square
-    root of the radical index is the common multiplicity.
+    root of the radical index is the common multiplicity.  The fixed-point
+    data is worked out once per distinct stabilizer (`_fixed_point_data`).
     """
     stab = orbit.stabilizer
     if len(stab) == 1:
-        regime, num, mult = Regime.FREE, 1, 1
-    else:
-        if code.k % 2:
-            raise VerificationError(
-                "internal inconsistency: nontrivial stabilizer at odd level"
-            )
-        if code.k % 4 == 0:
-            regime, num, mult = Regime.FIXED_K0MOD4, len(stab), 1
-        else:
-            regime = Regime.FIXED_K2MOD4
-            num, mult = radical_data(binary_reduce(stab, code.k))
-    return InducedReport(orbit, regime, num, mult)
+        return InducedReport(orbit, Regime.FREE, 1, 1)
+    return InducedReport(orbit, *_fixed_point_data(stab, code.k))
+
+
+@lru_cache(maxsize=256)
+def _fixed_point_data(stab: tuple[Codeword, ...], k: int) -> tuple[Regime, int, int]:
+    """(regime, number of irreducibles, multiplicity) of a fixed-point orbit
+    with stabilizer `stab` at level k."""
+    if k % 2:
+        raise VerificationError(
+            "internal inconsistency: nontrivial stabilizer at odd level"
+        )
+    if k % 4 == 0:
+        return Regime.FIXED_K0MOD4, len(stab), 1
+    return (Regime.FIXED_K2MOD4, *radical_data(binary_reduce(stab, k)))
 
 
 def twisted_counts(reports) -> Counter:
@@ -454,8 +513,10 @@ def caseB_modules(code: Code, cap: int = DEFAULT_ORBIT_CAP, induced=None) -> tup
     are reported Indeterminate.
 
     Only trivial-character orbits are processed: those are the ones carrying
-    untwisted even-part modules.  Each unordered pair appears once; mates
-    are fused on index tuples.  A caller holding the even part's induced
+    untwisted even-part modules.  Each unordered pair appears once.  A mate
+    is found on index tuples, with no member list: the minimum of the odd
+    row applied to the |D| fusions of the representative, where |D| is the
+    even part's size.  A caller holding the even part's induced
     reports, in orbit order, passes them as `induced`; otherwise the even
     part is swept under `cap` and its trivial-character orbits decomposed.
     """
@@ -464,15 +525,16 @@ def caseB_modules(code: Code, cap: int = DEFAULT_ORBIT_CAP, induced=None) -> tup
         induced = [induced_decomposition(o, even) for o in orbits(even, cap) if o.character.trivial]
     table = label_table(code.k)
     row = tuple(table.fuse[p] for p in min(code.odd_part))
+    rows, get = _fusion_rows(even), tuple.__getitem__
     out = []
     mates = set()
     for report in induced:
         orb = report.orbit
-        rep = orb.indices[0]
+        rep = orb.index
         # odd + odd is even: the odd coset pairs orbits, so a mate is not fused again
         if not orb.character.trivial or rep in mates:
             continue
-        mate = min(tuple(map(tuple.__getitem__, row, y)) for y in orb.indices)
+        mate = min(tuple(map(get, row, y)) for y in _images(rows, rep))
         mates.add(mate)
         if mate != rep:
             verdict = Verdict.FUSED

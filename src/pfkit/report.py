@@ -175,19 +175,26 @@ def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None
     orbit_list = modules.orbits(basis, job.orbit_cap)
     # one induced report per orbit, shared by the rows, counts and Case B records
     induced = [modules.induced_decomposition(orb, basis) for orb in orbit_list]
-    rows = [
-        {
-            "representative": str(rep.orbit.representative),
-            "size": rep.orbit.size,
-            "stabilizer_order": len(rep.orbit.stabilizer),
-            "character": str(rep.orbit.character),
-            "min_weight": rat(rep.orbit.min_weight),
-            "regime": rep.regime.value,
-            "num_irreducibles": rep.num_irreducibles,
-            "multiplicity": rep.multiplicity,
-        }
-        for rep in induced
-    ]
+    table = modules.label_table(basis.k)
+    # rows are rendered from index tuples: one string per factor label, one
+    # per character and one per distinct weight numerator, shared by the rows
+    names, den = [str(f) for f in table.labels], table.weight_den
+    characters, weights = _Texts(str), {}
+    rows = []
+    for rep in induced:
+        orb, num = rep.orbit, rep.orbit.weight
+        rows.append(
+            {
+                "representative": "x".join(map(names.__getitem__, orb.index)),
+                "size": orb.size,
+                "stabilizer_order": len(orb.stabilizer),
+                "character": characters.one(orb.character),
+                "min_weight": weights.get(num) or weights.setdefault(num, rat(Fraction(num, den))),
+                "regime": rep.regime.value,
+                "num_irreducibles": rep.num_irreducibles,
+                "multiplicity": rep.multiplicity,
+            }
+        )
     totals = modules.twisted_counts(induced)
     counts = [
         {"character": str(chi), "count": totals[chi]}

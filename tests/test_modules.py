@@ -220,6 +220,36 @@ def test_orbits_catch_a_corrupted_fusion_entry(monkeypatch):
         orbits(span([(2,)], 4, 1))
 
 
+def corrupt_fuse(monkeypatch, k, p, a, b):
+    """Serve a level-k label table whose current p sends factor a to b."""
+    table = modules.label_table(k)
+    row = table.fuse[p]
+    bad_row = row[:a] + (b,) + row[a + 1 :]
+    bad = replace(table, fuse=table.fuse[:p] + (bad_row,) + table.fuse[p + 1 :])
+    monkeypatch.setattr(modules, "label_table", lambda level: bad)
+
+
+def test_orbits_catch_a_corrupted_fusion_entry_at_odd_level(monkeypatch):
+    # at odd k the sweep compares each stabilizer with the zero word alone;
+    # a current fixing (1,0) must still reach the full check, which names it
+    a = modules.label_table(3).labels.index(pf_canonicalize(3, 1, 0))
+    corrupt_fuse(monkeypatch, 3, 1, a, a)
+    with pytest.raises(VerificationError, match=r"direct fusion at \(1,0\)$"):
+        orbits(span([(1,)], 3, 1))
+
+
+def test_orbits_catch_orbit_sizes_that_miss_the_label_count(monkeypatch):
+    # the current 2 sends (1,0) to (2,0), not (2,1): every stabilizer is
+    # still the zero word, but (2,1) is left over and starts a second orbit
+    # of size 3, so the sizes add up to 9 over 6 labels
+    table = modules.label_table(3)
+    a, b, c = (table.labels.index(pf_canonicalize(3, *f)) for f in ((1, 0), (2, 0), (2, 1)))
+    assert table.fuse[2][a] == c
+    corrupt_fuse(monkeypatch, 3, 2, a, b)
+    with pytest.raises(VerificationError, match="^orbit sizes add up to 9, not to the 6 labels$"):
+        orbits(span([(1,)], 3, 1))
+
+
 def test_orbit_cap():
     with pytest.raises(CapExceededError):
         orbits(span([(2,)], 4, 1), cap=5)
@@ -251,17 +281,27 @@ def test_dual_cap_trips_before_the_seen_map_is_allocated(monkeypatch):
 
 
 def test_orbit_records_hold_index_tuples():
-    code = span([(2,)], 4, 1)
+    # a record keeps its representative's index tuple and the orbit size;
+    # the members are recomputed from the |D| fusions of the representative
+    code = span([(2, 2, 0), (0, 2, 2)], 4, 3)
     table = modules.label_table(4)
-    for orb in orbits(code):
+    orbs = orbits(code)
+    stabilizers = {}
+    for orb in orbs:
+        assert orb.code is code
+        assert orb.index == orb.indices[0] == min(orb.indices)
+        assert orb.size == len(orb.indices) == code.size // len(orb.stabilizer)
         assert orb.members == tuple(map(table.label, orb.indices))
         assert orb.representative == orb.members[0]
-        assert orb.size == len(orb.indices)
+        assert orb.min_weight == min(map(tensor_weight, orb.members))
+        # identical stabilizers are one object
+        assert stabilizers.setdefault(orb.stabilizer, orb.stabilizer) is orb.stabilizer
+    assert len(stabilizers) > 2
 
 
 def test_census_peak_memory_is_bounded():
-    # members stay index tuples; a sweep building all 50,625 labels of this
-    # code peaked near 9.3 MB
+    # records are constant-size: a sweep keeping every member's index tuple
+    # peaked near 5.0 MB here, and one building all 50,625 labels near 9.3 MB
     code = span([(1, 2, 0, 0), (0, 0, 1, 2)], 5, 4)
     modules.label_table(5)
     modules._dual_words(code)
@@ -271,7 +311,7 @@ def test_census_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6_000_000
+    assert peak < 1_500_000
 
 
 def test_induced_free_orbit():
@@ -436,6 +476,7 @@ def test_caseB_fused_pairs_live_in_distinct_orbits():
 def test_per_code_and_per_level_caches_are_bounded():
     for cache in (
         modules._dual_words,
+        modules._fixed_point_data,
         modules.label_table,
         cosets.all_labels,
         cosets.representative,

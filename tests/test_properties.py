@@ -166,9 +166,17 @@ def orbits_by_dataclass(code, cap=DEFAULT_ORBIT_CAP):
 
 
 def assert_census_matches_reference(code):
-    got = [(o.members, o.stabilizer, o.character, o.min_weight) for o in orbits(code)]
+    orbs = orbits(code)
+    got = [(o.members, o.stabilizer, o.character, o.min_weight) for o in orbs]
     assert got == orbits_by_dataclass(code)
-    assert got == orbits_by_minimum(code)
+    reference = orbits_by_minimum(code)
+    assert got == reference
+    # the constant-size fields against the reference's member lists
+    position = {f: a for a, f in enumerate(label_table(code.k).labels)}
+    for orb, (members, *_) in zip(orbs, reference):
+        assert orb.size == len(members)
+        assert orb.representative == members[0]
+        assert orb.indices == tuple(sorted(tuple(map(position.__getitem__, y.factors)) for y in members))
 
 
 class TestOrbitSweep:

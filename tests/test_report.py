@@ -1096,3 +1096,30 @@ class TestStreaming:
         assert err == f"error: forced in the {analysis} table\n"
         assert target.read_bytes() == b"old report\n"
         assert [path.name for path in tmp_path.iterdir()] == ["report.txt"]
+
+
+# Census reports of codes the benchmark does not run, recorded before the
+# orbit records became constant-size: (arguments, format, bytes, sha256).
+CENSUS_DIGESTS = [
+    ("--k 3 --ell 5", "text", 933_557, "4e238df8e3febb52003ddaf1ec168ef1d49ff361310d5ec973dded49c5f46947"),
+    ("--k 3 --ell 5", "json", 2_164_551, "ccbef455d2f98726695fa013b6bcfcf5c82a7118166647d183c28db537cf8f7e"),
+    # fixed points at k = 0 (mod 4)
+    ("--k 8 --ell 2 --gen 4,4", "text", 71_282, "d26fd8f6114dcbaf8f233351ecf1c98c8b2f8c3de8d9c2c622017f29171a4a7a"),
+    ("--k 8 --ell 2 --gen 4,4", "json", 168_434, "afeb07b8926609c1c919a3d82d29e0859088dc2a7c0936cab9fc435270337c64"),
+    # fixed points at k = 2 (mod 4)
+    ("--k 6 --ell 3 --gen 3,3,0", "text", 524_917, "fac203af55269045b7cf22ba1f4f7ec274dcc27728eaa96bf6b568fac03cce3a"),
+    ("--k 6 --ell 3 --gen 3,3,0", "json", 1_243_991, "e7e8479f8ba6f4ac6757daade168a3ef55318e02271a049df0d3e05c02eb1a6f"),
+    # Case B: the census of the even part and the sector pairing
+    ("--k 2 --ell 3 --gen 1,1,1", "text", 4_822, "ee42488e01f9a31c3c5658cdb21b981778a7ad4c9705fdb26d2edfd01e046695"),
+    ("--k 2 --ell 3 --gen 1,1,1", "json", 10_695, "0e48379b228789d1bc9b074f2fd53690060fdfe90266b8297d8fdb6ce21786ed"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, fmt, size, digest", CENSUS_DIGESTS, ids=[f"{a} {f}" for a, f, _, _ in CENSUS_DIGESTS]
+)
+def test_census_report_bytes_are_pinned(monkeypatch, argv, fmt, size, digest):
+    sink = DigestSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main([*argv.split(), "--analysis", "modules", "--format", fmt]) == 0
+    assert (sink.size, sink.sha.hexdigest()) == (size, digest)
