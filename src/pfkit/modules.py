@@ -67,7 +67,12 @@ class IrrLabel:
         return len(self.factors)
 
     def __str__(self) -> str:
-        return "x".join(str(f) for f in self.factors)
+        return label_text(map(str, self.factors))
+
+
+def label_text(factor_texts) -> str:
+    """The text of a tensor label, from the texts of its factors in order."""
+    return "x".join(factor_texts)
 
 
 def label_space_size(k: int, ell: int, cap: int = DEFAULT_ORBIT_CAP) -> int:
@@ -126,8 +131,9 @@ class LabelTable:
     so index tuples from `product(range(n), repeat=ell)` run through the
     labels in the order of `all_irr_labels`.  Per factor: `t[a]` is
     (i - 2j) mod k, `fuse[p][a]` the factor of `sc_fuse(p, labels[a])`,
-    `weight[a]` the conformal weight times `weight_den` = 2k(k + 2), and
-    `tail[a]` the realization tail (eta, d) used by `realize`.
+    `weight[a]` the conformal weight times `weight_den` = 2k(k + 2),
+    `tail[a]` the realization tail (eta, d) used by `realize`, and
+    `names[a]` the text of `labels[a]`.
     """
 
     k: int
@@ -136,6 +142,7 @@ class LabelTable:
     fuse: tuple[tuple[int, ...], ...]
     weight: tuple[int, ...]
     tail: tuple[tuple[int, int], ...]
+    names: tuple[str, ...]
 
     @property
     def weight_den(self) -> int:
@@ -143,6 +150,10 @@ class LabelTable:
 
     def label(self, index: tuple[int, ...]) -> IrrLabel:
         return IrrLabel(self.k, tuple(self.labels[a] for a in index))
+
+    def text(self, index: tuple[int, ...]) -> str:
+        """`str(self.label(index))`, built from the factor texts."""
+        return label_text(map(self.names.__getitem__, index))
 
 
 @lru_cache(maxsize=8)
@@ -158,6 +169,7 @@ def label_table(k: int) -> LabelTable:
         tuple(tuple(position[sc_fuse(p, f)] for f in labels) for p in range(k)),
         tuple(check_numerator(pf_weight(k, f.i, f.j), den) for f in labels),
         tuple(_tail(f) for f in labels),
+        tuple(map(str, labels)),
     )
 
 
@@ -249,7 +261,7 @@ class OrbitRecord:
     stabilizer: tuple[Codeword, ...]
     character: Character
     weight: int
-    code: Code = field(repr=False)
+    code: Code = field(repr=False, compare=False)
 
     @property
     def indices(self) -> tuple[tuple[int, ...], ...]:
@@ -388,26 +400,22 @@ def induced_decomposition(orbit: OrbitRecord, code: Code) -> InducedReport:
     the level mod 4: for k = 0 (mod 4) the stabilizer order counts the
     summands with multiplicity one; for k = 2 (mod 4) the stabilizer reduces
     to a binary code whose radical order counts the summands and the square
-    root of the radical index is the common multiplicity.  The fixed-point
-    data is worked out once per distinct stabilizer (`_fixed_point_data`).
+    root of the radical index is the common multiplicity.
     """
     stab = orbit.stabilizer
     if len(stab) == 1:
-        return InducedReport(orbit, Regime.FREE, 1, 1)
-    return InducedReport(orbit, *_fixed_point_data(stab, code.k))
-
-
-@lru_cache(maxsize=256)
-def _fixed_point_data(stab: tuple[Codeword, ...], k: int) -> tuple[Regime, int, int]:
-    """(regime, number of irreducibles, multiplicity) of a fixed-point orbit
-    with stabilizer `stab` at level k."""
-    if k % 2:
-        raise VerificationError(
-            "internal inconsistency: nontrivial stabilizer at odd level"
-        )
-    if k % 4 == 0:
-        return Regime.FIXED_K0MOD4, len(stab), 1
-    return (Regime.FIXED_K2MOD4, *radical_data(binary_reduce(stab, k)))
+        regime, num, mult = Regime.FREE, 1, 1
+    else:
+        if code.k % 2:
+            raise VerificationError(
+                "internal inconsistency: nontrivial stabilizer at odd level"
+            )
+        if code.k % 4 == 0:
+            regime, num, mult = Regime.FIXED_K0MOD4, len(stab), 1
+        else:
+            regime = Regime.FIXED_K2MOD4
+            num, mult = radical_data(binary_reduce(stab, code.k))
+    return InducedReport(orbit, regime, num, mult)
 
 
 def twisted_counts(reports) -> Counter:

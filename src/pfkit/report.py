@@ -176,16 +176,16 @@ def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None
     # one induced report per orbit, shared by the rows, counts and Case B records
     induced = [modules.induced_decomposition(orb, basis) for orb in orbit_list]
     table = modules.label_table(basis.k)
-    # rows are rendered from index tuples: one string per factor label, one
-    # per character and one per distinct weight numerator, shared by the rows
-    names, den = [str(f) for f in table.labels], table.weight_den
+    # rows are rendered from index tuples: one string per factor label (the
+    # table's), one per character and one per distinct weight numerator
+    den = table.weight_den
     characters, weights = _Texts(str), {}
     rows = []
     for rep in induced:
         orb, num = rep.orbit, rep.orbit.weight
         rows.append(
             {
-                "representative": "x".join(map(names.__getitem__, orb.index)),
+                "representative": table.text(orb.index),
                 "size": orb.size,
                 "stabilizer_order": len(orb.stabilizer),
                 "character": characters.one(orb.character),

@@ -297,6 +297,18 @@ def test_orbit_records_hold_index_tuples():
         # identical stabilizers are one object
         assert stabilizers.setdefault(orb.stabilizer, orb.stabilizer) is orb.stabilizer
     assert len(stabilizers) > 2
+    # the shared code takes no part in comparing, hashing or printing a record
+    orb = orbs[0]
+    other = replace(orb, code=span([(2, 2, 0), (0, 2, 2)], 4, 3))
+    assert other.code is not orb.code and other == orb and hash(other) == hash(orb)
+    assert "code=" not in repr(orb)
+
+
+@pytest.mark.parametrize("k,ell", [(2, 3), (3, 2), (4, 2), (5, 2)])
+def test_label_table_text_matches_label_str(k, ell):
+    table = modules.label_table(k)
+    for index in product(range(len(table.labels)), repeat=ell):
+        assert table.text(index) == str(table.label(index))
 
 
 def test_census_peak_memory_is_bounded():
@@ -476,7 +488,6 @@ def test_caseB_fused_pairs_live_in_distinct_orbits():
 def test_per_code_and_per_level_caches_are_bounded():
     for cache in (
         modules._dual_words,
-        modules._fixed_point_data,
         modules.label_table,
         cosets.all_labels,
         cosets.representative,
