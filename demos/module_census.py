@@ -27,7 +27,7 @@ for orbit in orbit_list:
     rep = orbit.representative
     members = ", ".join(f"({f.i},{f.j})" for x in orbit.members
                         for f in x.factors)
-    report = induced_decomposition(orbit, code)
+    report = induced_decomposition(orbit)
     print(f"orbit [{members}] size={orbit.size}"
           f" stab={len(orbit.stabilizer)}"
           f" char={'trivial' if orbit.character.trivial else 'signed'}"

@@ -393,8 +393,8 @@ class InducedReport:
         return tuple((y, self.multiplicity) for y in self.orbit.members)
 
 
-def induced_decomposition(orbit: OrbitRecord, code: Code) -> InducedReport:
-    """Split the induced module of an orbit into irreducibles.
+def induced_decomposition(orbit: OrbitRecord) -> InducedReport:
+    """Split the induced module of an orbit of `orbit.code` into irreducibles.
 
     Free orbits induce irreducibly.  At a fixed point the count depends on
     the level mod 4: for k = 0 (mod 4) the stabilizer order counts the
@@ -402,19 +402,19 @@ def induced_decomposition(orbit: OrbitRecord, code: Code) -> InducedReport:
     to a binary code whose radical order counts the summands and the square
     root of the radical index is the common multiplicity.
     """
-    stab = orbit.stabilizer
+    stab, k = orbit.stabilizer, orbit.code.k
     if len(stab) == 1:
         regime, num, mult = Regime.FREE, 1, 1
     else:
-        if code.k % 2:
+        if k % 2:
             raise VerificationError(
                 "internal inconsistency: nontrivial stabilizer at odd level"
             )
-        if code.k % 4 == 0:
+        if k % 4 == 0:
             regime, num, mult = Regime.FIXED_K0MOD4, len(stab), 1
         else:
             regime = Regime.FIXED_K2MOD4
-            num, mult = radical_data(binary_reduce(stab, code.k))
+            num, mult = radical_data(binary_reduce(stab, k))
     return InducedReport(orbit, regime, num, mult)
 
 
@@ -434,7 +434,7 @@ def count_twisted(code: Code, chi, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP
     chi = _reduce(code, check_word(word, code.k, code.ell))
     if orbit_list is None:
         orbit_list = orbits(code, cap)
-    mine = (induced_decomposition(o, code) for o in orbit_list if o.character == chi)
+    mine = (induced_decomposition(o) for o in orbit_list if o.character == chi)
     return twisted_counts(mine)[chi]
 
 
@@ -530,7 +530,7 @@ def caseB_modules(code: Code, cap: int = DEFAULT_ORBIT_CAP, induced=None) -> tup
     """
     even = even_part_code(code)
     if induced is None:
-        induced = [induced_decomposition(o, even) for o in orbits(even, cap) if o.character.trivial]
+        induced = [induced_decomposition(o) for o in orbits(even, cap) if o.character.trivial]
     table = label_table(code.k)
     row = tuple(table.fuse[p] for p in min(code.odd_part))
     rows, get = _fusion_rows(even), tuple.__getitem__

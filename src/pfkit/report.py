@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import islice, product
 from json.encoder import encode_basestring_ascii
 
@@ -96,10 +97,11 @@ def _classification_section(code: Code) -> dict:
 
 
 class _Rows:
-    """A re-iterable row source: each iteration runs `rows(*args)` afresh."""
+    """A re-iterable row source: each iteration runs `rows(*args)` afresh.
+    `to_json` writes each row by `writer(depth)`, or by `_dumps` if none."""
 
-    def __init__(self, rows, *args):
-        self.rows, self.args = rows, args
+    def __init__(self, rows, *args, writer=None):
+        self.rows, self.args, self.writer = rows, args, writer
 
     def __iter__(self):
         return self.rows(*self.args)
@@ -119,7 +121,7 @@ def _lattice_section(code: Code, job: JobSpec) -> dict:
     return {
         "parity": lat.parity,
         "discriminant_order": lat.discriminant_order,
-        "min_norm_table": _Rows(_lattice_rows, k, cell),
+        "min_norm_table": _Rows(_lattice_rows, k, cell, writer=_lattice_row),
     }
 
 
@@ -152,7 +154,7 @@ def _branch_section(code: Code, job: JobSpec) -> dict:
     return {
         "coset": str(label),
         "min_norm": rat(count_data[0]),
-        "components": _Rows(_branch_rows, walk, branching.weight_den(code.k)),
+        "components": _Rows(_branch_rows, walk, branching.weight_den(code.k), writer=_branch_row),
     }
 
 
@@ -174,7 +176,7 @@ def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None
     basis = modules.even_part_code(code) if code.case is Case.B else code
     orbit_list = modules.orbits(basis, job.orbit_cap)
     # one induced report per orbit, shared by the rows, counts and Case B records
-    induced = [modules.induced_decomposition(orb, basis) for orb in orbit_list]
+    induced = [modules.induced_decomposition(orb) for orb in orbit_list]
     table = modules.label_table(basis.k)
     # rows are rendered from index tuples: one string per factor label (the
     # table's), one per character and one per distinct weight numerator
@@ -249,9 +251,7 @@ def build(job: JobSpec) -> dict:
             "verify_max_k": job.verify_max_k,
         },
         "classification": _classification_section(code),
-        "central_charge": rat(
-            job.ell * central_charge(job.k)
-        ),
+        "central_charge": rat(job.ell * central_charge(job.k)),
         "lattice": None,
         "branch": None,
         "orbits": None,
@@ -281,9 +281,11 @@ def build(job: JobSpec) -> dict:
 def run(job: JobSpec) -> dict:
     """`build`, with every row source turned into a list: a plain dict."""
     report = build(job)
-    for section, key in _ROW_WRITERS:
-        if report[section] is not None:
-            report[section][key] = list(report[section][key])
+    for section in report.values():
+        if type(section) is dict:
+            for key, value in section.items():
+                if type(value) is _Rows:
+                    section[key] = list(value)
     return report
 
 
@@ -301,13 +303,11 @@ def to_json(report: dict, out=None) -> str | None:
 
     With no `out` it returns the string.  With a text handle `out` it writes
     the same characters to `out` in chunks (`_emit`) and returns None,
-    holding only the rows of the write in progress.  The two large row
-    sections, `lattice.min_norm_table` and `branch.components`, are written
-    row by row, each by a fixed per-row template; a row that does not have
-    the shape `run` builds goes through `json.dumps` on its own, and
-    everything else through `json.dumps` whole.
+    holding only the rows of the write in progress.  A row source writes its
+    own rows, one at a time; every other value, each list of a `run` dict
+    included, goes through `json.dumps(indent=2)` whole.
     """
-    return _emit(_dump(report, 0, ()), out)
+    return _emit(_dump(report, 0), out)
 
 
 def _emit(chunks, out):
@@ -338,22 +338,18 @@ def _dumps(node, depth: int) -> str:
     return json.dumps(node, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-def _dump(node, depth: int, path: tuple[str, ...]):
-    """The chunks of `node` as `_dumps(node, depth)` writes it; `path` is the
-    chain of keys from the report to `node`."""
-    if path in _ROW_WRITERS and type(node) in (list, _Rows):
-        yield from _rows(node, depth, *_ROW_WRITERS[path])
-    elif (
-        path in _ROW_PARENTS
-        and type(node) is dict
-        and node
-        and all(type(key) is str for key in node)
-    ):
+def _dump(node, depth: int):
+    """The chunks of `node`, or of the `run` dict of a `build` report, as
+    `_dumps(node, depth)` writes it: the report and its section dicts are
+    walked key by key to the row sources (`_rows`), all else goes to `_dumps`."""
+    if type(node) is _Rows:
+        yield from _rows(node, depth)
+    elif depth <= 1 and type(node) is dict and node and all(type(key) is str for key in node):
         pad = "\n" + "  " * (depth + 1)
         sep = "{" + pad
         for key, value in node.items():
             yield sep + _str(key) + ": "
-            yield from _dump(value, depth + 1, path + (key,))
+            yield from _dump(value, depth + 1)
             sep = "," + pad
         yield "\n" + "  " * depth + "}"
     else:
@@ -363,26 +359,18 @@ def _dump(node, depth: int, path: tuple[str, ...]):
 _str = encode_basestring_ascii  # what json.dumps uses by default (ensure_ascii)
 
 
-def _int(value) -> str:
-    """An int as `json.dumps` writes it; TypeError on anything else, bools too."""
-    if type(value) is not int:
-        raise TypeError("expected an int")
-    return repr(value)
-
-
 def _array(texts, values, depth: int) -> str:
-    """A list or tuple as `json.dumps(..., indent=2)` writes it at `depth`,
-    its items written by the `_Texts` cache `texts`; TypeError on anything else."""
-    if type(values) not in (list, tuple):
-        raise TypeError("expected a list")
+    """A tuple as `json.dumps(..., indent=2)` writes it at `depth`, its items
+    written by the `_Texts` cache `texts`."""
     pad = "\n" + "  " * (depth + 1)
     return "[" + pad + texts.join("," + pad, values) + pad[:-2] + "]" if values else "[]"
 
 
 class _Texts(dict):
     """The text of each object, filled on first sight and keyed by identity,
-    so equal values of other types (True and 1) keep their own text.  It
-    holds every object it has converted, so no key can be reused."""
+    so equal values of other types (True and 1) keep their own text, which
+    only the text writer needs: the JSON row writers see `build` rows alone.
+    It holds every object it has converted, so no key can be reused."""
 
     def __init__(self, convert):
         super().__init__()
@@ -402,23 +390,12 @@ class _Texts(dict):
             return sep.join(map(self.one, values))
 
 
-def _rows(rows, depth: int, keys: tuple[str, ...], renderer):
-    """The chunks of a list of rows at `depth`, `_CHUNK_ROWS` rows each.  A
-    dict with exactly `keys`, in order, is written by the template of
-    `renderer(depth + 1)`; any other row, or one holding a value of another
-    type than `run` puts there, by `_dumps`, which writes the same bytes as
-    `json.dumps` of the whole list."""
-    render = renderer(depth + 1)
-
-    def text(row) -> str:
-        if type(row) is dict and tuple(row) == keys:
-            try:
-                return render(row)
-            except TypeError:
-                pass
-        return _dumps(row, depth + 1)
-
-    texts = map(text, rows)
+def _rows(rows: _Rows, depth: int):
+    """The chunks of a row source at `depth`, as `_dumps` writes the list of
+    its rows, `_CHUNK_ROWS` rows each: each row is written by the source's
+    writer, with no check of its shape, or by `_dumps` if it has none."""
+    write = rows.writer(depth + 1) if rows.writer else partial(_dumps, depth=depth + 1)
+    texts = map(write, rows)
     chunk = list(islice(texts, _CHUNK_ROWS))
     if not chunk:
         yield "[]"
@@ -431,47 +408,39 @@ def _rows(rows, depth: int, keys: tuple[str, ...], renderer):
     yield "\n" + "  " * depth + "]"
 
 
+def _template(columns: tuple[str, ...], depth: int) -> str:
+    """A row dict with keys `columns` as `json.dumps(..., indent=2)` writes
+    it at `depth`, with one `%s` for each value's text."""
+    inner = "\n" + "  " * (depth + 1)
+    return "{" + ",".join(inner + _str(c) + ": %s" for c in columns) + "\n" + "  " * depth + "}"
+
+
 def _lattice_row(depth: int):
-    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-    template = "{%s\"coset\": %%s,%s\"min_norm\": %%s,%s\"count\": %%s%s}" % (
-        inner, inner, inner, outer
-    )
+    template = _template(_LATTICE_COLUMNS, depth)
 
     def render(row):
-        count = row["count"]
-        if type(count) is not int:
-            raise TypeError("count must be an int")
-        return template % (_str(row["coset"]), _str(row["min_norm"]), count)
+        coset, norm, count = row.values()
+        return template % (_str(coset), _str(norm), count)
 
     return render
 
 
 def _branch_row(depth: int):
-    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-    template = (
-        "{%s\"indices\": %%s,%s\"virasoro\": %%s,%s\"pf\": %%s,%s\"weight\": %%s%s}"
-        % (inner, inner, inner, inner, outer)
-    )
+    template = _template(_BRANCH_COLUMNS, depth)
     # `_branch_section` shares its ints, Kac tuples and pf pairs between rows
-    ints, kac = _Texts(_int), _Texts(lambda lab: _array(ints, lab, depth + 2))
+    ints, kac = _Texts(str), _Texts(lambda lab: _array(ints, lab, depth + 2))
     pairs = _Texts(lambda pf: _array(ints, pf, depth + 1))
 
     def render(row):
+        indices, virasoro, pf, weight = row.values()
         return template % (
-            _array(ints, row["indices"], depth + 1),
-            _array(kac, row["virasoro"], depth + 1),
-            pairs.one(row["pf"]),
-            _str(row["weight"]),
+            _array(ints, indices, depth + 1),
+            _array(kac, virasoro, depth + 1),
+            pairs.one(pf),
+            _str(weight),
         )
 
     return render
-
-
-_ROW_WRITERS = {
-    ("lattice", "min_norm_table"): (_LATTICE_COLUMNS, _lattice_row),
-    ("branch", "components"): (_BRANCH_COLUMNS, _branch_row),
-}
-_ROW_PARENTS = {path[:n] for path in _ROW_WRITERS for n in range(len(path))}
 
 
 def _cells(rows, columns: tuple[str, ...], render=None) -> list[list[str]]:

@@ -173,7 +173,7 @@ def test_criterion_5_census_counting_consistency():
                     xi for xi in code.words if fuse(xi, rep) == rep
                 )
                 assert set(brute) == set(orbit.stabilizer)
-                report = induced_decomposition(orbit, code)
+                report = induced_decomposition(orbit)
                 if len(brute) == 1:
                     assert report.regime is Regime.FREE
                     assert report.num_irreducibles == 1

@@ -329,7 +329,7 @@ def test_census_peak_memory_is_bounded():
 def test_induced_free_orbit():
     code = span([(2,)], 4, 1)
     orb = next(o for o in orbits(code) if len(o.stabilizer) == 1)
-    rep = induced_decomposition(orb, code)
+    rep = induced_decomposition(orb)
     assert rep.regime is Regime.FREE
     assert rep.num_irreducibles == 1 and rep.multiplicity == 1
     assert sorted(x for x, _ in rep.constituents) == sorted(orb.members)
@@ -339,7 +339,7 @@ def test_induced_free_orbit():
 def test_induced_fixed_k0mod4():
     code = span([(2,)], 4, 1)
     orb = next(o for o in orbits(code) if str(o.representative) == "(2,0)")
-    rep = induced_decomposition(orb, code)
+    rep = induced_decomposition(orb)
     assert rep.regime is Regime.FIXED_K0MOD4
     assert rep.num_irreducibles == 2 and rep.multiplicity == 1
     assert rep.constituents == ((orb.representative, 1),)
@@ -352,7 +352,7 @@ def test_induced_fixed_k2mod4():
     fixed = [o for o in orbs if len(o.stabilizer) > 1]
     assert len(fixed) == 9
     for orb in fixed:
-        rep = induced_decomposition(orb, code)
+        rep = induced_decomposition(orb)
         assert rep.regime is Regime.FIXED_K2MOD4
         assert rep.num_irreducibles == 2 and rep.multiplicity == 1
 

@@ -351,6 +351,55 @@ class TestJsonWriter:
         assert to_json(report) == json.dumps(report, indent=2)
 
 
+class WriterReached(Exception):
+    """Raised by a patched JSON row writer when `to_json` asks for it."""
+
+
+def raising_writer(name):
+    def writer(depth):
+        raise WriterReached(name)
+
+    return writer
+
+
+class TestTrustBoundary:
+    """The row writers write the rows of `build` unchecked; every value of a
+    `run` dict, its table lists included, goes to `json.dumps`."""
+
+    @pytest.fixture(autouse=True)
+    def writers_raise(self, monkeypatch):
+        monkeypatch.setattr(R, "_lattice_row", raising_writer("lattice"))
+        monkeypatch.setattr(R, "_branch_row", raising_writer("branch"))
+
+    @pytest.mark.parametrize("job", TEST_JOBS)
+    def test_run_reports_reach_no_row_writer(self, job):
+        report = run(job)
+        assert to_json(report) == json.dumps(report, indent=2)
+
+    @pytest.mark.parametrize("analysis", ["lattice", "branch"])
+    def test_build_reports_reach_each_row_writer(self, analysis):
+        report = build(JobSpec(k=3, ell=1, analyses=(analysis,), fmt="json"))
+        with pytest.raises(WriterReached, match=analysis):
+            to_json(report)
+        with pytest.raises(WriterReached, match=analysis):
+            to_json(report, io.StringIO())
+
+    @pytest.mark.parametrize("section", ["table", "input"])
+    def test_circular_values_raise_as_in_json_dumps(self, section):
+        # the walk stops at the section dicts and hands their values to json.dumps
+        report = run(JobSpec(k=3, ell=1, analyses=("lattice",)))
+        if section == "table":
+            table = report["lattice"]["min_norm_table"]
+            table.append(table)
+        else:
+            report["input"]["self"] = report["input"]
+        with pytest.raises(ValueError) as want:
+            json.dumps(report, indent=2)
+        with pytest.raises(ValueError) as got:
+            to_json(report)
+        assert str(got.value) == str(want.value) == "Circular reference detected"
+
+
 class TestTables:
     @pytest.mark.parametrize("k", range(2, 9))
     def test_lattice_table_matches_per_label_reference(self, k):

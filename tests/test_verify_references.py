@@ -257,7 +257,7 @@ def caseB_by_member_fusion(code):
             verdict = Verdict.INDETERMINATE
         out.append(
             CaseBRecord(
-                (orb.representative, mate), induced_decomposition(orb, even), verdict
+                (orb.representative, mate), induced_decomposition(orb), verdict
             )
         )
     return tuple(out)
