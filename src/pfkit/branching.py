@@ -116,18 +116,22 @@ def component_count(k: int, bits) -> int:
 
 def _walk(k: int, j: int, bits, kac):
     """The components of the coset module (j, bits) as a function `rows`
-    whose every call yields them afresh, as rows (indices, Kac entries,
-    weight numerator over `weight_den(k)`, PfLabel), in lexicographic index
-    order: each prefix (i_1, ..., i_s) is extended by the allowed i_{s+1} in
-    increasing order.
+    whose every call yields them afresh, grouped by prefix, in lexicographic
+    index order: each prefix (i_1, ..., i_s) is extended by the allowed
+    i_{s+1} in increasing order.  A group is (prefix indices (i_1, ...,
+    i_{k-1}), their k - 2 Kac entries, the prefix's weight numerator over
+    `weight_den(k)`, last-step entries); each entry (i_k, Kac entry,
+    numerator, PfLabel) completes the prefix to the component with indices
+    prefix + (i_k,), Kac entries prefix + (entry,) and the sum of the two
+    numerators as its weight.
 
     Every check runs before `_walk` returns: the level, the rank cap,
     `check_bits`, and `check_numerator` on each step and tail.  So do the
     calls `kac(s, i_s + 1, i_{s+1} + 1)`, which build each step's Kac entry
-    once, and each tail, built once per i_k.  The rows share them.  The last
-    step is merged with the tail, and a call of `rows` holds only the
-    prefixes up to i_{k-1}: the rows themselves are yielded one at a time.
-    Capped at rank 10; the count grows like prod(s/2).
+    once, and each tail, built once per i_k.  The last step is merged with
+    the tail into one entry list per i_{k-1}, which every group with that
+    i_{k-1} shares, and a call of `rows` holds only the prefixes.  Capped at
+    rank 10; the count grows like prod(s/2).
     """
     check_level(k)
     check_cap("branching rank", k, BRANCH_MAX_LEVEL)
@@ -162,8 +166,7 @@ def _walk(k: int, j: int, bits, kac):
                 for b, lab, h in step[tup[-1]]
             ]
         for tup, vir, hnum in walk:
-            for b, lab, h, pf in last[tup[-1]]:
-                yield tup + (b,), vir + (lab,), hnum + h, pf
+            yield tup, vir, hnum, last[tup[-1]]
 
     return rows
 
@@ -171,7 +174,11 @@ def _walk(k: int, j: int, bits, kac):
 def branch(k: int, j: int, bits) -> tuple[BranchComponent, ...]:
     """All components of the coset module labeled (j, bits), in `_walk`
     order; they share their Kac labels, pf labels and weight Fractions."""
-    rows = tuple(_walk(k, j, bits, vir_canonicalize)())
+    rows = tuple(
+        (tup + (b,), vir + (lab,), hnum + h, pf)
+        for tup, vir, hnum, last in _walk(k, j, bits, vir_canonicalize)()
+        for b, lab, h, pf in last
+    )
     den = weight_den(k)
     weights = {num: Fraction(num, den) for num in {row[2] for row in rows}}
     return tuple(BranchComponent(tup, vir, pf, weights[num]) for tup, vir, num, pf in rows)

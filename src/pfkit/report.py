@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import islice, product
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from . import branching, cosets, modules, verify
@@ -97,11 +97,14 @@ def _classification_section(code: Code) -> dict:
 
 
 class _Rows:
-    """A re-iterable row source: each iteration runs `rows(*args)` afresh.
-    `to_json` writes each row by `writer(depth)`, or by `_dumps` if none."""
+    """A re-iterable row source: each iteration runs `rows(*args)` afresh and
+    yields the row dicts of the `run` dict.  The writers read `args` instead:
+    `cells(*args)` yields each row's text cells in column order, and
+    `writer(depth, *args)` each row's JSON at `depth`, without a row dict.
+    With no `cells`, or no `writer`, the rows are written one by one."""
 
-    def __init__(self, rows, *args, writer=None):
-        self.rows, self.args, self.writer = rows, args, writer
+    def __init__(self, rows, *args, cells=None, writer=None):
+        self.rows, self.args, self.cells, self.writer = rows, args, cells, writer
 
     def __iter__(self):
         return self.rows(*self.args)
@@ -121,17 +124,29 @@ def _lattice_section(code: Code, job: JobSpec) -> dict:
     return {
         "parity": lat.parity,
         "discriminant_order": lat.discriminant_order,
-        "min_norm_table": _Rows(_lattice_rows, k, cell, writer=_lattice_row),
+        "min_norm_table": _Rows(_lattice_rows, k, cell, cells=_lattice_cells, writer=_lattice_json),
     }
 
 
 def _lattice_rows(k: int, cell: dict):
-    words = [("".join(map(str, bits)), sum(bits)) for bits in product((0, 1), repeat=k)]
-    for j in range(k):  # the order of cosets.all_labels(k)
-        for text, w in words:
-            if j < w:
-                value, count = cell[j, w]
-                yield {"coset": f"{j}:{text}", "min_norm": value, "count": count}
+    return (dict(zip(_LATTICE_COLUMNS, row)) for row in _lattice_cells(k, cell, count=int))
+
+
+def _lattice_cells(k: int, cell: dict, quote: str = "", count=str):
+    """Each row's values, in the order of `cosets.all_labels(k)`: its strings
+    between `quote`s (they hold no JSON escapes), its count by `count`.  The
+    text of each j, bits word and (j, weight) cell is built once."""
+    tails = {key: (f"{quote}{value}{quote}", count(n)) for key, (value, n) in cell.items()}
+    words = [("", 0)]  # each bits text and weight, in `product((0, 1), repeat=k)` order
+    for _ in range(k):
+        words = [(text + bit, w + n) for text, w in words for bit, n in (("0", 0), ("1", 1))]
+    for j in range(k):
+        head = f"{quote}{j}:"
+        yield from [(head + text + quote,) + tails[j, w] for text, w in words if j < w]
+
+
+def _lattice_json(depth: int, k: int, cell: dict):
+    return map(_template(_LATTICE_COLUMNS, depth).__mod__, _lattice_cells(k, cell, '"'))
 
 
 def _branch_section(code: Code, job: JobSpec) -> dict:
@@ -150,22 +165,47 @@ def _branch_section(code: Code, job: JobSpec) -> dict:
         return shared.setdefault((lab.m, lab.r, lab.s), (lab.m, lab.r, lab.s))
 
     walk = branching._walk(code.k, label.j, label.bits, kac)
+    rows = _Rows(_branch_rows, walk, branching.weight_den(code.k), cells=_branch_cells, writer=_branch_json)
     count_data = cosets.min_norm_data(code.k, label.j, label.bits)
-    return {
-        "coset": str(label),
-        "min_norm": rat(count_data[0]),
-        "components": _Rows(_branch_rows, walk, branching.weight_den(code.k), writer=_branch_row),
-    }
+    return {"coset": str(label), "min_norm": rat(count_data[0]), "components": rows}
 
 
 def _branch_rows(walk, den: int):
     # one weight string per numerator and one pf pair per i_k, shared by the rows
-    weights: dict = {}
-    pairs: dict = {}
-    for indices, vir, num, pf in walk():
-        weight = weights.get(num) or weights.setdefault(num, rat(Fraction(num, den)))
-        pair = pairs.get(indices[-1]) or pairs.setdefault(indices[-1], (pf.i, pf.j))
-        yield {"indices": indices, "virasoro": vir, "pf": pair, "weight": weight}
+    weights, pairs = _Texts(lambda num: rat(Fraction(num, den))), {}
+    for prefix, vir, hnum, last in walk():
+        for b, lab, h, pf in last:
+            pair = pairs.get(b) or pairs.setdefault(b, (pf.i, pf.j))
+            yield {"indices": prefix + (b,), "virasoro": vir + (lab,), "pf": pair, "weight": weights[hnum + h]}
+
+
+def _branch_cells(
+    walk, den: int, array=("", ",", ""), kac_sep=" ", kac="(%s,%s,%s)", pair="(%s,%s)", quote=str
+):
+    """Each row's texts: its indices, and its Kac entries between `kac_sep`s,
+    as `(open, sep, close)` arrays, each Kac entry and pf pair by its `%`
+    format, the weight by `quote`.  Each walk prefix's text is built once, and
+    each last-step entry's once per i_{k-1}: a row's text is their concatenation."""
+    start, sep, close = array
+    weights, kac = _Texts(lambda num: quote(rat(Fraction(num, den)))), _Texts(kac.__mod__)
+    ends: dict = {}
+    for prefix, vir, hnum, last in walk():
+        if (end := ends.get(prefix[-1])) is None:
+            end = ends[prefix[-1]] = [
+                (f"{b}{close}", kac[lab] + close, pair % (pf.i, pf.j), h) for b, lab, h, pf in last
+            ]
+        head = start + sep.join(map(str, prefix)) + sep
+        mid = start + "".join([kac[lab] + kac_sep for lab in vir])
+        for b, lab, pf, h in end:
+            yield head + b, mid + lab, pf, weights[hnum + h]
+
+
+def _branch_json(depth: int, walk, den: int):
+    pad = "\n" + "  " * (depth + 2)  # the items of a row's arrays
+    array = ("[" + pad, "," + pad, pad[:-2] + "]")
+    kac = f"[{pad}  %s,{pad}  %s,{pad}  %s{pad}]"
+    cells = _branch_cells(walk, den, array=array, kac_sep=array[1], kac=kac, pair="%s".join(array), quote=_str)
+    return map(_template(_BRANCH_COLUMNS, depth).__mod__, cells)
 
 
 def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None]:
@@ -179,19 +219,19 @@ def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None
     induced = [modules.induced_decomposition(orb) for orb in orbit_list]
     table = modules.label_table(basis.k)
     # rows are rendered from index tuples: one string per factor label (the
-    # table's), one per character and one per distinct weight numerator
-    den = table.weight_den
-    characters, weights = _Texts(str), {}
+    # table's), one per character (keyed by identity: the records hold each
+    # shared Character meanwhile) and one per distinct weight numerator
+    weights, characters = _Texts(lambda num: rat(Fraction(num, table.weight_den))), {}
     rows = []
     for rep in induced:
-        orb, num = rep.orbit, rep.orbit.weight
+        orb, chi = rep.orbit, id(rep.orbit.character)
         rows.append(
             {
                 "representative": table.text(orb.index),
                 "size": orb.size,
                 "stabilizer_order": len(orb.stabilizer),
-                "character": characters.one(orb.character),
-                "min_weight": weights.get(num) or weights.setdefault(num, rat(Fraction(num, den))),
+                "character": characters.get(chi) or characters.setdefault(chi, str(orb.character)),
+                "min_weight": weights[orb.weight],
                 "regime": rep.regime.value,
                 "num_irreducibles": rep.num_irreducibles,
                 "multiplicity": rep.multiplicity,
@@ -225,7 +265,8 @@ def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None
 def build(job: JobSpec) -> dict:
     """Execute the requested analyses; returns the report dict with the two
     large tables, `lattice.min_norm_table` and `branch.components`, as row
-    sources that build their row dicts afresh on each iteration.
+    sources: iterated, they build their row dicts afresh; `to_json` and
+    `to_text` write them from their walk prefixes and lattice cells.
 
     Every validation, cap and cross-check runs before `build` returns, so
     writing the report with `to_json` or `to_text` cannot raise a
@@ -303,9 +344,10 @@ def to_json(report: dict, out=None) -> str | None:
 
     With no `out` it returns the string.  With a text handle `out` it writes
     the same characters to `out` in chunks (`_emit`) and returns None,
-    holding only the rows of the write in progress.  A row source writes its
-    own rows, one at a time; every other value, each list of a `run` dict
-    included, goes through `json.dumps(indent=2)` whole.
+    holding only the rows of the write in progress.  A row source's `writer`
+    writes its rows from the source's structure, with no row dict; every
+    other value, each list of a `run` dict included, goes through
+    `json.dumps(indent=2)` whole.
     """
     return _emit(_dump(report, 0), out)
 
@@ -359,43 +401,26 @@ def _dump(node, depth: int):
 _str = encode_basestring_ascii  # what json.dumps uses by default (ensure_ascii)
 
 
-def _array(texts, values, depth: int) -> str:
-    """A tuple as `json.dumps(..., indent=2)` writes it at `depth`, its items
-    written by the `_Texts` cache `texts`."""
-    pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + texts.join("," + pad, values) + pad[:-2] + "]" if values else "[]"
-
-
 class _Texts(dict):
-    """The text of each object, filled on first sight and keyed by identity,
-    so equal values of other types (True and 1) keep their own text, which
-    only the text writer needs: the JSON row writers see `build` rows alone.
-    It holds every object it has converted, so no key can be reused."""
+    """The text of each key, built by `convert` on first sight."""
 
     def __init__(self, convert):
         super().__init__()
-        self.convert, self.held = convert, []
+        self.convert = convert
 
-    def one(self, x) -> str:
-        text = self.get(id(x))
-        if text is None:
-            text = self[id(x)] = self.convert(x)
-            self.held.append(x)
+    def __missing__(self, key):
+        text = self[key] = self.convert(key)
         return text
-
-    def join(self, sep: str, values) -> str:
-        try:
-            return sep.join(map(self.__getitem__, map(id, values)))
-        except KeyError:
-            return sep.join(map(self.one, values))
 
 
 def _rows(rows: _Rows, depth: int):
     """The chunks of a row source at `depth`, as `_dumps` writes the list of
-    its rows, `_CHUNK_ROWS` rows each: each row is written by the source's
-    writer, with no check of its shape, or by `_dumps` if it has none."""
-    write = rows.writer(depth + 1) if rows.writer else partial(_dumps, depth=depth + 1)
-    texts = map(write, rows)
+    its rows, `_CHUNK_ROWS` rows each: written by the source's writer from
+    its arguments, or row by row by `_dumps` if it has none."""
+    if rows.writer:
+        texts = rows.writer(depth + 1, *rows.args)
+    else:
+        texts = map(partial(_dumps, depth=depth + 1), rows)
     chunk = list(islice(texts, _CHUNK_ROWS))
     if not chunk:
         yield "[]"
@@ -415,40 +440,15 @@ def _template(columns: tuple[str, ...], depth: int) -> str:
     return "{" + ",".join(inner + _str(c) + ": %s" for c in columns) + "\n" + "  " * depth + "}"
 
 
-def _lattice_row(depth: int):
-    template = _template(_LATTICE_COLUMNS, depth)
-
-    def render(row):
-        coset, norm, count = row.values()
-        return template % (_str(coset), _str(norm), count)
-
-    return render
-
-
-def _branch_row(depth: int):
-    template = _template(_BRANCH_COLUMNS, depth)
-    # `_branch_section` shares its ints, Kac tuples and pf pairs between rows
-    ints, kac = _Texts(str), _Texts(lambda lab: _array(ints, lab, depth + 2))
-    pairs = _Texts(lambda pf: _array(ints, pf, depth + 1))
-
-    def render(row):
-        indices, virasoro, pf, weight = row.values()
-        return template % (
-            _array(ints, indices, depth + 1),
-            _array(kac, virasoro, depth + 1),
-            pairs.one(pf),
-            _str(weight),
-        )
-
-    return render
-
-
 def _cells(rows, columns: tuple[str, ...], render=None) -> list[list[str]]:
-    """Each column's cell strings, from one pass over `rows`: `render(row)`
-    gives a row's strings in column order, by default `str` of each value."""
-    render = render or (lambda row: [str(row[c]) for c in columns])
+    """Each column's cell strings, from one pass over `rows`: a row source
+    with `cells` gives a row's strings in column order itself; else
+    `render(row)` gives them, by default `str` of each value."""
+    if type(rows) is _Rows and rows.cells:
+        texts = rows.cells(*rows.args)
+    else:
+        texts = map(render or (lambda row: [str(row[c]) for c in columns]), rows)
     cells: list[list[str]] = [[] for _ in columns]
-    texts = map(render, rows)
     while chunk := list(islice(texts, _CHUNK_ROWS)):
         for column, part in zip(cells, zip(*chunk)):
             column.extend(part)
@@ -475,15 +475,12 @@ def _tables(report: dict):
         title = f"lattice: parity={lat['parity']} discriminant={lat['discriminant_order']}"
         yield title, _cells(lat["min_norm_table"], _LATTICE_COLUMNS), _LATTICE_COLUMNS
     if (br := report["branch"]) is not None:
-        # each distinct int, Kac tuple and pf pair is shared between rows
-        ints, kac = _Texts(str), _Texts(lambda lab: "(%s,%s,%s)" % tuple(lab))
-        pairs = _Texts(lambda pf: f"({pf[0]},{pf[1]})")
 
         def render(c):
             return (
-                ints.join(",", c["indices"]),
-                kac.join(" ", c["virasoro"]),
-                pairs.one(c["pf"]),
+                ",".join(map(str, c["indices"])),
+                " ".join("(%s,%s,%s)" % tuple(lab) for lab in c["virasoro"]),
+                f"({c['pf'][0]},{c['pf'][1]})",
                 str(c["weight"]),
             )
 
@@ -507,7 +504,9 @@ def to_text(report: dict, out=None) -> str | None:
     """The text report; a `build` report gives the text of its `run` dict.
 
     With no `out` it returns the string; with a text handle `out` it writes
-    the same characters to `out` in chunks and returns None.  Each table's
+    the same characters to `out` in chunks and returns None.  A row source's
+    `cells` gives its cell strings from the source's structure, with no row
+    dict; the lists of a `run` dict are rendered row by row.  Each table's
     column widths need all its cells first, so a table holds its cell
     strings, column by column, until its lines are written.
     """

@@ -3,11 +3,12 @@
 The JSON schema is load-bearing for downstream consumers, so these tests
 pin it hard: key set, null sections for analyses that were not requested,
 rationals serialized as "p/q" strings, and byte-identical output across
-repeated runs.  The row-template JSON writer is compared with
-`json.dumps(report, indent=2)`, and the per-(j, weight) lattice table and
-the text tables with per-row references.  The text renderer is compared
-with a reference that renders each table by its own block, on random
-reports with empty tables and null sections.
+repeated runs.  The table writers of `build` reports, which write from
+walk prefixes and lattice cells, are compared with the same writers on the
+`run` dict and with `json.dumps(report, indent=2)`, and the per-(j, weight)
+lattice table and the text tables with per-row references.  The text
+renderer is compared with a reference that renders each table by its own
+block, on random reports with empty tables and null sections.
 """
 
 import hashlib
@@ -314,32 +315,19 @@ class TestJsonWriter:
         assert to_json(report) == json.dumps(report, indent=2)
 
     @settings(max_examples=100, deadline=None)
-    @given(lattice_rows, branch_rows, st.booleans())
-    def test_matches_json_dumps_on_random_rows(self, table, components, share):
-        report = run(JobSpec(k=2, ell=1, analyses=("lattice", "branch")))
-        if share:  # one Kac tuple object shared by every row, as `run` does
-            lab = (1, 2, 2)
-            for row in components:
-                row["virasoro"] = (lab,) * len(row["virasoro"])
-        report["lattice"]["min_norm_table"] = table
-        report["branch"]["components"] = components
-        assert to_json(report) == json.dumps(report, indent=2)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(["coset", "count", "indices", "virasoro", "pf", "weight"]), odd_values)
-    def test_falls_back_on_other_row_values(self, key, value):
-        report = run(JobSpec(k=3, ell=1, analyses=("lattice", "branch")))
-        section = "lattice" if key in ("coset", "count") else "branch"
-        rows = report[section]["min_norm_table" if section == "lattice" else "components"]
-        rows[-1][key] = value
-        assert to_json(report) == json.dumps(report, indent=2)
+    @given(lattice_rows, branch_rows)
+    def test_matches_json_dumps_on_random_rows(self, table, components):
+        plain = run(JobSpec(k=2, ell=1, analyses=("lattice", "branch")))
+        plain["lattice"]["min_norm_table"] = table
+        plain["branch"]["components"] = components
+        assert to_json(sourced(plain)) == json.dumps(plain, indent=2)
 
     def test_falls_back_on_other_row_shapes(self):
-        report = run(JobSpec(k=3, ell=1, analyses=("lattice", "branch")))
-        report["lattice"]["min_norm_table"][0]["extra"] = 1
-        del report["branch"]["components"][0]["pf"]
-        report["branch"]["components"][1] = ["not", "a", "row"]
-        assert to_json(report) == json.dumps(report, indent=2)
+        plain = run(JobSpec(k=3, ell=1, analyses=("lattice", "branch")))
+        plain["lattice"]["min_norm_table"][0]["extra"] = 1
+        del plain["branch"]["components"][0]["pf"]
+        plain["branch"]["components"][1] = ["not", "a", "row"]
+        assert to_json(sourced(plain)) == json.dumps(plain, indent=2)
 
     def test_empty_and_null_sections(self):
         report = run(JobSpec(k=3, ell=1, analyses=("lattice", "branch")))
@@ -351,38 +339,53 @@ class TestJsonWriter:
         assert to_json(report) == json.dumps(report, indent=2)
 
 
+def sourced(plain):
+    """A copy of the `run` dict `plain` with its two table lists behind
+    writer-less row sources, whose rows `to_json` writes one at a time."""
+    report = dict(plain)
+    for section, name in (("lattice", "min_norm_table"), ("branch", "components")):
+        report[section] = {**plain[section], name: R._Rows(iter, plain[section][name])}
+    return report
+
+
 class WriterReached(Exception):
-    """Raised by a patched JSON row writer when `to_json` asks for it."""
+    """Raised by a patched table writer when `to_json` or `to_text` asks for it."""
 
 
 def raising_writer(name):
-    def writer(depth):
+    def writer(*args):
         raise WriterReached(name)
 
     return writer
 
 
 class TestTrustBoundary:
-    """The row writers write the rows of `build` unchecked; every value of a
-    `run` dict, its table lists included, goes to `json.dumps`."""
+    """The table writers write the row sources of `build` from their walk
+    prefixes and lattice cells, unchecked; every value of a `run` dict, its
+    table lists included, goes to `json.dumps` or is rendered row by row."""
 
-    @pytest.fixture(autouse=True)
-    def writers_raise(self, monkeypatch):
-        monkeypatch.setattr(R, "_lattice_row", raising_writer("lattice"))
-        monkeypatch.setattr(R, "_branch_row", raising_writer("branch"))
+    @staticmethod
+    def writers_raise(monkeypatch):
+        for table in ("lattice", "branch"):
+            monkeypatch.setattr(R, f"_{table}_json", raising_writer(table))
+            monkeypatch.setattr(R, f"_{table}_cells", raising_writer(table))
 
     @pytest.mark.parametrize("job", TEST_JOBS)
-    def test_run_reports_reach_no_row_writer(self, job):
-        report = run(job)
+    def test_run_reports_reach_no_row_writer(self, monkeypatch, job):
+        report = run(job)  # its lattice rows come from the text writer's cells
+        self.writers_raise(monkeypatch)
         assert to_json(report) == json.dumps(report, indent=2)
+        assert to_text(report) == to_text_reference(report)
 
     @pytest.mark.parametrize("analysis", ["lattice", "branch"])
-    def test_build_reports_reach_each_row_writer(self, analysis):
+    def test_build_reports_reach_each_row_writer(self, monkeypatch, analysis):
+        self.writers_raise(monkeypatch)
         report = build(JobSpec(k=3, ell=1, analyses=(analysis,), fmt="json"))
-        with pytest.raises(WriterReached, match=analysis):
-            to_json(report)
-        with pytest.raises(WriterReached, match=analysis):
-            to_json(report, io.StringIO())
+        for write in (to_json, to_text):
+            with pytest.raises(WriterReached, match=analysis):
+                write(report)
+            with pytest.raises(WriterReached, match=analysis):
+                write(report, io.StringIO())
 
     @pytest.mark.parametrize("section", ["table", "input"])
     def test_circular_values_raise_as_in_json_dumps(self, section):
@@ -432,6 +435,32 @@ class TestTables:
         report = run(JobSpec(k=5, ell=1, analyses=("branch",)))
         assert len(report["branch"]["components"]) == branching.component_count(5, (1,) * 5)
 
+    def test_writing_a_built_report_builds_no_row_dict(self, monkeypatch):
+        job = JobSpec(k=6, ell=1, analyses=("lattice", "branch"), coset=(1, (1,) * 6))
+        plain = run(job)
+
+        def unreachable(*args):
+            raise AssertionError("a table writer built a row dict")
+
+        monkeypatch.setattr(R, "_lattice_rows", unreachable)
+        monkeypatch.setattr(R, "_branch_rows", unreachable)
+        report = build(job)
+        assert to_json(report) == json.dumps(plain, indent=2)
+        assert to_text(report) == to_text(plain)
+        for write in (to_json, to_text):
+            out = io.StringIO()
+            write(report, out)
+            assert out.getvalue() == write(plain)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_branch_writers_match_run_on_every_coset(self, k):
+        for lab in all_labels(k):
+            assert_writers_match_run(JobSpec(k=k, ell=1, analyses=("branch",), coset=(lab.j, lab.bits)))
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_lattice_writers_match_run(self, k):
+        assert_writers_match_run(JobSpec(k=k, ell=1, analyses=("lattice",)))
+
     def test_renderers_keep_bools_apart_from_equal_ints(self):
         # the text caches are keyed by identity: True == 1, but json.dumps
         # writes true and str writes True
@@ -462,6 +491,15 @@ class TestTables:
         assert lines[start : start + len(lattice)] == lattice
         start = lines.index(branch[0])
         assert lines[start : start + len(branch)] == branch
+
+
+def assert_writers_match_run(job):
+    """`build(job)` and `run(job)` give the same text and JSON, and the JSON
+    is `json.dumps` of the `run` dict."""
+    plain, report = run(job), build(job)
+    want = json.dumps(plain, indent=2)
+    assert to_json(report) == to_json(plain) == want
+    assert to_text(report) == to_text(plain)
 
 
 def to_text_reference(report):
@@ -1053,15 +1091,12 @@ class TestStreaming:
         st.integers(0, 100),
     )
     def test_odd_row_in_a_row_source_falls_back_alone(self, key, value, at):
-        job = JobSpec(k=3, ell=1, analyses=("lattice", "branch"))
-        plain, report = run(job), build(job)
+        plain = run(JobSpec(k=3, ell=1, analyses=("lattice", "branch")))
         section, name = ("lattice", "min_norm_table") if key in ("coset", "count") else ("branch", "components")
         rows = plain[section][name]
         at %= len(rows)
         rows[at] = ["not", "a", "row"] if key is None else {**rows[at], key: value}
-        for section, name in (("lattice", "min_norm_table"), ("branch", "components")):
-            report[section][name] = R._Rows(iter, plain[section][name])
-        assert to_json(report) == json.dumps(plain, indent=2)
+        assert to_json(sourced(plain)) == json.dumps(plain, indent=2)
 
     def test_json_memory_stays_flat(self, monkeypatch):
         job = JobSpec(k=9, ell=1, analyses=("branch",), fmt="json")
@@ -1171,4 +1206,45 @@ def test_census_report_bytes_are_pinned(monkeypatch, argv, fmt, size, digest):
     sink = DigestSink()
     monkeypatch.setattr(sys, "stdout", sink)
     assert main([*argv.split(), "--analysis", "modules", "--format", fmt]) == 0
+    assert (sink.size, sink.sha.hexdigest()) == (size, digest)
+
+
+# Table reports recorded before the tables were written from their walk
+# prefixes and lattice cells: (arguments, format, bytes, sha256).
+TABLE_DIGESTS = [
+    (
+        "--k 7 --ell 1 --analysis lattice --analysis branch --coset 1:1100000",
+        "text",
+        57_395,
+        "39de69aad41210cc1e010705582a71d77896b20f718958bda430cd2a1a116c8c",
+    ),
+    (
+        "--k 7 --ell 1 --analysis lattice --analysis branch --coset 1:1100000",
+        "json",
+        423_765,
+        "82a6bf6456e823ecca12b691f0fde55a6712c0d68859d82c42d442745c3f9ed6",
+    ),
+    # the lattice of the zero code and the branch of its identity coset
+    (
+        "--k 6 --ell 1 --gen 0 --analysis lattice --analysis branch",
+        "text",
+        15_133,
+        "4391088b3df8481ef4aea97d662babbb6b658d9f36844603dcfc57d7796bcc36",
+    ),
+    (
+        "--k 6 --ell 1 --gen 0 --analysis lattice --analysis branch",
+        "json",
+        101_843,
+        "46756c81f119255d11a96baf64a17c5586b40a56a083d453a7a4609a7d496731",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, fmt, size, digest", TABLE_DIGESTS, ids=[f"{a} {f}" for a, f, _, _ in TABLE_DIGESTS]
+)
+def test_table_report_bytes_are_pinned(monkeypatch, argv, fmt, size, digest):
+    sink = DigestSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main([*argv.split(), "--format", fmt]) == 0
     assert (sink.size, sink.sha.hexdigest()) == (size, digest)
