@@ -13,17 +13,17 @@ verdict: Fused, Split, or Indeterminate.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import mul
+from operator import add, attrgetter, itemgetter
 
-from .cosets import ProductCoset, dual_membership
+from .cosets import ProductCoset, _hermite_rows, dual_membership
 from .errors import (
-    CapExceededError,
     InvalidInputError,
     VerificationError,
     check_cap,
@@ -134,6 +134,13 @@ class LabelTable:
     `weight[a]` the conformal weight times `weight_den` = 2k(k + 2),
     `tail[a]` the realization tail (eta, d) used by `realize`, and
     `names[a]` the text of `labels[a]`.
+
+    The currents split the factors into fusion classes: `base[a]` is the
+    smallest factor of a's class, `position[a]` the p < `modulus[a]` with
+    `fuse[p][base[a]] == a`, and `modulus[a]` the class size, k, or k/2 on
+    the half class i = k/2.  So `fuse[p][a]` has position
+    (position[a] + p) % modulus[a], and within a class label order is
+    position order.
     """
 
     k: int
@@ -143,6 +150,9 @@ class LabelTable:
     weight: tuple[int, ...]
     tail: tuple[tuple[int, int], ...]
     names: tuple[str, ...]
+    base: tuple[int, ...]
+    position: tuple[int, ...]
+    modulus: tuple[int, ...]
 
     @property
     def weight_den(self) -> int:
@@ -160,16 +170,21 @@ class LabelTable:
 def label_table(k: int) -> LabelTable:
     """The integer label table of level k, built once per level."""
     labels = all_labels(k)
-    position = {f: a for a, f in enumerate(labels)}
+    index = {f: a for a, f in enumerate(labels)}
     den = 2 * k * (k + 2)
+    fuse = tuple(tuple(index[sc_fuse(p, f)] for f in labels) for p in range(k))
+    base = tuple(min(row[a] for row in fuse) for a in range(len(labels)))
     return LabelTable(
         k,
         labels,
         tuple((f.i - 2 * f.j) % k for f in labels),
-        tuple(tuple(position[sc_fuse(p, f)] for f in labels) for p in range(k)),
+        fuse,
         tuple(check_numerator(pf_weight(k, f.i, f.j), den) for f in labels),
         tuple(_tail(f) for f in labels),
         tuple(map(str, labels)),
+        base,
+        tuple(next(p for p, row in enumerate(fuse) if row[b] == a) for a, b in enumerate(base)),
+        tuple(len({row[a] for row in fuse}) for a in range(len(labels))),
     )
 
 
@@ -248,9 +263,9 @@ class OrbitRecord:
     """One fusion orbit, in constant size: the representative (the smallest
     member) as a `label_table(code.k)` index tuple, the orbit size
     |D| // |Stab|, the stabilizer (one tuple object per distinct stabilizer
-    of a sweep), the character, the minimum constituent weight's numerator
+    of a walk), the character, the minimum constituent weight's numerator
     over `label_table(code.k).weight_den` (a lower bound for any twisted
-    grading), and the acting code, shared by every record of a sweep.
+    grading), and the acting code, shared by every record of a walk.
 
     `indices` and `members` recompute the sorted orbit from the |D| integer
     fusions of the representative; `representative` and `min_weight` build
@@ -294,76 +309,155 @@ def _images(rows, index: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
     """All fusion orbits, in order of their smallest member, as constant-size
-    records; raises CapExceededError, before sweeping, when the label space
-    or the dual enumeration exceeds its cap, or the seen map does not fit in
-    memory.
+    records; raises CapExceededError, before any label is visited, when the
+    label space or the dual enumeration exceeds its cap.
 
-    One sweep over the index tuples of `label_table(k)`, in label order; an
-    n**ell-byte seen map, indexed by mixed radix, marks each label found.
-    The first unseen index is the smallest member of a new orbit, and its
-    |D| integer fusions, each one sum over per-slot tables of weight and
-    position, mark the orbit seen and give its stabilizer and minimum
-    weight numerator; no member list is kept or sorted.  The
-    stabilizer is checked against its closed criterion: at odd k by
-    comparison with the zero word alone, with `_check_stabilizer` naming the
-    label on a mismatch, and at even k by `_check_stabilizer`, which reads
-    factor labels and builds no label.  Labels whose t-vectors pair alike
-    with the generators share a character: `_reduce` runs <= |D| times.
-    After the sweep the orbit sizes |D| // |Stab| must add up to the label
-    count n**ell (orbit-stabilizer), or VerificationError is raised."""
+    A current fuses each factor within its fusion class (`LabelTable`), by
+    adding xi_r to slot r's position mod m_r, the class modulus.  So the
+    orbit of a label is its position vector P plus the lattice L spanned by
+    the generators and the m_r e_r, and its smallest member reduces P along
+    the row Hermite basis of L: the minima are exactly the labels with
+    position P_r < d_r in every slot, d_r the r-th pivot (`_echelon`).  That
+    pivot depends only on m_1..m_r, and `_pivot` computes it once per
+    prefix of moduli.  A depth-first walk over the slots, each in label
+    order, takes only those labels, and so yields the minima in report
+    order; no other label is visited.
+
+    The stabilizer is a function of the mask of slots in the half class
+    (the closed criterion of `_check_stabilizer`): it and the size
+    |D| // |Stab| are found once per mask, at its first minimum, from that
+    label's |D| direct fusions, which `_check_stabilizer` checks and which
+    must not hold a smaller label.  Along the walk |D| running sums give
+    the weight numerators of the fused labels, and the record keeps their
+    minimum: at the last slot, the smallest sum over the words with each
+    last current is enough.  One running sum packs the pairings of the
+    t-vector with the generators; labels pairing alike share a character,
+    so `_reduce` runs <= |D| times.  After the walk the orbit sizes must
+    add up to the label count n**ell (orbit-stabilizer), and every fusion
+    entry must follow the class arithmetic, or VerificationError is
+    raised."""
     k, ell = code.k, code.ell
     total = label_space_size(k, ell, cap)
     _dual_words(code)
-    try:
-        seen = bytearray(total)
-    except MemoryError:
-        raise CapExceededError(f"label space of size {total} does not fit in memory") from None
     table = label_table(k)
-    n = len(table.labels)
-    # per slot and current, each image's weight numerator times `total` plus
-    # its mixed-radix position: one sum per codeword gives both for the
-    # fused label, and `% total` and `// total` split them
-    slot = [
-        [tuple(table.weight[f] * total + n ** (ell - 1 - r) * f for f in row) for row in table.fuse]
+    n, words, gens = len(table.labels), code.words, code.generators
+    position, modulus, t_of = table.position, table.modulus, table.t
+    # per factor a and current p, the weight numerator of fuse[p][a]
+    weight = [tuple(table.weight[row[a]] for row in table.fuse) for a in range(n)]
+    # per slot r, xi_r for xi in D, with D ordered by the last current, so
+    # that each last current's words are one slice of the running sums
+    ordered = sorted(words, key=itemgetter(ell - 1))
+    currents = [tuple(xi[r] for xi in ordered) for r in range(ell)]
+    last = sorted(set(currents[-1]))
+    cuts = [slice(bisect_left(currents[-1], p), bisect_right(currents[-1], p)) for p in last]
+    # per slot r and t-value, the pairings (g_r t mod k) of the generators,
+    # packed in base `radix`, which no sum over the slots reaches
+    radix = ell * (k - 1) + 1
+    pairing = [
+        [sum(g[r] * t % k * radix**s for s, g in enumerate(gens)) for t in range(k)]
         for r in range(ell)
     ]
-    rows = [tuple(map(list.__getitem__, slot, xi)) for xi in code.words]
-    get, t_of = tuple.__getitem__, table.t.__getitem__
-    words = code.words
-    # with the zero word the only half word (every odd k), the criterion is
-    # that word for every label; a mismatch still goes to the full check
-    half = _half_words(code)
-    alone = half if len(half) == 1 else None
-    found: dict[tuple[int, ...], Character] = {}
+    pivots: dict[tuple[int, ...], int] = {}
+    options: dict[tuple[int, int], list[tuple]] = {}  # (slot, mask) -> `take`
+    masks: dict[int, tuple[tuple[Codeword, ...], int]] = {}  # -> stabilizer, size
     shared: dict[tuple[Codeword, ...], tuple[Codeword, ...]] = {}
-    out = []
-    covered = 0
-    for pos, index in enumerate(product(range(n), repeat=ell)):
-        if seen[pos]:
-            continue
-        values = [sum(map(get, row, index)) for row in rows]
-        stab = []
-        for xi, value in zip(words, values):
-            at = value % total
-            seen[at] = 1
-            if at == pos:
-                stab.append(xi)
-        stab = tuple(stab)
-        if stab != alone:
-            _check_stabilizer(code, [table.labels[a] for a in index], stab)
+    found: dict[int, Character] = {}  # packed pairing -> character
+    by_key: dict[tuple[int, ...], Character] = {}
+    out: list[OrbitRecord] = []
+
+    def take(r, mask):
+        """The labels a walk with this half mask takes at slot r: each with
+        the mask bit it sets, its row of fused weights and its pairings."""
+        moduli = tuple(k // 2 if mask >> s & 1 else k for s in range(r))
+        chosen = []
+        for a in range(n):
+            key = moduli + (modulus[a],)
+            if key not in pivots:
+                pivots[key] = _pivot(code, key)
+            if position[a] < pivots[key]:
+                bit = 1 << r if modulus[a] < k else 0
+                chosen.append((a, bit, weight[a].__getitem__, pairing[r][t_of[a]]))
+        return chosen
+
+    def stabilized(mask, index):
+        stab = _first_minimum(code, table, index)
         stab = shared.setdefault(stab, stab)
-        t = tuple(map(t_of, index))
-        key = tuple(sum(map(mul, g, t)) % k for g in code.generators)
-        if key not in found:
-            found[key] = _reduce(code, t)
-        size = len(words) // len(stab)
-        covered += size
-        out.append(OrbitRecord(index, size, stab, found[key], min(values) // total, code))
+        masks[mask] = stab, len(words) // len(stab)
+        return masks[mask]
+
+    def character(pair, index):
+        key = tuple(pair // radix**s % radix % k for s in range(len(gens)))
+        if key not in by_key:
+            by_key[key] = _reduce(code, tuple(map(t_of.__getitem__, index)))
+        found[pair] = by_key[key]
+        return by_key[key]
+
+    def walk(r, mask, index, sums, pair):
+        step = options.get((r, mask))
+        if step is None:
+            step = options[r, mask] = take(r, mask)
+        if r + 1 < ell:
+            col = currents[r]
+            for a, bit, fused, paired in step:
+                walk(r + 1, mask | bit, index + (a,), list(map(add, sums, map(fused, col))), pair + paired)
+            return
+        # at the last slot only the smallest sum over the words with each
+        # last current matters
+        lows = [min(sums[cut]) for cut in cuts]
+        for a, bit, fused, paired in step:
+            here = index + (a,)
+            stab, size = masks.get(mask | bit) or stabilized(mask | bit, here)
+            chi = found.get(pair + paired) or character(pair + paired, here)
+            out.append(OrbitRecord(here, size, stab, chi, min(map(add, lows, map(fused, last))), code))
+
+    walk(0, 0, (), [0] * len(words), 0)
+    covered = sum(map(attrgetter("size"), out))
     if covered != total:
         raise VerificationError(
             f"orbit sizes add up to {covered}, not to the {total} labels"
         )
+    # every fusion entry against the class arithmetic the walk relies on
+    member = {(b, p): a for a, (b, p) in enumerate(zip(table.base, position))}
+    for p, row in enumerate(table.fuse):
+        for a, y in enumerate(row):
+            if y != member[table.base[a], (position[a] + p) % modulus[a]]:
+                raise VerificationError(
+                    f"the current {p} sends {table.names[a]} to {table.names[y]}, off its fusion class"
+                )
     return tuple(out)
+
+
+def _echelon(code: Code, moduli: tuple[int, ...]) -> list[list[int]]:
+    """The row Hermite basis (`cosets._hermite_rows`) of the lattice spanned
+    by the generators cut to the first r = len(moduli) slots and by the
+    moduli[s] e_s: r rows, row s with its pivot d_s in column s."""
+    r = len(moduli)
+    rows = [list(g[:r]) for g in code.generators]
+    rows += ([0] * s + [m] + [0] * (r - 1 - s) for s, m in enumerate(moduli))
+    return _hermite_rows(rows)
+
+
+def _pivot(code: Code, moduli: tuple[int, ...]) -> int:
+    """d_r for slot r = len(moduli): the last pivot of `_echelon`."""
+    return _echelon(code, moduli)[-1][-1]
+
+
+def _first_minimum(code: Code, table: LabelTable, index: tuple[int, ...]) -> tuple[Codeword, ...]:
+    """The stabilizer of the label `index`, from its |D| direct fusions and
+    checked by `_check_stabilizer`; VerificationError unless `index` is the
+    smallest of those fusions."""
+    rows, smallest, direct = table.fuse, index, []
+    for xi in code.words:
+        y = tuple(map(tuple.__getitem__, map(rows.__getitem__, xi), index))
+        if y == index:
+            direct.append(xi)
+        smallest = min(smallest, y)
+    stab = _check_stabilizer(code, [table.labels[a] for a in index], tuple(direct))
+    if smallest != index:
+        raise VerificationError(
+            f"orbit walk took {table.text(index)}, but its orbit holds {table.text(smallest)}"
+        )
+    return stab
 
 
 class Regime(Enum):
@@ -394,7 +488,14 @@ class InducedReport:
 
 
 def induced_decomposition(orbit: OrbitRecord) -> InducedReport:
-    """Split the induced module of an orbit of `orbit.code` into irreducibles.
+    """Split the induced module of an orbit of `orbit.code` into irreducibles,
+    as `stabilizer_regime` reads its stabilizer."""
+    return InducedReport(orbit, *stabilizer_regime(orbit.stabilizer, orbit.code.k))
+
+
+def stabilizer_regime(stab: tuple[Codeword, ...], k: int) -> tuple[Regime, int, int]:
+    """The regime, the number of irreducibles and their common multiplicity
+    of the module induced from an orbit at level k with stabilizer `stab`.
 
     Free orbits induce irreducibly.  At a fixed point the count depends on
     the level mod 4: for k = 0 (mod 4) the stabilizer order counts the
@@ -402,20 +503,15 @@ def induced_decomposition(orbit: OrbitRecord) -> InducedReport:
     to a binary code whose radical order counts the summands and the square
     root of the radical index is the common multiplicity.
     """
-    stab, k = orbit.stabilizer, orbit.code.k
     if len(stab) == 1:
-        regime, num, mult = Regime.FREE, 1, 1
-    else:
-        if k % 2:
-            raise VerificationError(
-                "internal inconsistency: nontrivial stabilizer at odd level"
-            )
-        if k % 4 == 0:
-            regime, num, mult = Regime.FIXED_K0MOD4, len(stab), 1
-        else:
-            regime = Regime.FIXED_K2MOD4
-            num, mult = radical_data(binary_reduce(stab, k))
-    return InducedReport(orbit, regime, num, mult)
+        return Regime.FREE, 1, 1
+    if k % 2:
+        raise VerificationError(
+            "internal inconsistency: nontrivial stabilizer at odd level"
+        )
+    if k % 4 == 0:
+        return Regime.FIXED_K0MOD4, len(stab), 1
+    return (Regime.FIXED_K2MOD4, *radical_data(binary_reduce(stab, k)))
 
 
 def twisted_counts(reports) -> Counter:
@@ -443,7 +539,9 @@ def characters(code: Code, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP) -> tup
     exactly |D| of them."""
     if orbit_list is None:
         orbit_list = orbits(code, cap)
-    out = tuple(sorted({orb.character for orb in orbit_list}))
+    # a walk shares one object per character: hash each object once
+    distinct = {id(orb.character): orb.character for orb in orbit_list}
+    out = tuple(sorted(set(distinct.values())))
     if len(out) != code.size:
         raise VerificationError(
             f"{len(out)} characters realized, expected {code.size}"
@@ -522,18 +620,20 @@ def caseB_modules(code: Code, cap: int = DEFAULT_ORBIT_CAP, induced=None) -> tup
 
     Only trivial-character orbits are processed: those are the ones carrying
     untwisted even-part modules.  Each unordered pair appears once.  A mate
-    is found on index tuples, with no member list: the minimum of the odd
-    row applied to the |D| fusions of the representative, where |D| is the
-    even part's size.  A caller holding the even part's induced
-    reports, in orbit order, passes them as `induced`; otherwise the even
-    part is swept under `cap` and its trivial-character orbits decomposed.
+    is found on index tuples, with no member list: the representative fused
+    with the odd word is reduced along the pivots of the even part's orbit
+    walk (`orbits`), one Hermite row per slot, to the smallest member of its
+    orbit.  A caller holding the even part's induced reports, in orbit
+    order, passes them as `induced`; otherwise the even part is walked under
+    `cap` and its trivial-character orbits decomposed.
     """
     even = even_part_code(code)
     if induced is None:
         induced = [induced_decomposition(o) for o in orbits(even, cap) if o.character.trivial]
     table = label_table(code.k)
-    row = tuple(table.fuse[p] for p in min(code.odd_part))
-    rows, get = _fusion_rows(even), tuple.__getitem__
+    fuse, base, position = table.fuse, table.base, table.position
+    odd = tuple(fuse[p] for p in min(code.odd_part))
+    bases: dict[tuple[int, ...], list[list[int]]] = {}  # moduli -> `_echelon`
     out = []
     mates = set()
     for report in induced:
@@ -542,7 +642,15 @@ def caseB_modules(code: Code, cap: int = DEFAULT_ORBIT_CAP, induced=None) -> tup
         # odd + odd is even: the odd coset pairs orbits, so a mate is not fused again
         if not orb.character.trivial or rep in mates:
             continue
-        mate = min(tuple(map(get, row, y)) for y in _images(rows, rep))
+        moduli = tuple(map(table.modulus.__getitem__, rep))
+        if moduli not in bases:
+            bases[moduli] = _echelon(even, moduli)
+        point = [position[row[a]] for row, a in zip(odd, rep)]
+        for r, row in enumerate(bases[moduli]):
+            q = point[r] // row[r]
+            if q:
+                point = [x - q * y for x, y in zip(point, row)]
+        mate = tuple(fuse[p][base[a]] for p, a in zip(point, rep))
         mates.add(mate)
         if mate != rep:
             verdict = Verdict.FUSED

@@ -11,6 +11,7 @@ denominator.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -215,35 +216,51 @@ def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None
         )
     basis = modules.even_part_code(code) if code.case is Case.B else code
     orbit_list = modules.orbits(basis, job.orbit_cap)
-    # one induced report per orbit, shared by the rows, counts and Case B records
-    induced = [modules.induced_decomposition(orb) for orb in orbit_list]
     table = modules.label_table(basis.k)
     # rows are rendered from index tuples: one string per factor label (the
-    # table's), one per character (keyed by identity: the records hold each
-    # shared Character meanwhile) and one per distinct weight numerator
-    weights, characters = _Texts(lambda num: rat(Fraction(num, table.weight_den))), {}
-    rows = []
-    for rep in induced:
-        orb, chi = rep.orbit, id(rep.orbit.character)
+    # table's) and one per distinct weight numerator.  The records share
+    # their stabilizer and character objects, so the regime triple is read
+    # once per stabilizer, and each character's text, irreducible count and
+    # triviality are kept once per object, keyed by identity
+    weights = _Texts(lambda num: rat(Fraction(num, table.weight_den)))
+    regimes: dict[int, tuple] = {}  # id -> (Regime, num_irreducibles, multiplicity)
+    chis: dict[int, list] = {}  # id -> [Character, text, count, trivial]
+    case_b_code = code.case is Case.B
+    rows, induced = [], []
+    for orb in orbit_list:
+        stab, chi = orb.stabilizer, orb.character
+        triple = regimes.get(id(stab))
+        if triple is None:
+            triple = regimes[id(stab)] = modules.stabilizer_regime(stab, basis.k)
+        regime, num, mult = triple
+        entry = chis.get(id(chi))
+        if entry is None:
+            entry = chis[id(chi)] = [chi, str(chi), 0, chi.trivial]
+        entry[2] += num
         rows.append(
             {
                 "representative": table.text(orb.index),
                 "size": orb.size,
-                "stabilizer_order": len(orb.stabilizer),
-                "character": characters.get(chi) or characters.setdefault(chi, str(orb.character)),
+                "stabilizer_order": len(stab),
+                "character": entry[1],
                 "min_weight": weights[orb.weight],
-                "regime": rep.regime.value,
-                "num_irreducibles": rep.num_irreducibles,
-                "multiplicity": rep.multiplicity,
+                "regime": regime.value,
+                "num_irreducibles": num,
+                "multiplicity": mult,
             }
         )
-    totals = modules.twisted_counts(induced)
+        # only the trivial-character orbits reach `caseB_modules`
+        if case_b_code and entry[3]:
+            induced.append(modules.InducedReport(orb, regime, num, mult))
+    totals = Counter()
+    for chi, _, count, _ in chis.values():
+        totals[chi] += count
     counts = [
         {"character": str(chi), "count": totals[chi]}
         for chi in modules.characters(basis, orbit_list)
     ]
     case_b: list | None = None
-    if code.case is Case.B:
+    if case_b_code:
         case_b = [
             {
                 "pair": [str(rec.pair[0]), str(rec.pair[1])],

@@ -170,8 +170,8 @@ def test_orbits_trivial_code():
     ids=["k4", "k6", "k6-even-part"],
 )
 def test_orbits_fuse_each_orbit_once(monkeypatch, code):
-    # |D| fusions build each orbit and |D| more test its stabilizer; the
-    # sweep never rebuilds an orbit from a label it has already seen
+    # the walk visits no label twice, and fuses directly only the first
+    # orbit minimum of each half mask
     calls = 0
     real = modules.fuse
 
@@ -230,8 +230,9 @@ def corrupt_fuse(monkeypatch, k, p, a, b):
 
 
 def test_orbits_catch_a_corrupted_fusion_entry_at_odd_level(monkeypatch):
-    # at odd k the sweep compares each stabilizer with the zero word alone;
-    # a current fixing (1,0) must still reach the full check, which names it
+    # at odd k every label has the empty half mask, so the walk fuses only
+    # the first minimum, (1,0); a current fixing it must reach the full
+    # check, which names it
     a = modules.label_table(3).labels.index(pf_canonicalize(3, 1, 0))
     corrupt_fuse(monkeypatch, 3, 1, a, a)
     with pytest.raises(VerificationError, match=r"direct fusion at \(1,0\)$"):
@@ -239,14 +240,23 @@ def test_orbits_catch_a_corrupted_fusion_entry_at_odd_level(monkeypatch):
 
 
 def test_orbits_catch_orbit_sizes_that_miss_the_label_count(monkeypatch):
-    # the current 2 sends (1,0) to (2,0), not (2,1): every stabilizer is
-    # still the zero word, but (2,1) is left over and starts a second orbit
-    # of size 3, so the sizes add up to 9 over 6 labels
+    # the walk's sizes rest on its pivots: with d_1 = 2 instead of 1, it
+    # takes two labels of each of the two classes of size 3, so the sizes
+    # add up to 12 over 6 labels
+    real = modules._pivot
+    monkeypatch.setattr(modules, "_pivot", lambda code, moduli: real(code, moduli) + 1)
+    with pytest.raises(VerificationError, match="^orbit sizes add up to 12, not to the 6 labels$"):
+        orbits(span([(1,)], 3, 1))
+
+
+def test_orbits_catch_a_fusion_entry_off_its_class(monkeypatch):
+    # the current 2 sends (1,0) to (2,0), not (2,1): no stabilizer and no
+    # orbit minimum changes, but the entry breaks the class arithmetic
     table = modules.label_table(3)
     a, b, c = (table.labels.index(pf_canonicalize(3, *f)) for f in ((1, 0), (2, 0), (2, 1)))
     assert table.fuse[2][a] == c
     corrupt_fuse(monkeypatch, 3, 2, a, b)
-    with pytest.raises(VerificationError, match="^orbit sizes add up to 9, not to the 6 labels$"):
+    with pytest.raises(VerificationError, match=r"^the current 2 sends \(1,0\) to \(2,0\), off its fusion class$"):
         orbits(span([(1,)], 3, 1))
 
 
@@ -255,29 +265,38 @@ def test_orbit_cap():
         orbits(span([(2,)], 4, 1), cap=5)
 
 
-def test_dual_cap_trips_before_the_seen_map_is_allocated(monkeypatch):
-    # at k**ell > 10**6 a raised --orbit-cap lets the label space through,
-    # and the n**ell-byte seen map must not be filled before the dual cap trips
-    allocated = []
+def test_caps_trip_before_the_walk_starts(monkeypatch):
+    # the label-space cap, then the dual cap, trip before any pivot, walk
+    # node or record is built
+    built = Counter()
 
-    def recording_bytearray(n):
-        allocated.append(n)
-        return bytearray(n)
+    def record(name):
+        real = getattr(modules, name)
+
+        def recorded(*args):
+            built[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(modules, name, recorded)
+
+    record("_pivot")
+    record("OrbitRecord")
+    code = span([], 2, 3)
+    assert len(orbits(code)) == 27
+    # one pivot per prefix of moduli: 2 + 4 + 8 at k = 2, ell = 3
+    assert built == {"_pivot": 14, "OrbitRecord": 27}
+    built.clear()
 
     def over_cap(code):
         raise CapExceededError("dual enumeration of size 1048576 exceeds the cap of 1000000")
 
-    monkeypatch.setattr(modules, "bytearray", recording_bytearray, raising=False)
-    code = span([], 2, 3)
-    orbits(code)
-    assert allocated == [27]
     monkeypatch.setattr(modules, "_dual_words", over_cap)
     with pytest.raises(CapExceededError, match="^dual enumeration"):
         orbits(code)
-    assert allocated == [27]
     # the label-space cap still trips first, with its own message
     with pytest.raises(CapExceededError, match="^label space of size 27 exceeds the cap of 26$"):
         orbits(code, cap=26)
+    assert not built
 
 
 def test_orbit_records_hold_index_tuples():
@@ -309,6 +328,28 @@ def test_label_table_text_matches_label_str(k, ell):
     table = modules.label_table(k)
     for index in product(range(len(table.labels)), repeat=ell):
         assert table.text(index) == str(table.label(index))
+
+
+def test_walk_memory_stays_below_the_label_count():
+    # the seen map of the label sweep took n**ell bytes; the walk keeps the
+    # records and |D| running sums per slot.  Orbit count times |D| is at
+    # least n**ell, so a code whose few orbits are large shows the
+    # difference: Z_3^9 has 2^9 orbits, |D| = 3^9, and 6^9 labels, past the
+    # default cap
+    ell = 9
+    code = span([tuple(int(r == s) for r in range(ell)) for s in range(ell)], 3, ell)
+    total = modules.label_space_size(3, ell, cap=10**8)
+    assert total > modules.DEFAULT_ORBIT_CAP
+    modules.label_table(3)
+    modules._dual_words(code)
+    tracemalloc.start()
+    try:
+        orbs = orbits(code, cap=total)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(orbs) == 2**ell
+    assert peak < total
 
 
 def test_census_peak_memory_is_bounded():

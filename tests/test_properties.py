@@ -4,9 +4,11 @@ The example-based suites pin exact values; these tests draw random labels
 and codes and check the algebraic identities that must hold everywhere:
 canonical forms are idempotent, group laws agree with vector arithmetic,
 closed-form norms agree with the search oracle, and the monodromy pairing
-is biadditive and consistent with conformal weights.  The integer orbit
-sweep is compared with two references on frozen dataclasses: the sweep it
-replaced, and an enumerator that rebuilds the orbit of every label.  The
+is biadditive and consistent with conformal weights.  The orbit walk is
+compared with three references: the integer seen-map sweep it replaced,
+the sweep on frozen dataclasses before that, and an enumerator that
+rebuilds the orbit of every label; its Case B mates with the smallest
+fusion of each pair.  The
 integer label table behind the realization and extension-monodromy suites is
 compared with the public per-label functions, and the slot fold with
 enumeration of every index tuple, on one-residue states and on the
@@ -15,6 +17,7 @@ several-residue states of the realization predicate.
 
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -34,11 +37,14 @@ from pfkit.cosets import (
 )
 from pfkit.modules import (
     DEFAULT_ORBIT_CAP,
+    OrbitRecord,
     all_irr_labels,
     b_ext,
+    caseB_modules,
     character_of,
     even_part_code,
     fuse,
+    label_space_size,
     label_table,
     orbits,
     realize,
@@ -165,6 +171,39 @@ def orbits_by_dataclass(code, cap=DEFAULT_ORBIT_CAP):
     return out
 
 
+def orbits_by_seen_map(code, cap=DEFAULT_ORBIT_CAP):
+    """Reference census: the integer label sweep the orbit walk replaced.
+    One pass over the index tuples in label order with an n**ell-byte seen
+    map; each unseen index starts an orbit, and its |D| fusions mark the
+    orbit seen and give its stabilizer and minimum weight numerator."""
+    k, ell = code.k, code.ell
+    total = label_space_size(k, ell, cap)
+    table = label_table(k)
+    n = len(table.labels)
+    seen = bytearray(total)
+    radix = [n ** (ell - 1 - r) for r in range(ell)]
+    found, shared, out = {}, {}, []
+    for pos, index in enumerate(product(range(n), repeat=ell)):
+        if seen[pos]:
+            continue
+        stab, weights = [], []
+        for xi in code.words:
+            image = tuple(table.fuse[p][a] for p, a in zip(xi, index))
+            at = sum(map(mul, radix, image))
+            seen[at] = 1
+            if at == pos:
+                stab.append(xi)
+            weights.append(sum(table.weight[a] for a in image))
+        stab = shared.setdefault(tuple(stab), tuple(stab))
+        t = tuple(table.t[a] for a in index)
+        key = tuple(sum(map(mul, g, t)) % k for g in code.generators)
+        if key not in found:
+            found[key] = character_of(table.label(index), code)
+        out.append(OrbitRecord(index, code.size // len(stab), stab, found[key], min(weights), code))
+    assert sum(o.size for o in out) == total
+    return tuple(out)
+
+
 def assert_census_matches_reference(code):
     orbs = orbits(code)
     got = [(o.members, o.stabilizer, o.character, o.min_weight) for o in orbs]
@@ -179,6 +218,28 @@ def assert_census_matches_reference(code):
         assert orb.indices == tuple(sorted(tuple(map(position.__getitem__, y.factors)) for y in members))
 
 
+@st.composite
+def walk_codes(draw):
+    """Codes up to level 12, with at most about 10^4 labels."""
+    k = draw(st.integers(2, 12))
+    ell = draw(st.integers(1, 4 if k <= 4 else 3 if k <= 6 else 2))
+    rows = draw(st.integers(0, 2))
+    gens = tuple(
+        tuple(draw(st.integers(0, k - 1)) for _ in range(ell))
+        for _ in range(rows)
+    )
+    return span(gens, k, ell)
+
+
+def assert_mates_match_minimum(code):
+    """Each Case B mate is the smallest even-part fusion of the
+    representative fused with the odd word."""
+    even, odd = even_part_code(code), min(code.odd_part)
+    for rec in caseB_modules(code):
+        rep, mate = rec.pair
+        assert mate == min(fuse(xi, fuse(odd, rep)) for xi in even.words)
+
+
 class TestOrbitSweep:
     @settings(max_examples=40, deadline=None)
     @given(census_codes())
@@ -188,6 +249,52 @@ class TestOrbitSweep:
             even = even_part_code(code)
             assert set(even.words) == set(code.even_part)
             assert_census_matches_reference(even)
+
+    @settings(max_examples=150, deadline=None)
+    @given(walk_codes())
+    def test_walk_matches_the_seen_map_sweep(self, code):
+        assert orbits(code) == orbits_by_seen_map(code)
+        if code.case is Case.B:
+            even = even_part_code(code)
+            assert orbits(even) == orbits_by_seen_map(even)
+            assert_mates_match_minimum(code)
+
+    @pytest.mark.parametrize(
+        "gens,k,ell",
+        [
+            ([(1,)], 2, 1),
+            ([(1, 1)], 4, 2),
+            ([(3,)], 6, 1),
+            ([(1, 1, 1)], 6, 3),
+            ([(3, 3, 0), (0, 3, 3), (1, 1, 1)], 6, 3),
+            ([(2, 2, 0), (0, 0, 2)], 8, 3),
+            ([(2, 2, 2)], 8, 3),
+            ([(5,)], 10, 1),
+        ],
+    )
+    def test_mates_match_minimum_on_case_b_codes(self, gens, k, ell):
+        code = span(gens, k, ell)
+        assert code.case is Case.B
+        assert_mates_match_minimum(code)
+
+    @pytest.mark.parametrize("k", range(2, 41))
+    def test_label_order_is_position_order_in_each_class(self, k):
+        # the fact the walk rests on: the currents act on each fusion class
+        # by shifting positions mod the class size, k or k/2, and within a
+        # class label order is position order
+        table = label_table(k)
+        classes = {}
+        for a, b in enumerate(table.base):
+            classes.setdefault(b, []).append(a)
+        for b, members in classes.items():
+            m = len(members)
+            half = k % 2 == 0 and table.labels[b].i == k // 2
+            assert m == (k // 2 if half else k)
+            assert [table.position[a] for a in members] == list(range(m))
+            for a in members:
+                assert table.modulus[a] == m
+                for p in range(k):
+                    assert table.fuse[p][a] == members[(table.position[a] + p) % m]
 
     @pytest.mark.parametrize(
         "code",

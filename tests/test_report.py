@@ -817,12 +817,8 @@ class TestCli:
                 "exhaustive norm search rank 13 exceeds the cap of 12",
             ),
             ("--k 10 --ell 1 --analysis verify", "verification level 10 exceeds the cap of 8"),
-            # 3^39 < 2^63 - 1 < 3^41: the seen map's 3^39 bytes cannot be allocated
-            (
-                f"--k 2 --ell 39 --analysis modules --orbit-cap {10**200}",
-                f"label space of size {3**39} does not fit in memory",
-            ),
-            # ... but 2^39 > 10^6 dual words trip their cap before it is tried
+            # 3^39 < 2^63 - 1 < 3^41: the label space passes a raised cap,
+            # and 2^39 > 10^6 dual words trip their cap before the walk
             (
                 f"--k 2 --ell 39 --analysis modules --orbit-cap {10**200}",
                 f"dual enumeration of size {2**39} exceeds the cap of 1000000",
@@ -839,17 +835,30 @@ class TestCli:
             "branch-rank",
             "search-rank",
             "verify-level",
-            "label-space-memory",
             "dual-enumeration",
             "label-space-index-range",
         ],
     )
-    def test_each_cap_exits_four_and_names_itself(self, capsys, monkeypatch, argv, message):
-        if message.endswith("does not fit in memory"):
-            # pass the dual-enumeration cap, which trips before the seen map
-            monkeypatch.setattr(modules, "_dual_words", lambda code: ())
+    def test_each_cap_exits_four_and_names_itself(self, capsys, argv, message):
         assert main(argv.split()) == 4
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_a_wrong_walk_pivot_exits_five_and_prints_nothing(self, capsys, monkeypatch, shift):
+        # a pivot off by one at the last slot takes labels that are not
+        # orbit minima, or leaves minima out; the size sum names the gap
+        real = modules._pivot
+
+        def wrong(code, moduli):
+            d = real(code, moduli)
+            return d + shift if len(moduli) == code.ell and d > 1 else d
+
+        monkeypatch.setattr(modules, "_pivot", wrong)
+        argv = "--k 4 --ell 2 --gen 2,2 --analysis modules"
+        assert main(argv.split()) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: orbit sizes add up to ") and err.endswith(", not to the 100 labels\n")
 
     def test_verification_error_mid_analysis_exits_five(self, capsys, monkeypatch):
         from pfkit.errors import VerificationError

@@ -457,7 +457,7 @@ def count_calls(monkeypatch, module, name):
             lambda: caseB_modules(span([(5, 0)], 10, 2)),
             0,
         ),
-        # the sweep checks each stabilizer on the factor labels: no label
+        # the walk checks each half mask's stabilizer on the factor labels: no label
         (
             pfkit.modules.LabelTable,
             "label",
