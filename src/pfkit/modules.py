@@ -14,7 +14,6 @@ verdict: Fused, Split, or Indeterminate.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -236,11 +235,11 @@ def _check_stabilizer(code: Code, factors, direct: tuple[Codeword, ...]) -> tupl
     """`direct`, checked against the closed criterion (a nonzero word fixes
     the label of `factors` iff k is even, its entries are 0 or k/2, and each
     k/2 sits on a factor with first index k/2); a mismatch raises VerificationError."""
-    half = code.k // 2
+    k = code.k
     criterion = tuple(
         xi
-        for xi in _half_words(code)
-        if all(p == 0 or half == f.i for p, f in zip(xi, factors))
+        for xi in code.words
+        if all(p == 0 or 2 * p == k == 2 * f.i for p, f in zip(xi, factors))
     )
     if direct != criterion:
         x = IrrLabel(code.k, tuple(factors))
@@ -250,26 +249,19 @@ def _check_stabilizer(code: Code, factors, direct: tuple[Codeword, ...]) -> tupl
     return direct
 
 
-@lru_cache(maxsize=8)
-def _half_words(code: Code) -> tuple[Codeword, ...]:
-    """The codewords with every entry 0 or k/2, in code order; at odd k only
-    the zero word."""
-    allowed = {0, code.k // 2} if code.k % 2 == 0 else {0}
-    return tuple(xi for xi in code.words if allowed.issuperset(xi))
-
-
 @dataclass(frozen=True)
 class OrbitRecord:
     """One fusion orbit, in constant size: the representative (the smallest
     member) as a `label_table(code.k)` index tuple, the orbit size
-    |D| // |Stab|, the stabilizer (one tuple object per distinct stabilizer
-    of a walk), the character, the minimum constituent weight's numerator
-    over `label_table(code.k).weight_den` (a lower bound for any twisted
-    grading), and the acting code, shared by every record of a walk.
+    |D| // |Stab|, the stabilizer (one tuple object per half mask of a
+    walk), the character (one object per character of a walk), the minimum
+    constituent weight's numerator over `label_table(code.k).weight_den` (a
+    lower bound for any twisted grading), and the acting code, shared by
+    every record of a walk.
 
     `indices` and `members` recompute the sorted orbit from the |D| integer
-    fusions of the representative; `representative` and `min_weight` build
-    their values on access."""
+    fusions of the representative (`_images`); `representative` and
+    `min_weight` build their values on access."""
 
     index: tuple[int, ...]
     size: int
@@ -280,7 +272,7 @@ class OrbitRecord:
 
     @property
     def indices(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(set(_images(_fusion_rows(self.code), self.index))))
+        return tuple(sorted(set(_images(self.code, self.index))))
 
     @property
     def members(self) -> tuple[IrrLabel, ...]:
@@ -295,22 +287,19 @@ class OrbitRecord:
         return Fraction(self.weight, label_table(self.code.k).weight_den)
 
 
-def _fusion_rows(code: Code) -> list[tuple[tuple[int, ...], ...]]:
-    """Per codeword, in code order, its per-slot rows of `label_table(k).fuse`."""
+def _images(code: Code, index: tuple[int, ...]):
+    """The |D| fusions of the label `index` by the codewords, in code order,
+    repeats kept, as index tuples of `label_table(code.k)`."""
     fuse = label_table(code.k).fuse
-    return [tuple(fuse[p] for p in xi) for xi in code.words]
-
-
-def _images(rows, index: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The fusions of a label's index tuple by the `_fusion_rows` `rows`, in
-    their order, repeats kept."""
-    return [tuple(map(tuple.__getitem__, row, index)) for row in rows]
+    for xi in code.words:
+        yield tuple(map(tuple.__getitem__, map(fuse.__getitem__, xi), index))
 
 
 def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
     """All fusion orbits, in order of their smallest member, as constant-size
     records; raises CapExceededError, before any label is visited, when the
-    label space or the dual enumeration exceeds its cap.
+    label space, the dual enumeration or the fusion table (k entries per
+    factor label) exceeds its cap.
 
     A current fuses each factor within its fusion class (`LabelTable`), by
     adding xi_r to slot r's position mod m_r, the class modulus.  So the
@@ -327,7 +316,8 @@ def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
     (the closed criterion of `_check_stabilizer`): it and the size
     |D| // |Stab| are found once per mask, at its first minimum, from that
     label's |D| direct fusions, which `_check_stabilizer` checks and which
-    must not hold a smaller label.  Along the walk |D| running sums give
+    must not hold a smaller label; the records of a mask share one
+    stabilizer tuple.  Along the walk |D| running sums give
     the weight numerators of the fused labels, and the record keeps their
     minimum: at the last slot, the smallest sum over the words with each
     last current is enough.  One running sum packs the pairings of the
@@ -339,6 +329,7 @@ def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
     k, ell = code.k, code.ell
     total = label_space_size(k, ell, cap)
     _dual_words(code)
+    check_cap("fusion table of size", k * irr_count(k), cap)
     table = label_table(k)
     n, words, gens = len(table.labels), code.words, code.generators
     position, modulus, t_of = table.position, table.modulus, table.t
@@ -357,10 +348,8 @@ def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
         [sum(g[r] * t % k * radix**s for s, g in enumerate(gens)) for t in range(k)]
         for r in range(ell)
     ]
-    pivots: dict[tuple[int, ...], int] = {}
     options: dict[tuple[int, int], list[tuple]] = {}  # (slot, mask) -> `take`
     masks: dict[int, tuple[tuple[Codeword, ...], int]] = {}  # -> stabilizer, size
-    shared: dict[tuple[Codeword, ...], tuple[Codeword, ...]] = {}
     found: dict[int, Character] = {}  # packed pairing -> character
     by_key: dict[tuple[int, ...], Character] = {}
     out: list[OrbitRecord] = []
@@ -369,19 +358,17 @@ def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
         """The labels a walk with this half mask takes at slot r: each with
         the mask bit it sets, its row of fused weights and its pairings."""
         moduli = tuple(k // 2 if mask >> s & 1 else k for s in range(r))
+        # (slot, mask) gives the prefix of moduli: one pivot per class modulus
+        pivot = {m: _pivot(code, moduli + (m,)) for m in set(modulus)}
         chosen = []
         for a in range(n):
-            key = moduli + (modulus[a],)
-            if key not in pivots:
-                pivots[key] = _pivot(code, key)
-            if position[a] < pivots[key]:
+            if position[a] < pivot[modulus[a]]:
                 bit = 1 << r if modulus[a] < k else 0
                 chosen.append((a, bit, weight[a].__getitem__, pairing[r][t_of[a]]))
         return chosen
 
     def stabilized(mask, index):
         stab = _first_minimum(code, table, index)
-        stab = shared.setdefault(stab, stab)
         masks[mask] = stab, len(words) // len(stab)
         return masks[mask]
 
@@ -446,9 +433,8 @@ def _first_minimum(code: Code, table: LabelTable, index: tuple[int, ...]) -> tup
     """The stabilizer of the label `index`, from its |D| direct fusions and
     checked by `_check_stabilizer`; VerificationError unless `index` is the
     smallest of those fusions."""
-    rows, smallest, direct = table.fuse, index, []
-    for xi in code.words:
-        y = tuple(map(tuple.__getitem__, map(rows.__getitem__, xi), index))
+    smallest, direct = index, []
+    for xi, y in zip(code.words, _images(code, index)):
         if y == index:
             direct.append(xi)
         smallest = min(smallest, y)
@@ -514,24 +500,17 @@ def stabilizer_regime(stab: tuple[Codeword, ...], k: int) -> tuple[Regime, int, 
     return (Regime.FIXED_K2MOD4, *radical_data(binary_reduce(stab, k)))
 
 
-def twisted_counts(reports) -> Counter:
-    """Per character, the sum of `num_irreducibles` over the induced reports."""
-    totals: Counter = Counter()
-    for rep in reports:
-        totals[rep.orbit.character] += rep.num_irreducibles
-    return totals
-
-
 def count_twisted(code: Code, chi, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP) -> int:
     """Number of inequivalent irreducible chi-twisted modules of the
     extension, for a character given as a residue word mod the dual code:
-    its `twisted_counts` entry, at least 1 as every character is realized."""
+    the `stabilizer_regime` irreducible counts summed over the orbits of
+    `orbit_list` (or of a walk under `cap`) with that character, at least 1
+    as every character is realized."""
     word = chi.rep if isinstance(chi, Character) else tuple(int(c) % code.k for c in chi)
     chi = _reduce(code, check_word(word, code.k, code.ell))
     if orbit_list is None:
         orbit_list = orbits(code, cap)
-    mine = (induced_decomposition(o) for o in orbit_list if o.character == chi)
-    return twisted_counts(mine)[chi]
+    return sum(stabilizer_regime(o.stabilizer, code.k)[1] for o in orbit_list if o.character == chi)
 
 
 def characters(code: Code, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP) -> tuple[Character, ...]:
@@ -606,7 +585,7 @@ def even_part_code(code: Code) -> Code:
     return even
 
 
-def caseB_modules(code: Code, cap: int = DEFAULT_ORBIT_CAP, induced=None) -> tuple[CaseBRecord, ...]:
+def caseB_modules(code: Code, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP) -> tuple[CaseBRecord, ...]:
     """Pair up the even-part modules under the odd coset and report verdicts.
 
     Every irreducible module of the superalgebra restricts to the even part
@@ -623,21 +602,20 @@ def caseB_modules(code: Code, cap: int = DEFAULT_ORBIT_CAP, induced=None) -> tup
     is found on index tuples, with no member list: the representative fused
     with the odd word is reduced along the pivots of the even part's orbit
     walk (`orbits`), one Hermite row per slot, to the smallest member of its
-    orbit.  A caller holding the even part's induced reports, in orbit
-    order, passes them as `induced`; otherwise the even part is walked under
-    `cap` and its trivial-character orbits decomposed.
+    orbit.  `orbit_list` holds the even part's orbit records, in orbit
+    order; without it the even part is walked under `cap`.  Each record
+    emitted carries its orbit's `induced_decomposition`.
     """
     even = even_part_code(code)
-    if induced is None:
-        induced = [induced_decomposition(o) for o in orbits(even, cap) if o.character.trivial]
+    if orbit_list is None:
+        orbit_list = orbits(even, cap)
     table = label_table(code.k)
     fuse, base, position = table.fuse, table.base, table.position
     odd = tuple(fuse[p] for p in min(code.odd_part))
     bases: dict[tuple[int, ...], list[list[int]]] = {}  # moduli -> `_echelon`
     out = []
     mates = set()
-    for report in induced:
-        orb = report.orbit
+    for orb in orbit_list:
         rep = orb.index
         # odd + odd is even: the odd coset pairs orbits, so a mate is not fused again
         if not orb.character.trivial or rep in mates:
@@ -658,5 +636,5 @@ def caseB_modules(code: Code, cap: int = DEFAULT_ORBIT_CAP, induced=None) -> tup
             verdict = Verdict.SPLIT
         else:
             verdict = Verdict.INDETERMINATE
-        out.append(CaseBRecord((table.label(rep), table.label(mate)), report, verdict))
+        out.append(CaseBRecord((table.label(rep), table.label(mate)), induced_decomposition(orb), verdict))
     return tuple(out)

@@ -220,13 +220,12 @@ def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None
     # rows are rendered from index tuples: one string per factor label (the
     # table's) and one per distinct weight numerator.  The records share
     # their stabilizer and character objects, so the regime triple is read
-    # once per stabilizer, and each character's text, irreducible count and
-    # triviality are kept once per object, keyed by identity
+    # once per stabilizer object, and each character's text and irreducible
+    # count are kept once per object, keyed by identity
     weights = _Texts(lambda num: rat(Fraction(num, table.weight_den)))
     regimes: dict[int, tuple] = {}  # id -> (Regime, num_irreducibles, multiplicity)
-    chis: dict[int, list] = {}  # id -> [Character, text, count, trivial]
-    case_b_code = code.case is Case.B
-    rows, induced = [], []
+    chis: dict[int, list] = {}  # id -> [Character, text, count]
+    rows = []
     for orb in orbit_list:
         stab, chi = orb.stabilizer, orb.character
         triple = regimes.get(id(stab))
@@ -235,7 +234,7 @@ def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None
         regime, num, mult = triple
         entry = chis.get(id(chi))
         if entry is None:
-            entry = chis[id(chi)] = [chi, str(chi), 0, chi.trivial]
+            entry = chis[id(chi)] = [chi, str(chi), 0]
         entry[2] += num
         rows.append(
             {
@@ -249,18 +248,15 @@ def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None
                 "multiplicity": mult,
             }
         )
-        # only the trivial-character orbits reach `caseB_modules`
-        if case_b_code and entry[3]:
-            induced.append(modules.InducedReport(orb, regime, num, mult))
     totals = Counter()
-    for chi, _, count, _ in chis.values():
+    for chi, _, count in chis.values():
         totals[chi] += count
     counts = [
         {"character": str(chi), "count": totals[chi]}
         for chi in modules.characters(basis, orbit_list)
     ]
     case_b: list | None = None
-    if case_b_code:
+    if code.case is Case.B:
         case_b = [
             {
                 "pair": [str(rec.pair[0]), str(rec.pair[1])],
@@ -269,7 +265,7 @@ def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None
                 "num_irreducibles": rec.induced.num_irreducibles,
                 "multiplicity": rec.induced.multiplicity,
             }
-            for rec in modules.caseB_modules(code, job.orbit_cap, induced)
+            for rec in modules.caseB_modules(code, orbit_list)
         ]
     scope = "even_part" if code.case is Case.B else "code"
     return (

@@ -42,6 +42,8 @@ from pfkit.modules import (
     b_ext,
     caseB_modules,
     character_of,
+    characters,
+    count_twisted,
     even_part_code,
     fuse,
     label_space_size,
@@ -63,6 +65,7 @@ from pfkit.parafermion import (
     theta_act,
     vacuum,
 )
+from pfkit.report import JobSpec, run
 from pfkit.verify import (
     _first_failing,
     _monodromy_rows,
@@ -276,6 +279,26 @@ class TestOrbitSweep:
         code = span(gens, k, ell)
         assert code.case is Case.B
         assert_mates_match_minimum(code)
+
+    @settings(max_examples=60, deadline=None)
+    @given(walk_codes().filter(lambda code: code.case is not Case.UNSUPPORTED))
+    def test_report_counts_match_count_twisted(self, code):
+        # the report tallies each character's irreducibles in its one pass
+        # over the records; `count_twisted` sums them per character
+        basis = even_part_code(code) if code.case is Case.B else code
+        orbit_list = orbits(basis)
+        job = JobSpec(k=code.k, ell=code.ell, generators=code.generators, analyses=("modules",))
+        want = [
+            {"character": str(chi), "count": count_twisted(basis, chi, orbit_list)}
+            for chi in characters(basis, orbit_list)
+        ]
+        assert run(job)["counts"]["rows"] == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(walk_codes().filter(lambda code: code.case is Case.B))
+    def test_case_b_pairing_from_records_matches_its_own_walk(self, code):
+        records = orbits(even_part_code(code))
+        assert caseB_modules(code, records) == caseB_modules(code)
 
     @pytest.mark.parametrize("k", range(2, 41))
     def test_label_order_is_position_order_in_each_class(self, k):

@@ -176,6 +176,20 @@ class TestRunSchema:
             for rec in alone
         ]
 
+    def test_case_b_builds_one_induced_report_per_pairing_row(self, monkeypatch):
+        # the report hands the even part's records to `caseB_modules`, which
+        # decomposes only the orbits it pairs: 1,650 of the 3,025 here
+        built = []
+        real = modules.InducedReport
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(modules, "InducedReport", counted)
+        report = run(JobSpec(k=10, ell=2, generators=((5, 0),), analyses=("modules",)))
+        assert 0 < len(built) <= len(report["case_b"]) == 1650
+
     def test_verify_section_and_gate(self):
         report = run(JobSpec(k=3, ell=1, analyses=("verify",)))
         assert report["verify"], "verify section should not be empty"
@@ -842,6 +856,18 @@ class TestCli:
     def test_each_cap_exits_four_and_names_itself(self, capsys, argv, message):
         assert main(argv.split()) == 4
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_fusion_table_cap_trips_before_the_label_table(self, capsys, monkeypatch):
+        # at ell = 1 the label space passes the default cap up to k = 4,471,
+        # but the k * k(k + 1)/2 fusion entries trip it from k = 272
+        def unbuilt(k):
+            raise AssertionError(f"label table of level {k} built")
+
+        monkeypatch.setattr(modules, "label_table", unbuilt)
+        assert main("--k 300 --ell 1 --analysis modules".split()) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: fusion table of size 13545000 exceeds the cap of 10000000\n"
 
     @pytest.mark.parametrize("shift", [1, -1])
     def test_a_wrong_walk_pivot_exits_five_and_prints_nothing(self, capsys, monkeypatch, shift):
