@@ -33,6 +33,7 @@ from .parafermion import (
     PfLabel,
     all_labels,
     irr_count,
+    pf_fixed,
     pf_weight,
     presentations,
     sc_fuse,
@@ -134,12 +135,12 @@ class LabelTable:
     `tail[a]` the realization tail (eta, d) used by `realize`, and
     `names[a]` the text of `labels[a]`.
 
-    The currents split the factors into fusion classes: `base[a]` is the
-    smallest factor of a's class, `position[a]` the p < `modulus[a]` with
-    `fuse[p][base[a]] == a`, and `modulus[a]` the class size, k, or k/2 on
-    the half class i = k/2.  So `fuse[p][a]` has position
-    (position[a] + p) % modulus[a], and within a class label order is
-    position order.
+    The currents split the factors into fusion classes by a closed rule: for
+    i' = k - i if 2i > k, else i, factor (i, j) lies in the class of (i', 0)
+    (`base`, its smallest factor; (k, 0) if i' = 0) at `position`
+    j + (k - i if 2i > k else 0), and the class size `modulus` is k/2 if
+    2i = k, else k.  `orbits` checks that `fuse[p][a]` has position
+    (position[a] + p) % modulus[a]; in a class, label order is position order.
     """
 
     k: int
@@ -172,7 +173,7 @@ def label_table(k: int) -> LabelTable:
     index = {f: a for a, f in enumerate(labels)}
     den = 2 * k * (k + 2)
     fuse = tuple(tuple(index[sc_fuse(p, f)] for f in labels) for p in range(k))
-    base = tuple(min(row[a] for row in fuse) for a in range(len(labels)))
+    turn = [k - f.i if 2 * f.i > k else 0 for f in labels]  # p from (i', 0) to (i, 0)
     return LabelTable(
         k,
         labels,
@@ -181,9 +182,9 @@ def label_table(k: int) -> LabelTable:
         tuple(check_numerator(pf_weight(k, f.i, f.j), den) for f in labels),
         tuple(_tail(f) for f in labels),
         tuple(map(str, labels)),
-        base,
-        tuple(next(p for p, row in enumerate(fuse) if row[b] == a) for a, b in enumerate(base)),
-        tuple(len({row[a] for row in fuse}) for a in range(len(labels))),
+        tuple(index[PfLabel(k, t or f.i, 0)] for f, t in zip(labels, turn)),
+        tuple(f.j + t for f, t in zip(labels, turn)),
+        tuple(k // 2 if 2 * f.i == k else k for f in labels),
     )
 
 
@@ -232,15 +233,9 @@ def stabilizer(x: IrrLabel, code: Code) -> tuple[Codeword, ...]:
 
 
 def _check_stabilizer(code: Code, factors, direct: tuple[Codeword, ...]) -> tuple[Codeword, ...]:
-    """`direct`, checked against the closed criterion (a nonzero word fixes
-    the label of `factors` iff k is even, its entries are 0 or k/2, and each
-    k/2 sits on a factor with first index k/2); a mismatch raises VerificationError."""
-    k = code.k
-    criterion = tuple(
-        xi
-        for xi in code.words
-        if all(p == 0 or 2 * p == k == 2 * f.i for p, f in zip(xi, factors))
-    )
+    """`direct`, checked against the words whose every entry fixes its factor
+    by `parafermion.pf_fixed`; a mismatch raises VerificationError."""
+    criterion = tuple(xi for xi in code.words if all(map(pf_fixed, xi, factors)))
     if direct != criterion:
         x = IrrLabel(code.k, tuple(factors))
         raise VerificationError(
@@ -313,7 +308,7 @@ def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
     order; no other label is visited.
 
     The stabilizer is a function of the mask of slots in the half class
-    (the closed criterion of `_check_stabilizer`): it and the size
+    (by `pf_fixed`, the criterion of `_check_stabilizer`): it and the size
     |D| // |Stab| are found once per mask, at its first minimum, from that
     label's |D| direct fusions, which `_check_stabilizer` checks and which
     must not hold a smaller label; the records of a mask share one
@@ -323,9 +318,9 @@ def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
     last current is enough.  One running sum packs the pairings of the
     t-vector with the generators; labels pairing alike share a character,
     so `_reduce` runs <= |D| times.  After the walk the orbit sizes must
-    add up to the label count n**ell (orbit-stabilizer), and every fusion
-    entry must follow the class arithmetic, or VerificationError is
-    raised."""
+    add up to the label count n**ell (orbit-stabilizer), and every entry of
+    the `sc_fuse` table must follow the closed class rule of `LabelTable`,
+    or VerificationError is raised."""
     k, ell = code.k, code.ell
     total = label_space_size(k, ell, cap)
     _dual_words(code)
@@ -403,7 +398,7 @@ def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
         raise VerificationError(
             f"orbit sizes add up to {covered}, not to the {total} labels"
         )
-    # every fusion entry against the class arithmetic the walk relies on
+    # every `sc_fuse` entry against the closed class rule the walk relies on
     member = {(b, p): a for a, (b, p) in enumerate(zip(table.base, position))}
     for p, row in enumerate(table.fuse):
         for a, y in enumerate(row):
@@ -500,24 +495,38 @@ def stabilizer_regime(stab: tuple[Codeword, ...], k: int) -> tuple[Regime, int, 
     return (Regime.FIXED_K2MOD4, *radical_data(binary_reduce(stab, k)))
 
 
+def _records(code: Code, orbit_list, cap: int) -> tuple[OrbitRecord, ...]:
+    """`orbit_list` read once into a tuple, or a walk of `code` under `cap`
+    when it is None; InvalidInputError unless the records act by `code` and
+    their sizes add up to n**ell, as `orbits` checks after its walk."""
+    if orbit_list is None:
+        return orbits(code, cap)
+    records = tuple(orbit_list)
+    acting = {id(o.code): o.code for o in records}.values()  # one test per code object
+    if any((c.k, c.words) != (code.k, code.words) for c in acting):
+        raise InvalidInputError("the orbit records act by another code")
+    covered, total = sum(map(attrgetter("size"), records)), irr_count(code.k) ** code.ell
+    if covered != total:
+        raise InvalidInputError(f"orbit sizes add up to {covered}, not to the {total} labels")
+    return records
+
+
 def count_twisted(code: Code, chi, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP) -> int:
     """Number of inequivalent irreducible chi-twisted modules of the
     extension, for a character given as a residue word mod the dual code:
-    the `stabilizer_regime` irreducible counts summed over the orbits of
-    `orbit_list` (or of a walk under `cap`) with that character, at least 1
-    as every character is realized."""
+    the `stabilizer_regime` irreducible counts summed over the orbits with
+    that character, at least 1 as every character is realized.  The orbits
+    are `orbit_list`, the code's records, or a walk under `cap` (`_records`)."""
     word = chi.rep if isinstance(chi, Character) else tuple(int(c) % code.k for c in chi)
     chi = _reduce(code, check_word(word, code.k, code.ell))
-    if orbit_list is None:
-        orbit_list = orbits(code, cap)
+    orbit_list = _records(code, orbit_list, cap)
     return sum(stabilizer_regime(o.stabilizer, code.k)[1] for o in orbit_list if o.character == chi)
 
 
 def characters(code: Code, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP) -> tuple[Character, ...]:
-    """The distinct characters realized by orbits, sorted; there are
-    exactly |D| of them."""
-    if orbit_list is None:
-        orbit_list = orbits(code, cap)
+    """The distinct characters realized by the orbits (`_records`), sorted;
+    there are exactly |D| of them."""
+    orbit_list = _records(code, orbit_list, cap)
     # a walk shares one object per character: hash each object once
     distinct = {id(orb.character): orb.character for orb in orbit_list}
     out = tuple(sorted(set(distinct.values())))
@@ -603,12 +612,12 @@ def caseB_modules(code: Code, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP) -> 
     with the odd word is reduced along the pivots of the even part's orbit
     walk (`orbits`), one Hermite row per slot, to the smallest member of its
     orbit.  `orbit_list` holds the even part's orbit records, in orbit
-    order; without it the even part is walked under `cap`.  Each record
+    order; without it the even part is walked under `cap` (`_records`, which
+    raises InvalidInputError on the records of any other code).  Each record
     emitted carries its orbit's `induced_decomposition`.
     """
     even = even_part_code(code)
-    if orbit_list is None:
-        orbit_list = orbits(even, cap)
+    orbit_list = _records(even, orbit_list, cap)
     table = label_table(code.k)
     fuse, base, position = table.fuse, table.base, table.position
     odd = tuple(fuse[p] for p in min(code.odd_part))

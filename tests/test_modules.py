@@ -1,5 +1,6 @@
 """The module census: orbits, characters, twisted counts, realizations."""
 
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -251,13 +252,49 @@ def test_orbits_catch_orbit_sizes_that_miss_the_label_count(monkeypatch):
 
 def test_orbits_catch_a_fusion_entry_off_its_class(monkeypatch):
     # the current 2 sends (1,0) to (2,0), not (2,1): no stabilizer and no
-    # orbit minimum changes, but the entry breaks the class arithmetic
+    # orbit minimum changes, but the entry breaks the closed class rule
     table = modules.label_table(3)
     a, b, c = (table.labels.index(pf_canonicalize(3, *f)) for f in ((1, 0), (2, 0), (2, 1)))
     assert table.fuse[2][a] == c
     corrupt_fuse(monkeypatch, 3, 2, a, b)
     with pytest.raises(VerificationError, match=r"^the current 2 sends \(1,0\) to \(2,0\), off its fusion class$"):
         orbits(span([(1,)], 3, 1))
+
+
+def class_columns_by_scan(table):
+    """The fusion-class columns read off the `fuse` table: the smallest
+    factor the currents reach from each factor, the current that reaches the
+    factor from there, and the number of factors the currents reach."""
+    fuse, n = table.fuse, len(table.labels)
+    base = tuple(min(row[a] for row in fuse) for a in range(n))
+    position = tuple(next(p for p, row in enumerate(fuse) if row[b] == a) for a, b in enumerate(base))
+    modulus = tuple(len({row[a] for row in fuse}) for a in range(n))
+    return base, position, modulus
+
+
+def test_class_columns_follow_the_closed_rule_and_match_scans_of_fuse():
+    for k in range(2, 61):
+        table = modules.label_table(k)
+        assert (table.base, table.position, table.modulus) == class_columns_by_scan(table), k
+
+
+@pytest.mark.parametrize(
+    "k, gens, ell, image",
+    [(3, [(1,)], 1, "(2,1)"), (5, [(1, 2, 0, 0)], 4, "(4,3)"), (4, [(2, 2)], 2, "(3,2)")],
+    ids=["k3-ell1", "k5-ell4", "k4-ell2"],
+)
+def test_orbits_catch_a_mirrored_sc_fuse(monkeypatch, k, gens, ell, image):
+    # with p acting as -p the fusion table is wrong but self-consistent: a
+    # group has the same orbits, stabilizers and minima under it, so only
+    # the class rule, which is not read off that table, can catch it
+    real = modules.sc_fuse
+    monkeypatch.setattr(modules, "sc_fuse", lambda p, x: real(-p, x))
+    modules.label_table.cache_clear()
+    try:
+        with pytest.raises(VerificationError, match=re.escape(f"the current 1 sends (1,0) to {image}, off its fusion class")):
+            orbits(span(gens, k, ell))
+    finally:
+        modules.label_table.cache_clear()
 
 
 def test_orbit_cap():
@@ -419,6 +456,41 @@ def test_count_twisted_no_extension():
     code = span([], 3, 1)
     (only,) = characters(code)
     assert count_twisted(code, only) == irr_count(3)
+
+
+C6 = span([(1, 1, 1)], 6, 3)  # Case B: the even part's records pair up
+C5 = span([(1, 2, 0, 0)], 5, 4)
+TRIVIAL = (0, 0, 0, 0)
+
+
+# read unchecked, these records would give 258 pairing rows (the even part's
+# give 516), 81 modules (2,025 is right), 0, a VerificationError, 0 and ()
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: caseB_modules(C6, orbits(C6)), "^the orbit records act by another code$"),
+        (
+            lambda: count_twisted(C5, TRIVIAL, orbits(span([(1, 2, 0, 0), (0, 0, 1, 2)], 5, 4))),
+            "^the orbit records act by another code$",
+        ),
+        (lambda: count_twisted(C5, TRIVIAL, orbits(C5)[:10]), "^orbit sizes add up to 50, not to the 50625 labels$"),
+        (lambda: characters(C5, []), "^orbit sizes add up to 0, not to the 50625 labels$"),
+        (lambda: count_twisted(C5, TRIVIAL, []), "^orbit sizes add up to 0, not to the 50625 labels$"),
+        (lambda: caseB_modules(C6, []), "^orbit sizes add up to 0, not to the 9261 labels$"),
+    ],
+    ids=["case-b-whole-code", "twisted-other-code", "twisted-first-ten", "characters-none", "twisted-none", "case-b-none"],
+)
+def test_census_consumers_take_all_the_records_of_their_code_only(call, message):
+    with pytest.raises(InvalidInputError, match=message):
+        call()
+
+
+def test_census_consumers_read_a_generator_of_the_right_records():
+    even = orbits(even_part_code(C6))
+    assert caseB_modules(C6, (o for o in even)) == caseB_modules(C6)
+    assert len(caseB_modules(C6, iter(even))) == 516
+    assert count_twisted(C5, TRIVIAL, iter(orbits(C5))) == 2025
+    assert characters(C5, iter(orbits(C5))) == characters(C5)
 
 
 def test_realize_examples():

@@ -1231,6 +1231,14 @@ CENSUS_DIGESTS = [
     # Case B: the census of the even part and the sector pairing
     ("--k 2 --ell 3 --gen 1,1,1", "text", 4_822, "ee42488e01f9a31c3c5658cdb21b981778a7ad4c9705fdb26d2edfd01e046695"),
     ("--k 2 --ell 3 --gen 1,1,1", "json", 10_695, "0e48379b228789d1bc9b074f2fd53690060fdfe90266b8297d8fdb6ce21786ed"),
+    # recorded before the fusion classes were computed in closed form: an
+    # odd level above 5, fixed points at k = 12, and a Case B code at k = 4
+    ("--k 7 --ell 2", "text", 82_727, "31f6e2978b10321abeab5738a352551766b43e3eedd47d2cc85362b74b66857c"),
+    ("--k 7 --ell 2", "json", 200_371, "ad7d7495ae312525bd1312b70837bdd9b233da12d8b8be25f806fcff6ed8310d"),
+    ("--k 12 --ell 2 --gen 6,6", "text", 330_915, "08a2ecb57504b65e7e1c9b884f68f746cd268fd2cfe56b6b26f8fd2887d9f76b"),
+    ("--k 12 --ell 2 --gen 6,6", "json", 787_311, "25ad7944f52795784ce7b952305f365318c3377e51241459ed289f0e1daf08c7"),
+    ("--k 4 --ell 3 --gen 1,1,0 --gen 0,2,2", "text", 35_888, "40ac8d13da2fcd85e7aa67ecf643c696802291c73041026c8cb51dfdd02a8136"),
+    ("--k 4 --ell 3 --gen 1,1,0 --gen 0,2,2", "json", 83_881, "f9af04371282e431bf62291335fc53b134f2dbb0aab6bdce2c408b74ed5ae662"),
 ]
 
 
