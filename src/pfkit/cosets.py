@@ -36,7 +36,7 @@ from .errors import (
     check_level,
     check_tail_bit,
 )
-from .zkcodes import Case, Code, Codeword, check_word, inner
+from .zkcodes import Case, Code, Codeword, _hermite_rows, check_word, inner
 
 SEARCH_MAX_LEVEL = 12
 _WINDOW = range(-2, 4)
@@ -491,42 +491,6 @@ def _discriminant_by_smith_form(code: Code, expected: int) -> tuple[int, ...]:
             f"Smith-form discriminant {order} != index formula {expected}"
         )
     return tuple(d for d in diag if d != 1)
-
-
-def _hermite_rows(rows: list[list[int]]) -> list[list[int]]:
-    """Row Hermite form over the integers; returns the nonzero rows."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivot_row = 0
-    for col in range(ncols):
-        # clear the column below pivot_row by gcd elimination
-        while True:
-            live = [
-                r for r in range(pivot_row, len(rows)) if rows[r][col] != 0
-            ]
-            if not live:
-                break
-            r0 = min(live, key=lambda r: abs(rows[r][col]))
-            rows[pivot_row], rows[r0] = rows[r0], rows[pivot_row]
-            done = True
-            for r in range(pivot_row + 1, len(rows)):
-                if rows[r][col]:
-                    q = rows[r][col] // rows[pivot_row][col]
-                    rows[r] = [
-                        a - q * b for a, b in zip(rows[r], rows[pivot_row])
-                    ]
-                    if rows[r][col]:
-                        done = False
-            if done:
-                if rows[pivot_row][col] < 0:
-                    rows[pivot_row] = [-a for a in rows[pivot_row]]
-                pivot_row += 1
-                break
-        if pivot_row == len(rows):
-            break
-    return [r for r in rows if any(r)]
 
 
 def _smith_diagonal(matrix: list[list[int]]) -> list[int]:

@@ -63,6 +63,10 @@ def check_tail_bit(d: int) -> int:
     return d
 
 
+# the default cap on label spaces and table sizes (`--orbit-cap`)
+DEFAULT_ORBIT_CAP = 10**7
+
+
 def check_cap(what: str, value: int, cap: int) -> int:
     """Return value; CapExceededError when it passes the cap, or sys.maxsize,
     the most a list, set, bytearray or `random.sample` can index."""

@@ -20,9 +20,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from operator import add, attrgetter, itemgetter
+from typing import TYPE_CHECKING
 
-from .cosets import ProductCoset, _hermite_rows, dual_membership
 from .errors import (
+    DEFAULT_ORBIT_CAP,
     InvalidInputError,
     VerificationError,
     check_cap,
@@ -42,6 +43,7 @@ from .zkcodes import (
     Case,
     Code,
     Codeword,
+    _hermite_rows,
     binary_reduce,
     check_word,
     code_from_words,  # noqa: F401 -- a module attribute perfbench/tracing.py wraps
@@ -52,7 +54,8 @@ from .zkcodes import (
     word_add,
 )
 
-DEFAULT_ORBIT_CAP = 10**7
+if TYPE_CHECKING:
+    from .cosets import ProductCoset
 
 
 @dataclass(frozen=True, order=True)
@@ -410,7 +413,7 @@ def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
 
 
 def _echelon(code: Code, moduli: tuple[int, ...]) -> list[list[int]]:
-    """The row Hermite basis (`cosets._hermite_rows`) of the lattice spanned
+    """The row Hermite basis (`zkcodes._hermite_rows`) of the lattice spanned
     by the generators cut to the first r = len(moduli) slots and by the
     moduli[s] e_s: r rows, row s with its pivot d_s in column s."""
     r = len(moduli)
@@ -546,6 +549,8 @@ def realize(x: IrrLabel, code: Code) -> tuple[ProductCoset, bool]:
     eta = j - (i - d)/2.  The membership flag equals the triviality of the
     orbit character.
     """
+    from .cosets import ProductCoset, dual_membership
+
     _check_label_shape(x, code)
     eta, delta = zip(*(_tail(f) for f in x.factors))
     coset = ProductCoset.from_tail(code.k, eta, delta)

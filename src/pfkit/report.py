@@ -3,7 +3,9 @@
 A job names a code (level, length, generators) and a set of analyses; `run`
 returns a plain dict whose JSON and text renderings are byte-deterministic.
 `build` returns the same report with its two large tables as row sources,
-which `to_json` and `to_text` write to a handle in chunks.
+which `to_json` and `to_text` write to a handle in chunks.  Each section
+imports its analysis module (`cosets`, `branching`, `modules`, `verify`)
+when it runs, so a job loads only the analyses it asks for.
 Rationals are serialized as "p/q" strings, always with an explicit
 denominator.
 """
@@ -18,8 +20,8 @@ from functools import partial
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
-from . import branching, cosets, modules, verify
 from .errors import (
+    DEFAULT_ORBIT_CAP,
     InvalidInputError,
     UnsupportedCodeError,
     check_cap,
@@ -30,7 +32,6 @@ from .zkcodes import Case, Code, Codeword, span
 
 ANALYSES = ("classify", "lattice", "branch", "modules", "verify")
 
-DEFAULT_ORBIT_CAP = modules.DEFAULT_ORBIT_CAP
 DEFAULT_VERIFY_MAX_K = 8
 
 # The row keys of each table section, in order: its JSON rows and text columns.
@@ -82,6 +83,8 @@ def _validate(job: JobSpec) -> None:
     if job.orbit_cap < 1 or job.verify_max_k < 2:
         raise InvalidInputError("caps must be positive (verify max level >= 2)")
     if job.coset is not None:
+        from . import cosets
+
         cosets.canonicalize(job.k, *job.coset)
 
 
@@ -112,6 +115,8 @@ class _Rows:
 
 
 def _lattice_section(code: Code, job: JobSpec) -> dict:
+    from . import cosets
+
     k = code.k
     check_cap("minimal-norm table of size", 2 ** (k - 1) * k, job.orbit_cap)
     lat = cosets.build_code_lattice(code)
@@ -151,6 +156,8 @@ def _lattice_json(depth: int, k: int, cell: dict):
 
 
 def _branch_section(code: Code, job: JobSpec) -> dict:
+    from . import branching, cosets
+
     if job.coset is not None:
         j, bits = job.coset
     else:
@@ -210,6 +217,8 @@ def _branch_json(depth: int, walk, den: int):
 
 
 def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None]:
+    from . import modules
+
     if code.case is Case.UNSUPPORTED:
         raise UnsupportedCodeError(
             "the module census is defined for even or half-period codes only"
@@ -324,6 +333,8 @@ def build(job: JobSpec) -> dict:
         report["case_b"] = case_b
     if "verify" in want:
         check_cap("verification level", job.k, job.verify_max_k)
+        from . import verify
+
         results = verify.run_suites(code, job.orbit_cap)
         report["verify"] = [
             {"name": r.name, "pass": r.passed, "detail": r.detail}

@@ -3,7 +3,8 @@
 A code of length ell is an additive subgroup of (Z_k)^ell.  Everything here
 is exact integer arithmetic: spans, the standard inner product, dual codes,
 the even / half-period classification (Case A / Case B), reduction of
-{0, k/2}-valued subgroups to binary codes, and binary radical data.
+{0, k/2}-valued subgroups to binary codes, binary radical data, and the
+integer row Hermite form that `cosets` and `modules` share.
 
 The classification drives everything downstream.  A code is Case A when
 every word pairs to zero with itself, Case B when k is even, all pairings
@@ -244,3 +245,39 @@ def radical_data(words) -> tuple[int, int]:
             f"radical index {index} is not a perfect square"
         )
     return len(rad), m
+
+
+def _hermite_rows(rows: list[list[int]]) -> list[list[int]]:
+    """Row Hermite form over the integers; returns the nonzero rows."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivot_row = 0
+    for col in range(ncols):
+        # clear the column below pivot_row by gcd elimination
+        while True:
+            live = [
+                r for r in range(pivot_row, len(rows)) if rows[r][col] != 0
+            ]
+            if not live:
+                break
+            r0 = min(live, key=lambda r: abs(rows[r][col]))
+            rows[pivot_row], rows[r0] = rows[r0], rows[pivot_row]
+            done = True
+            for r in range(pivot_row + 1, len(rows)):
+                if rows[r][col]:
+                    q = rows[r][col] // rows[pivot_row][col]
+                    rows[r] = [
+                        a - q * b for a, b in zip(rows[r], rows[pivot_row])
+                    ]
+                    if rows[r][col]:
+                        done = False
+            if done:
+                if rows[pivot_row][col] < 0:
+                    rows[pivot_row] = [-a for a in rows[pivot_row]]
+                pivot_row += 1
+                break
+        if pivot_row == len(rows):
+            break
+    return [r for r in rows if any(r)]

@@ -25,3 +25,13 @@ def test_the_cap_is_bounded_by_the_index_range():
         match=f"^table of size {sys.maxsize + 1} exceeds the cap of {sys.maxsize}$",
     ):
         check_cap("table of size", sys.maxsize + 1, 10**200)
+
+
+def test_the_default_orbit_cap_is_one_object():
+    from pfkit import cli, modules, report
+    from pfkit.errors import DEFAULT_ORBIT_CAP
+
+    assert DEFAULT_ORBIT_CAP == 10**7
+    assert modules.DEFAULT_ORBIT_CAP is DEFAULT_ORBIT_CAP
+    assert report.DEFAULT_ORBIT_CAP is DEFAULT_ORBIT_CAP
+    assert cli.build_parser().get_default("orbit_cap") is DEFAULT_ORBIT_CAP
