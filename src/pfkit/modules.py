@@ -43,11 +43,13 @@ from .zkcodes import (
     Case,
     Code,
     Codeword,
+    _coset_minimum,
+    _dual_rows,
     _hermite_rows,
     binary_reduce,
     check_word,
     code_from_words,  # noqa: F401 -- a module attribute perfbench/tracing.py wraps
-    dual_code,
+    dual_code,  # noqa: F401 -- a module attribute perfbench/tracing.py wraps
     inner,
     radical_data,
     span,
@@ -104,23 +106,17 @@ def sc_ext_weight(k: int, xi: Codeword) -> Fraction:
     return sum(xi) - Fraction(sum(x * x for x in xi), k)
 
 
-def _check_length(xi: Codeword, x: IrrLabel) -> None:
-    if len(xi) != x.ell:
-        raise InvalidInputError(
-            f"codeword length {len(xi)} != label length {x.ell}"
-        )
-
-
 def fuse(xi: Codeword, x: IrrLabel) -> IrrLabel:
-    """Factorwise simple-current fusion of a codeword with a label."""
-    _check_length(xi, x)
+    """Factorwise simple-current fusion of a codeword with a label; the
+    codeword must be a word of residues mod x.k of the label's length."""
+    xi = check_word(xi, x.k, x.ell)
     return IrrLabel(x.k, tuple(sc_fuse(p, f) for p, f in zip(xi, x.factors)))
 
 
 def b_ext(xi: Codeword, x: IrrLabel) -> Fraction:
     """Fractional monodromy of the codeword current against the label:
-    (xi | mu - 2 nu)/k mod 1, in [0, 1)."""
-    _check_length(xi, x)
+    (xi | mu - 2 nu)/k mod 1, in [0, 1); `xi` is checked as in `fuse`."""
+    xi = check_word(xi, x.k, x.ell)
     k = x.k
     t = sum(p * (f.i - 2 * f.j) for p, f in zip(xi, x.factors))
     return Fraction(t % k, k)
@@ -192,14 +188,19 @@ def label_table(k: int) -> LabelTable:
 
 
 @lru_cache(maxsize=8)
-def _dual_words(code: Code) -> tuple[Codeword, ...]:
-    return dual_code(code).words
+def _dual_words(code: Code) -> tuple[tuple[int, ...], ...]:
+    """The row Hermite basis of D^perp + k Z^ell (`zkcodes._dual_rows`), one
+    per code; no dual word is listed.  The cache keeps the name it had when
+    it held the dual code's words, because `perfbench/tracing.py` reads its
+    `cache_info()` as `modules.cache.dual_words`."""
+    return tuple(map(tuple, _dual_rows(code)))
 
 
 @dataclass(frozen=True, order=True)
 class Character:
     """A linear character of the code, stored as the lexicographically
-    smallest member of its coset modulo the dual code."""
+    smallest member of its coset modulo the dual code, which `_reduce`
+    reads off the Hermite basis of the dual code's lattice."""
 
     k: int
     rep: Codeword
@@ -226,12 +227,16 @@ def character_of(x: IrrLabel, code: Code) -> Character:
 
 
 def _reduce(code: Code, word: Codeword) -> Character:
-    """The character whose coset modulo the dual code contains `word`."""
-    return Character(code.k, min(word_add(word, w, code.k) for w in _dual_words(code)))
+    """The character whose coset modulo the dual code contains `word`: its
+    smallest member, `zkcodes._coset_minimum` of `word` along the cached
+    basis of D^perp + k Z^ell (`_dual_words`), in ell row steps."""
+    return Character(code.k, tuple(_coset_minimum(_dual_words(code), word)))
 
 
 def stabilizer(x: IrrLabel, code: Code) -> tuple[Codeword, ...]:
-    """Codewords fixing the label under fusion, checked by `_check_stabilizer`."""
+    """Codewords fixing the label under fusion, checked by `_check_stabilizer`;
+    InvalidInputError unless the label has the code's level and length."""
+    _check_label_shape(x, code)
     return _check_stabilizer(code, x.factors, tuple(xi for xi in code.words if fuse(xi, x) == x))
 
 
@@ -296,8 +301,9 @@ def _images(code: Code, index: tuple[int, ...]):
 def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
     """All fusion orbits, in order of their smallest member, as constant-size
     records; raises CapExceededError, before any label is visited, when the
-    label space, the dual enumeration or the fusion table (k entries per
-    factor label) exceeds its cap.
+    label space or the fusion table (k entries per factor label) exceeds
+    its cap.  No dual word is listed: a character is reduced along the
+    Hermite basis of D^perp + k Z^ell (`_reduce`).
 
     A current fuses each factor within its fusion class (`LabelTable`), by
     adding xi_r to slot r's position mod m_r, the class modulus.  So the
@@ -326,7 +332,6 @@ def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
     or VerificationError is raised."""
     k, ell = code.k, code.ell
     total = label_space_size(k, ell, cap)
-    _dual_words(code)
     check_cap("fusion table of size", k * irr_count(k), cap)
     table = label_table(k)
     n, words, gens = len(table.labels), code.words, code.generators
@@ -519,8 +524,17 @@ def count_twisted(code: Code, chi, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP
     extension, for a character given as a residue word mod the dual code:
     the `stabilizer_regime` irreducible counts summed over the orbits with
     that character, at least 1 as every character is realized.  The orbits
-    are `orbit_list`, the code's records, or a walk under `cap` (`_records`)."""
-    word = chi.rep if isinstance(chi, Character) else tuple(int(c) % code.k for c in chi)
+    are `orbit_list`, the code's records, or a walk under `cap` (`_records`).
+    The entries of a residue word are reduced mod k; one that is not an
+    `int` raises InvalidInputError."""
+    if isinstance(chi, Character):
+        word = chi.rep
+    else:
+        word = tuple(chi)
+        for c in word:
+            if not isinstance(c, int):
+                raise InvalidInputError(f"character entry {c!r} is not an integer")
+        word = tuple(c % code.k for c in word)
     chi = _reduce(code, check_word(word, code.k, code.ell))
     orbit_list = _records(code, orbit_list, cap)
     return sum(stabilizer_regime(o.stabilizer, code.k)[1] for o in orbit_list if o.character == chi)
@@ -613,10 +627,11 @@ def caseB_modules(code: Code, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP) -> 
 
     Only trivial-character orbits are processed: those are the ones carrying
     untwisted even-part modules.  Each unordered pair appears once.  A mate
-    is found on index tuples, with no member list: the representative fused
-    with the odd word is reduced along the pivots of the even part's orbit
-    walk (`orbits`), one Hermite row per slot, to the smallest member of its
-    orbit.  `orbit_list` holds the even part's orbit records, in orbit
+    is found on index tuples, with no member list: the positions of the
+    representative fused with the odd word are reduced along the Hermite
+    basis of the even part's orbit walk (`orbits`), by the coset rule the
+    characters use (`zkcodes._coset_minimum`), to the smallest member of
+    its orbit.  `orbit_list` holds the even part's orbit records, in orbit
     order; without it the even part is walked under `cap` (`_records`, which
     raises InvalidInputError on the records of any other code).  Each record
     emitted carries its orbit's `induced_decomposition`.
@@ -637,11 +652,7 @@ def caseB_modules(code: Code, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP) -> 
         moduli = tuple(map(table.modulus.__getitem__, rep))
         if moduli not in bases:
             bases[moduli] = _echelon(even, moduli)
-        point = [position[row[a]] for row, a in zip(odd, rep)]
-        for r, row in enumerate(bases[moduli]):
-            q = point[r] // row[r]
-            if q:
-                point = [x - q * y for x, y in zip(point, row)]
+        point = _coset_minimum(bases[moduli], (position[row[a]] for row, a in zip(odd, rep)))
         mate = tuple(fuse[p][base[a]] for p, a in zip(point, rep))
         mates.add(mate)
         if mate != rep:

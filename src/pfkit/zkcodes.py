@@ -4,7 +4,9 @@ A code of length ell is an additive subgroup of (Z_k)^ell.  Everything here
 is exact integer arithmetic: spans, the standard inner product, dual codes,
 the even / half-period classification (Case A / Case B), reduction of
 {0, k/2}-valued subgroups to binary codes, binary radical data, and the
-integer row Hermite form that `cosets` and `modules` share.
+integer row Hermite form that `cosets` and `modules` share, with the
+smallest member of a coset read off such a basis and the basis of the dual
+code's lattice built without enumerating it.
 
 The classification drives everything downstream.  A code is Case A when
 every word pairs to zero with itself, Case B when k is even, all pairings
@@ -185,7 +187,9 @@ def dual_code(code: Code, cap: int = DEFAULT_ENUM_CAP) -> Code:
     """All words pairing to zero with the whole code.
 
     Brute force over (Z_k)^ell, capped.  Checking against the generators is
-    enough, by bilinearity.
+    enough, by bilinearity.  The module census does not call it: it reduces
+    modulo the dual code along `_dual_rows`, and this enumeration is the
+    oracle the tests compare that reduction with.
     """
     check_cap("dual enumeration of size", code.k ** code.ell, cap)
     words = (
@@ -281,3 +285,39 @@ def _hermite_rows(rows: list[list[int]]) -> list[list[int]]:
         if pivot_row == len(rows):
             break
     return [r for r in rows if any(r)]
+
+
+def _coset_minimum(rows, point) -> list[int]:
+    """The lexicographically smallest member, among the vectors with entries
+    in [0, k), of the coset point + L, for `rows` a row Hermite basis of a
+    lattice L containing k Z^ell: row r holds its pivot d_r in column r.
+
+    Left to right, each coordinate is taken mod its pivot by subtracting a
+    multiple of its row; the rows below it are zero there, so later steps
+    leave it alone, and it ends in [0, d_r).  The points of the coset that
+    agree with the result before slot r are the result plus the span of
+    rows r, r+1, ..., whose r-th entries are the multiples of d_r: so no
+    member is smaller."""
+    point = list(point)
+    for r, row in enumerate(rows):
+        q = point[r] // row[r]
+        if q:
+            point = [x - q * y for x, y in zip(point, row)]
+    return point
+
+
+def _dual_rows(code: Code) -> list[list[int]]:
+    """The row Hermite basis of D^perp + k Z^ell, the integer vectors x with
+    (g|x) = 0 mod k for every generator g: ell rows, row r with its pivot in
+    column r, each pivot a divisor of k.
+
+    With G the r x ell generator matrix, the rows of [G^T | I_ell] stacked
+    over [k I_r | 0] span the vectors (G x + k y, x).  Their row Hermite form
+    has r rows with pivots in the first r columns and ell rows that vanish
+    there; those ell rows span the lattice vectors (0, x), and so their last
+    ell entries are the basis.  Nothing is enumerated or inverted."""
+    k, ell, gens = code.k, code.ell, code.generators
+    r = len(gens)
+    rows = [[g[c] for g in gens] + [int(c == s) for s in range(ell)] for c in range(ell)]
+    rows += ([k * int(s == t) for t in range(r)] + [0] * ell for s in range(r))
+    return [row[r:] for row in _hermite_rows(rows) if not any(row[:r])]

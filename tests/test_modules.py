@@ -128,6 +128,35 @@ def test_stabilizer_examples():
     assert stabilizer(one(4, 4, 1), code) == ((0,),)
 
 
+def test_stabilizer_checks_the_label_shape():
+    # unchecked, a level-4 label against a level-6 code had the stabilizer
+    # ((0, 0),), read off words of another level
+    code = span([(3, 3)], 6, 2)
+    for x in (IrrLabel(4, (vacuum(4), vacuum(4))), IrrLabel(6, (vacuum(6),))):
+        with pytest.raises(InvalidInputError, match="^label shape does not match the code$"):
+            stabilizer(x, code)
+
+
+@pytest.mark.parametrize("call", [fuse, b_ext])
+@pytest.mark.parametrize(
+    "xi, message",
+    [
+        ((1.5, 0), "entry 1.5 is not a residue mod 4"),
+        ((5, 0), "entry 5 is not a residue mod 4"),
+        ((-1, 0), "entry -1 is not a residue mod 4"),
+        (("1", 0), "entry '1' is not a residue mod 4"),
+        ((1,), "(1,) has length 1, expected 2"),
+    ],
+    ids=["float", "another-level", "negative", "string", "length"],
+)
+def test_fuse_and_b_ext_take_only_residue_words(call, xi, message):
+    # unchecked, fuse((1.5, 0), x) gave a label with a factor (3,0.5), and a
+    # word of another level was reduced mod k
+    x = IrrLabel(4, (one(4, 1, 0).factors[0], vacuum(4)))
+    with pytest.raises(InvalidInputError, match=f"^codeword {re.escape(message)}$"):
+        call(xi, x)
+
+
 def test_orbit_table_k4():
     code = span([(2,)], 4, 1)
     table = {
@@ -303,8 +332,8 @@ def test_orbit_cap():
 
 
 def test_caps_trip_before_the_walk_starts(monkeypatch):
-    # the label-space cap, then the dual cap, trip before any pivot, walk
-    # node or record is built
+    # the label-space cap trips before any pivot, walk node or record is
+    # built
     built = Counter()
 
     def record(name):
@@ -323,14 +352,6 @@ def test_caps_trip_before_the_walk_starts(monkeypatch):
     # one pivot per prefix of moduli: 2 + 4 + 8 at k = 2, ell = 3
     assert built == {"_pivot": 14, "OrbitRecord": 27}
     built.clear()
-
-    def over_cap(code):
-        raise CapExceededError("dual enumeration of size 1048576 exceeds the cap of 1000000")
-
-    monkeypatch.setattr(modules, "_dual_words", over_cap)
-    with pytest.raises(CapExceededError, match="^dual enumeration"):
-        orbits(code)
-    # the label-space cap still trips first, with its own message
     with pytest.raises(CapExceededError, match="^label space of size 27 exceeds the cap of 26$"):
         orbits(code, cap=26)
     assert not built
@@ -456,6 +477,30 @@ def test_count_twisted_no_extension():
     code = span([], 3, 1)
     (only,) = characters(code)
     assert count_twisted(code, only) == irr_count(3)
+
+
+@pytest.mark.parametrize("chi", [(1.7, 0), ("2", "0"), (Fraction(1), 0)], ids=["float", "string", "fraction"])
+def test_count_twisted_rejects_entries_that_are_not_ints(chi):
+    # int() once truncated (1.7, 0) to (1, 0) and parsed ("2", "0")
+    with pytest.raises(InvalidInputError, match="^character entry .* is not an integer$"):
+        count_twisted(span([(2, 2)], 4, 2), chi)
+
+
+def test_count_twisted_reduces_int_entries_mod_k():
+    code = span([(2, 2)], 4, 2)
+    assert count_twisted(code, (5, -3)) == count_twisted(code, (1, 1)) == 32
+    assert count_twisted(code, (True, 0)) == count_twisted(code, (1, 0)) == 24
+
+
+def test_character_of_lists_no_dual_word():
+    # 4^11 > 10^6: listing the dual code tripped its enumeration cap.  The
+    # dual is {w : sum(w) = 0 mod 4, w_1 even}, so t = (1, 0, ..., 0)
+    # reduces to 0 in every slot but the last, which keeps the sum 1
+    code = span([(1,) * 11, (0, 2) + (0,) * 9], 4, 11)
+    x = IrrLabel(4, (one(4, 1, 0).factors[0],) + (vacuum(4),) * 10)
+    chi = character_of(x, code)
+    assert chi == modules.Character(4, (0,) * 10 + (1,))
+    assert not chi.trivial
 
 
 C6 = span([(1, 1, 1)], 6, 3)  # Case B: the even part's records pair up

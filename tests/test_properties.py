@@ -8,7 +8,9 @@ is biadditive and consistent with conformal weights.  The orbit walk is
 compared with three references: the integer seen-map sweep it replaced,
 the sweep on frozen dataclasses before that, and an enumerator that
 rebuilds the orbit of every label; its Case B mates with the smallest
-fusion of each pair.  The
+fusion of each pair.  A character, reduced along the Hermite basis of the
+dual code's lattice, is compared with the minimum over the brute-force dual
+code.  The
 integer label table behind the realization and extension-monodromy suites is
 compared with the public per-label functions, and the slot fold with
 enumeration of every index tuple, on one-residue states and on the
@@ -38,6 +40,7 @@ from pfkit.cosets import (
 from pfkit.modules import (
     DEFAULT_ORBIT_CAP,
     OrbitRecord,
+    _reduce,
     all_irr_labels,
     b_ext,
     caseB_modules,
@@ -67,11 +70,12 @@ from pfkit.parafermion import (
 )
 from pfkit.report import JobSpec, run
 from pfkit.verify import (
+    _digits,
     _first_failing,
     _monodromy_rows,
     _realization_steps,
 )
-from pfkit.zkcodes import Case, classify_code, span
+from pfkit.zkcodes import Case, _dual_rows, classify_code, dual_code, span, word_add
 
 
 @st.composite
@@ -337,6 +341,62 @@ class TestOrbitSweep:
     )
     def test_matches_reference_on_fixed_point_codes(self, code):
         assert_census_matches_reference(code)
+
+
+@st.composite
+def codes_with_points(draw):
+    """A code of level 2..12 and length <= 5, at most about 10^4 words in
+    (Z_k)^ell for the brute-force dual, with residue words and label index
+    tuples of its shape."""
+    k = draw(st.integers(2, 12))
+    ell = draw(st.integers(1, 5 if k <= 6 else 4 if k <= 10 else 3))
+    residue = st.integers(0, k - 1)
+    factor = st.integers(0, len(label_table(k).labels) - 1)
+    gens = draw(st.lists(st.tuples(*[residue] * ell), max_size=3))
+    words = draw(st.lists(st.tuples(*[residue] * ell), min_size=1, max_size=6))
+    indices = draw(st.lists(st.tuples(*[factor] * ell), min_size=1, max_size=6))
+    return span(gens, k, ell), words, indices
+
+
+def assert_reduction_matches_the_dual_code(code, words, indices):
+    """`_dual_rows` is an echelon basis with pivots dividing k, and `_reduce`
+    and `character_of` give the smallest member of the coset modulo the
+    brute-force `dual_code`."""
+    k, ell = code.k, code.ell
+    rows = _dual_rows(code)
+    assert len(rows) == ell
+    for r, row in enumerate(rows):
+        assert not any(row[:r]) and row[r] > 0 and k % row[r] == 0
+    dual = dual_code(code).words
+    table = label_table(k)
+    for t in words:
+        assert _reduce(code, t).rep == min(word_add(t, w, k) for w in dual)
+    for index in indices:
+        t = tuple(map(table.t.__getitem__, index))
+        assert character_of(table.label(index), code).rep == min(word_add(t, w, k) for w in dual)
+
+
+class TestCharacterReduction:
+    @settings(max_examples=80, deadline=None)
+    @given(codes_with_points())
+    def test_matches_the_brute_force_dual(self, drawn):
+        code, words, indices = drawn
+        assert_reduction_matches_the_dual_code(code, words, indices)
+        if code.case is Case.B:
+            assert_reduction_matches_the_dual_code(even_part_code(code), words, indices)
+
+    @pytest.mark.parametrize(
+        "gens,k,ell",
+        [([(1,)], 2, 1), ([(1, 1)], 4, 2), ([(1, 1, 1)], 6, 3), ([(2, 2, 0), (0, 0, 2)], 8, 3), ([(5, 5, 5)], 10, 3)],
+    )
+    def test_matches_the_brute_force_dual_on_case_b_even_parts(self, gens, k, ell):
+        code = span(gens, k, ell)
+        assert code.case is Case.B
+        n = len(label_table(k).labels)
+        words = [_digits(i, k, ell) for i in range(0, k**ell, max(1, k**ell // 200))]
+        indices = [_digits(i, n, ell) for i in range(0, n**ell, max(1, n**ell // 200))]
+        for basis in (code, even_part_code(code)):
+            assert_reduction_matches_the_dual_code(basis, words, indices)
 
 
 class TestVerifyTables:

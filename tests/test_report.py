@@ -25,14 +25,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfkit import branching, cosets, modules
+from pfkit import branching, cosets, modules, zkcodes
 from pfkit import report as R
 from pfkit.cli import main
 from pfkit.cosets import all_labels, min_norm_data
-from pfkit.errors import VerificationError
+from pfkit.errors import DEFAULT_ORBIT_CAP, VerificationError
 from pfkit.report import JobSpec, build, rat, run, to_json, to_text, verify_passed
-from pfkit.verify import VerifyResult
-from pfkit.zkcodes import span
+from pfkit.verify import VerifyResult, verify_realization
+from pfkit.zkcodes import Case, span
 
 TOP_KEYS = [
     "input",
@@ -831,12 +831,7 @@ class TestCli:
                 "exhaustive norm search rank 13 exceeds the cap of 12",
             ),
             ("--k 10 --ell 1 --analysis verify", "verification level 10 exceeds the cap of 8"),
-            # 3^39 < 2^63 - 1 < 3^41: the label space passes a raised cap,
-            # and 2^39 > 10^6 dual words trip their cap before the walk
-            (
-                f"--k 2 --ell 39 --analysis modules --orbit-cap {10**200}",
-                f"dual enumeration of size {2**39} exceeds the cap of 1000000",
-            ),
+            # 3^41 > 2^63 - 1: a raised cap acts as 2^63 - 1
             (
                 f"--k 2 --ell 41 --analysis modules --orbit-cap {10**200}",
                 f"label space of size {3**41} exceeds the cap of {sys.maxsize}",
@@ -849,7 +844,6 @@ class TestCli:
             "branch-rank",
             "search-rank",
             "verify-level",
-            "dual-enumeration",
             "label-space-index-range",
         ],
     )
@@ -1242,14 +1236,46 @@ CENSUS_DIGESTS = [
 ]
 
 
+@pytest.fixture
+def no_dual_enumeration(monkeypatch):
+    """`dual_code` fails wherever the census could reach it, and the per-code
+    cache of the dual basis starts empty."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the dual code was enumerated")
+
+    monkeypatch.setattr(zkcodes, "dual_code", unreachable)
+    monkeypatch.setattr(modules, "dual_code", unreachable)
+    modules._dual_words.cache_clear()
+
+
 @pytest.mark.parametrize(
     "argv, fmt, size, digest", CENSUS_DIGESTS, ids=[f"{a} {f}" for a, f, _, _ in CENSUS_DIGESTS]
 )
-def test_census_report_bytes_are_pinned(monkeypatch, argv, fmt, size, digest):
+def test_census_report_bytes_are_pinned(monkeypatch, no_dual_enumeration, argv, fmt, size, digest):
     sink = DigestSink()
     monkeypatch.setattr(sys, "stdout", sink)
     assert main([*argv.split(), "--analysis", "modules", "--format", fmt]) == 0
     assert (sink.size, sink.sha.hexdigest()) == (size, digest)
+
+
+NO_DUAL_CODES = {
+    "k6-case-b": span([(1, 1, 1)], 6, 3),
+    "k4-fixed-points": span([(2, 2, 0, 0), (0, 0, 2, 2)], 4, 4),
+    "k5-ell5": span([(1, 2, 0, 0, 0)], 5, 5),
+}
+
+
+@pytest.mark.parametrize("name", NO_DUAL_CODES)
+def test_realization_suite_lists_no_dual_word(no_dual_enumeration, name):
+    assert verify_realization(NO_DUAL_CODES[name], DEFAULT_ORBIT_CAP).passed
+
+
+@pytest.mark.parametrize("name", ["k6-case-b", "k4-fixed-points"])
+def test_twisted_counts_list_no_dual_word(no_dual_enumeration, name):
+    code = NO_DUAL_CODES[name]
+    basis = modules.even_part_code(code) if code.case is Case.B else code
+    assert modules.count_twisted(basis, (0,) * code.ell) >= 1
 
 
 # Table reports recorded before the tables were written from their walk
