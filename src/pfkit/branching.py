@@ -114,24 +114,50 @@ def component_count(k: int, bits) -> int:
     return prod(len(c) for c in _step_choices(check_bits(k, bits)))
 
 
-def _walk(k: int, j: int, bits, kac):
-    """The components of the coset module (j, bits) as a function `rows`
-    whose every call yields them afresh, grouped by prefix, in lexicographic
-    index order: each prefix (i_1, ..., i_s) is extended by the allowed
-    i_{s+1} in increasing order.  A group is (prefix indices (i_1, ...,
-    i_{k-1}), their k - 2 Kac entries, the prefix's weight numerator over
-    `weight_den(k)`, last-step entries); each entry (i_k, Kac entry,
-    numerator, PfLabel) completes the prefix to the component with indices
-    prefix + (i_k,), Kac entries prefix + (entry,) and the sum of the two
-    numerators as its weight.
+@dataclass(frozen=True)
+class _Walk:
+    """The step tables of a coset module's components, and a call that walks
+    them.  `first` holds the allowed i_1; `steps[s - 1]` maps each i_s,
+    s < k - 1, to its entries (i_{s+1}, Kac entry, numerator); `last` maps
+    each i_{k-1} to its last-step entries (`_walk`).  Every allowed value of
+    each index is reachable, so the components are the full product of the
+    tables, and each call yields them afresh as `_walk` describes."""
+
+    first: range
+    steps: tuple[dict, ...]
+    last: dict
+
+    def __call__(self):
+        walk = [((i,), (), 0) for i in self.first]
+        for step in self.steps:
+            walk = [
+                (tup + (b,), vir + (lab,), hnum + h)
+                for tup, vir, hnum in walk
+                for b, lab, h in step[tup[-1]]
+            ]
+        last = self.last
+        for tup, vir, hnum in walk:
+            yield tup, vir, hnum, last[tup[-1]]
+
+
+def _walk(k: int, j: int, bits, kac) -> _Walk:
+    """The components of the coset module (j, bits) as a `_Walk` whose every
+    call yields them afresh, grouped by prefix, in lexicographic index
+    order: each prefix (i_1, ..., i_s) is extended by the allowed i_{s+1} in
+    increasing order.  A group is (prefix indices (i_1, ..., i_{k-1}), their
+    k - 2 Kac entries, the prefix's weight numerator over `weight_den(k)`,
+    last-step entries); each entry (i_k, Kac entry, numerator, PfLabel)
+    completes the prefix to the component with indices prefix + (i_k,), Kac
+    entries prefix + (entry,) and the sum of the two numerators as its
+    weight.
 
     Every check runs before `_walk` returns: the level, the rank cap,
     `check_bits`, and `check_numerator` on each step and tail.  So do the
     calls `kac(s, i_s + 1, i_{s+1} + 1)`, which build each step's Kac entry
     once, and each tail, built once per i_k.  The last step is merged with
     the tail into one entry list per i_{k-1}, which every group with that
-    i_{k-1} shares, and a call of `rows` holds only the prefixes.  Capped at
-    rank 10; the count grows like prod(s/2).
+    i_{k-1} shares, and a call holds only the prefixes.  Capped at rank 10;
+    the count grows like prod(s/2).
     """
     check_level(k)
     check_cap("branching rank", k, BRANCH_MAX_LEVEL)
@@ -156,19 +182,7 @@ def _walk(k: int, j: int, bits, kac):
         a: [(b, lab, h + tail[b][0], tail[b][1]) for b, lab, h in entries]
         for a, entries in steps.pop().items()
     }
-
-    def rows():
-        walk = [((i,), (), 0) for i in choices[0]]
-        for step in steps:
-            walk = [
-                (tup + (b,), vir + (lab,), hnum + h)
-                for tup, vir, hnum in walk
-                for b, lab, h in step[tup[-1]]
-            ]
-        for tup, vir, hnum in walk:
-            yield tup, vir, hnum, last[tup[-1]]
-
-    return rows
+    return _Walk(choices[0], tuple(steps), last)
 
 
 def branch(k: int, j: int, bits) -> tuple[BranchComponent, ...]:

@@ -226,11 +226,14 @@ def character_of(x: IrrLabel, code: Code) -> Character:
     return _reduce(code, tuple((f.i - 2 * f.j) % k for f in x.factors))
 
 
-def _reduce(code: Code, word: Codeword) -> Character:
+def _reduce(code: Code, word: Codeword, rows=None) -> Character:
     """The character whose coset modulo the dual code contains `word`: its
-    smallest member, `zkcodes._coset_minimum` of `word` along the cached
-    basis of D^perp + k Z^ell (`_dual_words`), in ell row steps."""
-    return Character(code.k, tuple(_coset_minimum(_dual_words(code), word)))
+    smallest member, `zkcodes._coset_minimum` of `word` along the basis
+    `rows` of D^perp + k Z^ell, in ell row steps.  With no `rows` the basis
+    is looked up in the `_dual_words` cache, which hashes the whole code."""
+    if rows is None:
+        rows = _dual_words(code)
+    return Character(code.k, tuple(_coset_minimum(rows, word)))
 
 
 def stabilizer(x: IrrLabel, code: Code) -> tuple[Codeword, ...]:
@@ -336,6 +339,7 @@ def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
     table = label_table(k)
     n, words, gens = len(table.labels), code.words, code.generators
     position, modulus, t_of = table.position, table.modulus, table.t
+    dual = _dual_words(code)  # one cache lookup, one hash of the code, per walk
     # per factor a and current p, the weight numerator of fuse[p][a]
     weight = [tuple(table.weight[row[a]] for row in table.fuse) for a in range(n)]
     # per slot r, xi_r for xi in D, with D ordered by the last current, so
@@ -378,7 +382,7 @@ def orbits(code: Code, cap: int = DEFAULT_ORBIT_CAP) -> tuple[OrbitRecord, ...]:
     def character(pair, index):
         key = tuple(pair // radix**s % radix % k for s in range(len(gens)))
         if key not in by_key:
-            by_key[key] = _reduce(code, tuple(map(t_of.__getitem__, index)))
+            by_key[key] = _reduce(code, tuple(map(t_of.__getitem__, index)), dual)
         found[pair] = by_key[key]
         return by_key[key]
 
@@ -526,8 +530,11 @@ def count_twisted(code: Code, chi, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP
     that character, at least 1 as every character is realized.  The orbits
     are `orbit_list`, the code's records, or a walk under `cap` (`_records`).
     The entries of a residue word are reduced mod k; one that is not an
-    `int` raises InvalidInputError."""
+    `int`, or a `Character` of another level or length, raises
+    InvalidInputError."""
     if isinstance(chi, Character):
+        if chi.k != code.k:
+            raise InvalidInputError(f"character of level {chi.k} given for a code of level {code.k}")
         word = chi.rep
     else:
         word = tuple(chi)

@@ -2,10 +2,11 @@
 
 A job names a code (level, length, generators) and a set of analyses; `run`
 returns a plain dict whose JSON and text renderings are byte-deterministic.
-`build` returns the same report with its two large tables as row sources,
-which `to_json` and `to_text` write to a handle in chunks.  Each section
-imports its analysis module (`cosets`, `branching`, `modules`, `verify`)
-when it runs, so a job loads only the analyses it asks for.
+`build` returns the same report with its two large tables as row sources
+(`tables`), which `to_json` and `to_text` write to a handle in chunks, each
+row one concatenation of pieces built once.  Each section imports its
+module (`tables`, `cosets`, `branching`, `modules`, `verify`) when it runs,
+so a job loads only the analyses it asks for.
 Rationals are serialized as "p/q" strings, always with an explicit
 denominator.
 """
@@ -103,117 +104,15 @@ def _classification_section(code: Code) -> dict:
 class _Rows:
     """A re-iterable row source: each iteration runs `rows(*args)` afresh and
     yields the row dicts of the `run` dict.  The writers read `args` instead:
-    `cells(*args)` yields each row's text cells in column order, and
-    `writer(depth, *args)` each row's JSON at `depth`, without a row dict.
-    With no `cells`, or no `writer`, the rows are written one by one."""
+    `text(*args)` yields the table's text lines, its header and dash line
+    first, and `writer(depth, *args)` each row's JSON at `depth`, without a
+    row dict.  With no `text`, or no `writer`, the rows are written one by one."""
 
-    def __init__(self, rows, *args, cells=None, writer=None):
-        self.rows, self.args, self.cells, self.writer = rows, args, cells, writer
+    def __init__(self, rows, *args, text=None, writer=None):
+        self.rows, self.args, self.text, self.writer = rows, args, text, writer
 
     def __iter__(self):
         return self.rows(*self.args)
-
-
-def _lattice_section(code: Code, job: JobSpec) -> dict:
-    from . import cosets
-
-    k = code.k
-    check_cap("minimal-norm table of size", 2 ** (k - 1) * k, job.orbit_cap)
-    lat = cosets.build_code_lattice(code)
-    # the closed form depends on (j, weight) only: one call per pair j < w
-    cell = {}
-    for w in range(1, k + 1):
-        bits = (1,) * w + (0,) * (k - w)
-        for j in range(w):
-            value, count = cosets.min_norm_data(k, j, bits)
-            cell[j, w] = (rat(value), count)
-    return {
-        "parity": lat.parity,
-        "discriminant_order": lat.discriminant_order,
-        "min_norm_table": _Rows(_lattice_rows, k, cell, cells=_lattice_cells, writer=_lattice_json),
-    }
-
-
-def _lattice_rows(k: int, cell: dict):
-    return (dict(zip(_LATTICE_COLUMNS, row)) for row in _lattice_cells(k, cell, count=int))
-
-
-def _lattice_cells(k: int, cell: dict, quote: str = "", count=str):
-    """Each row's values, in the order of `cosets.all_labels(k)`: its strings
-    between `quote`s (they hold no JSON escapes), its count by `count`.  The
-    text of each j, bits word and (j, weight) cell is built once."""
-    tails = {key: (f"{quote}{value}{quote}", count(n)) for key, (value, n) in cell.items()}
-    words = [("", 0)]  # each bits text and weight, in `product((0, 1), repeat=k)` order
-    for _ in range(k):
-        words = [(text + bit, w + n) for text, w in words for bit, n in (("0", 0), ("1", 1))]
-    for j in range(k):
-        head = f"{quote}{j}:"
-        yield from [(head + text + quote,) + tails[j, w] for text, w in words if j < w]
-
-
-def _lattice_json(depth: int, k: int, cell: dict):
-    return map(_template(_LATTICE_COLUMNS, depth).__mod__, _lattice_cells(k, cell, '"'))
-
-
-def _branch_section(code: Code, job: JobSpec) -> dict:
-    from . import branching, cosets
-
-    if job.coset is not None:
-        j, bits = job.coset
-    else:
-        lab = cosets.identity_label(code.k)
-        j, bits = lab.j, lab.bits
-    label = cosets.canonicalize(code.k, j, bits)
-    size = branching.component_count(code.k, label.bits)
-    check_cap("branching table of size", size, job.orbit_cap)
-    shared: dict = {}  # one canonical (m, r, s) tuple per distinct Kac label
-
-    def kac(m: int, r: int, s: int) -> tuple[int, int, int]:
-        lab = branching.vir_canonicalize(m, r, s)
-        return shared.setdefault((lab.m, lab.r, lab.s), (lab.m, lab.r, lab.s))
-
-    walk = branching._walk(code.k, label.j, label.bits, kac)
-    rows = _Rows(_branch_rows, walk, branching.weight_den(code.k), cells=_branch_cells, writer=_branch_json)
-    count_data = cosets.min_norm_data(code.k, label.j, label.bits)
-    return {"coset": str(label), "min_norm": rat(count_data[0]), "components": rows}
-
-
-def _branch_rows(walk, den: int):
-    # one weight string per numerator and one pf pair per i_k, shared by the rows
-    weights, pairs = _Texts(lambda num: rat(Fraction(num, den))), {}
-    for prefix, vir, hnum, last in walk():
-        for b, lab, h, pf in last:
-            pair = pairs.get(b) or pairs.setdefault(b, (pf.i, pf.j))
-            yield {"indices": prefix + (b,), "virasoro": vir + (lab,), "pf": pair, "weight": weights[hnum + h]}
-
-
-def _branch_cells(
-    walk, den: int, array=("", ",", ""), kac_sep=" ", kac="(%s,%s,%s)", pair="(%s,%s)", quote=str
-):
-    """Each row's texts: its indices, and its Kac entries between `kac_sep`s,
-    as `(open, sep, close)` arrays, each Kac entry and pf pair by its `%`
-    format, the weight by `quote`.  Each walk prefix's text is built once, and
-    each last-step entry's once per i_{k-1}: a row's text is their concatenation."""
-    start, sep, close = array
-    weights, kac = _Texts(lambda num: quote(rat(Fraction(num, den)))), _Texts(kac.__mod__)
-    ends: dict = {}
-    for prefix, vir, hnum, last in walk():
-        if (end := ends.get(prefix[-1])) is None:
-            end = ends[prefix[-1]] = [
-                (f"{b}{close}", kac[lab] + close, pair % (pf.i, pf.j), h) for b, lab, h, pf in last
-            ]
-        head = start + sep.join(map(str, prefix)) + sep
-        mid = start + "".join([kac[lab] + kac_sep for lab in vir])
-        for b, lab, pf, h in end:
-            yield head + b, mid + lab, pf, weights[hnum + h]
-
-
-def _branch_json(depth: int, walk, den: int):
-    pad = "\n" + "  " * (depth + 2)  # the items of a row's arrays
-    array = ("[" + pad, "," + pad, pad[:-2] + "]")
-    kac = f"[{pad}  %s,{pad}  %s,{pad}  %s{pad}]"
-    cells = _branch_cells(walk, den, array=array, kac_sep=array[1], kac=kac, pair="%s".join(array), quote=_str)
-    return map(_template(_BRANCH_COLUMNS, depth).__mod__, cells)
 
 
 def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None]:
@@ -323,9 +222,13 @@ def build(job: JobSpec) -> dict:
         "verify": None,
     }
     if "lattice" in want:
-        report["lattice"] = _lattice_section(code, job)
+        from . import tables
+
+        report["lattice"] = tables.lattice_section(code, job)
     if "branch" in want:
-        report["branch"] = _branch_section(code, job)
+        from . import tables
+
+        report["branch"] = tables.branch_section(code, job)
     if "modules" in want:
         orbits_sec, counts_sec, case_b = _modules_sections(code, job)
         report["orbits"] = orbits_sec
@@ -465,13 +368,9 @@ def _template(columns: tuple[str, ...], depth: int) -> str:
 
 
 def _cells(rows, columns: tuple[str, ...], render=None) -> list[list[str]]:
-    """Each column's cell strings, from one pass over `rows`: a row source
-    with `cells` gives a row's strings in column order itself; else
-    `render(row)` gives them, by default `str` of each value."""
-    if type(rows) is _Rows and rows.cells:
-        texts = rows.cells(*rows.args)
-    else:
-        texts = map(render or (lambda row: [str(row[c]) for c in columns]), rows)
+    """Each column's cell strings, from one pass over `rows`: `render(row)`
+    gives a row's strings in column order, by default `str` of each value."""
+    texts = map(render or (lambda row: [str(row[c]) for c in columns]), rows)
     cells: list[list[str]] = [[] for _ in columns]
     while chunk := list(islice(texts, _CHUNK_ROWS)):
         for column, part in zip(cells, zip(*chunk)):
@@ -479,25 +378,35 @@ def _cells(rows, columns: tuple[str, ...], render=None) -> list[list[str]]:
     return cells
 
 
+def _header(columns: tuple[str, ...], widths) -> str:
+    """A table's header line and dash line, its columns left-justified to
+    `widths` and two spaces apart, as each row is."""
+    head = "  ".join(c.ljust(w) for c, w in zip(columns, widths))
+    return f"{head}\n{'-' * len(head)}\n"
+
+
 def _grid(cells: list[list[str]], columns: tuple[str, ...]):
-    """Left-justified columns under a header and a dash line, in chunks of
-    lines; `cells` holds each column's strings."""
+    """The lines of a table whose `cells` hold each column's strings: its
+    header and dash line, then one line per row."""
     widths = [max(len(c), max(map(len, col), default=0)) for c, col in zip(columns, cells)]
-    template = "  ".join(f"%-{w}s" for w in widths)
-    head = template % tuple(columns)
-    yield f"{head}\n{'-' * len(head)}\n"
-    lines = map(template.__mod__, zip(*cells))
-    while chunk := list(islice(lines, _CHUNK_ROWS)):
-        yield "\n".join(chunk) + "\n"
+    yield _header(columns, widths)
+    yield from map(("  ".join(f"%-{w}s" for w in widths) + "\n").__mod__, zip(*cells))
+
+
+def _lines(rows, columns: tuple[str, ...], render=None):
+    """The lines of a table: a row source's `text` writes them from its
+    arguments; other rows go through `_cells` and `_grid`."""
+    if type(rows) is _Rows and rows.text:
+        return rows.text(*rows.args)
+    return _grid(_cells(rows, columns, render), columns)
 
 
 def _tables(report: dict):
-    """(title, cells, columns) of each table section present, in report
-    order, with each column's cells; each table's cells are built only when
-    the loop reaches it."""
+    """(title, lines) of each table section present, in report order; each
+    table's lines, or cells, are built only when the loop reaches it."""
     if (lat := report["lattice"]) is not None:
         title = f"lattice: parity={lat['parity']} discriminant={lat['discriminant_order']}"
-        yield title, _cells(lat["min_norm_table"], _LATTICE_COLUMNS), _LATTICE_COLUMNS
+        yield title, _lines(lat["min_norm_table"], _LATTICE_COLUMNS)
     if (br := report["branch"]) is not None:
 
         def render(c):
@@ -509,30 +418,32 @@ def _tables(report: dict):
             )
 
         title = f"branch of coset {br['coset']} (min norm {br['min_norm']}):"
-        yield title, _cells(br["components"], _BRANCH_COLUMNS, render), _BRANCH_COLUMNS
+        yield title, _lines(br["components"], _BRANCH_COLUMNS, render)
     if (orb := report["orbits"]) is not None:
         title = f"orbits (acting code: {orb['acting_code']}):"
-        yield title, _cells(orb["rows"], _ORBIT_COLUMNS), _ORBIT_COLUMNS
+        yield title, _lines(orb["rows"], _ORBIT_COLUMNS)
     if (counts := report["counts"]) is not None:
         title = "twisted module counts per character:"
-        yield title, _cells(counts["rows"], _COUNT_COLUMNS), _COUNT_COLUMNS
+        yield title, _lines(counts["rows"], _COUNT_COLUMNS)
     if (case_b := report["case_b"]) is not None:
 
         def pairing(r):
             return (f"{r['pair'][0]} | {r['pair'][1]}", *(str(r[c]) for c in _CASE_B_COLUMNS[1:]))
 
-        yield "superalgebra sector pairing:", _cells(case_b, _CASE_B_COLUMNS, pairing), _CASE_B_COLUMNS
+        yield "superalgebra sector pairing:", _lines(case_b, _CASE_B_COLUMNS, pairing)
 
 
 def to_text(report: dict, out=None) -> str | None:
     """The text report; a `build` report gives the text of its `run` dict.
 
     With no `out` it returns the string; with a text handle `out` it writes
-    the same characters to `out` in chunks and returns None.  A row source's
-    `cells` gives its cell strings from the source's structure, with no row
-    dict; the lists of a `run` dict are rendered row by row.  Each table's
-    column widths need all its cells first, so a table holds its cell
-    strings, column by column, until its lines are written.
+    the same characters to `out` in chunks of `_CHUNK_ROWS` lines and
+    returns None.  A row source's `text` writes its table from the source's
+    structure, with no row dict and no cell list: its column widths are
+    known before the first row, and each row is one concatenation of padded
+    pieces built once.  Every other table, each list of a `run` dict
+    included, is rendered row by row, and holds its cell strings, column by
+    column, until its widths are known.
     """
     return _emit(_text(report), out)
 
@@ -551,9 +462,10 @@ def _text(report: dict):
         f"central charge: {report['central_charge']}",
     ]
     yield "\n".join(lines) + "\n"
-    for title, cells, columns in _tables(report):
+    for title, table in _tables(report):
         yield f"\n{title}\n"
-        yield from _grid(cells, columns)
+        while chunk := list(islice(table, _CHUNK_ROWS)):
+            yield "".join(chunk)
     if report["verify"] is not None:
         lines = ["", "verification:"]
         for entry in report["verify"]:

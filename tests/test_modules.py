@@ -237,6 +237,15 @@ def test_orbits_reduce_once_per_character_and_never_fuse(monkeypatch):
     assert calls["fuse"] == 0
 
 
+def test_orbits_look_up_the_dual_basis_once_per_walk():
+    # each lookup hashes every word of the code
+    code = span([(2, 2, 0, 0), (0, 0, 2, 2)], 4, 4)
+    modules._dual_words.cache_clear()
+    orbits(code)
+    info = modules._dual_words.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
+
+
 def test_orbits_catch_a_corrupted_fusion_entry(monkeypatch):
     table = modules.label_table(4)
     a = table.labels.index(pf_canonicalize(4, 2, 0))
@@ -490,6 +499,20 @@ def test_count_twisted_reduces_int_entries_mod_k():
     code = span([(2, 2)], 4, 2)
     assert count_twisted(code, (5, -3)) == count_twisted(code, (1, 1)) == 32
     assert count_twisted(code, (True, 0)) == count_twisted(code, (1, 0)) == 24
+
+
+@pytest.mark.parametrize(
+    "chi, message",
+    [
+        (modules.Character(6, (1, 1)), "^character of level 6 given for a code of level 4$"),
+        (modules.Character(4, (1, 1, 0)), "^codeword \\(1, 1, 0\\) has length 3, expected 2$"),
+    ],
+    ids=["level", "length"],
+)
+def test_count_twisted_rejects_a_character_of_another_shape(chi, message):
+    # the level-6 character once counted as the k=4 word (1, 1): 32
+    with pytest.raises(InvalidInputError, match=message):
+        count_twisted(span([(2, 2)], 4, 2), chi)
 
 
 def test_character_of_lists_no_dual_word():

@@ -14,10 +14,12 @@ block, on random reports with empty tables and null sections.
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfkit import branching, cosets, modules, zkcodes
+from pfkit import branching, cosets, modules, tables, zkcodes
 from pfkit import report as R
 from pfkit.cli import main
 from pfkit.cosets import all_labels, min_norm_data
@@ -381,12 +383,12 @@ class TestTrustBoundary:
     @staticmethod
     def writers_raise(monkeypatch):
         for table in ("lattice", "branch"):
-            monkeypatch.setattr(R, f"_{table}_json", raising_writer(table))
-            monkeypatch.setattr(R, f"_{table}_cells", raising_writer(table))
+            monkeypatch.setattr(tables, f"_{table}_json", raising_writer(table))
+            monkeypatch.setattr(tables, f"_{table}_text", raising_writer(table))
 
     @pytest.mark.parametrize("job", TEST_JOBS)
     def test_run_reports_reach_no_row_writer(self, monkeypatch, job):
-        report = run(job)  # its lattice rows come from the text writer's cells
+        report = run(job)
         self.writers_raise(monkeypatch)
         assert to_json(report) == json.dumps(report, indent=2)
         assert to_text(report) == to_text_reference(report)
@@ -456,8 +458,8 @@ class TestTables:
         def unreachable(*args):
             raise AssertionError("a table writer built a row dict")
 
-        monkeypatch.setattr(R, "_lattice_rows", unreachable)
-        monkeypatch.setattr(R, "_branch_rows", unreachable)
+        monkeypatch.setattr(tables, "_lattice_rows", unreachable)
+        monkeypatch.setattr(tables, "_branch_rows", unreachable)
         report = build(job)
         assert to_json(report) == json.dumps(plain, indent=2)
         assert to_text(report) == to_text(plain)
@@ -466,14 +468,39 @@ class TestTables:
             write(report, out)
             assert out.getvalue() == write(plain)
 
-    @pytest.mark.parametrize("k", range(2, 7))
+    @pytest.mark.parametrize("k", range(2, 8))
     def test_branch_writers_match_run_on_every_coset(self, k):
         for lab in all_labels(k):
-            assert_writers_match_run(JobSpec(k=k, ell=1, analyses=("branch",), coset=(lab.j, lab.bits)))
+            job = JobSpec(k=k, ell=1, analyses=("branch",), coset=(lab.j, lab.bits))
+            assert_writers_match_run(job, layout=k < 7)
 
-    @pytest.mark.parametrize("k", range(2, 11))
+    @pytest.mark.parametrize("k", range(2, 15))
     def test_lattice_writers_match_run(self, k):
         assert_writers_match_run(JobSpec(k=k, ell=1, analyses=("lattice",)))
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_branch_widths_match_the_column_maxima(self, k):
+        for lab in all_labels(k):
+            report = build(JobSpec(k=k, ell=1, analyses=("branch",), coset=(lab.j, lab.bits)))
+            walk, den = report["branch"]["components"].args
+            kac = R._Texts("(%s,%s,%s)".__mod__)
+            weight = R._Texts(lambda num: rat(Fraction(num, den)))
+            assert tables._branch_widths(walk, kac, weight) == branch_column_maxima(walk, den)
+
+    def test_writing_a_built_report_renders_no_cell_list(self, monkeypatch):
+        job = JobSpec(k=6, ell=1, analyses=("lattice", "branch"), coset=(1, (1,) * 6))
+        want = to_text(run(job))
+
+        def unreachable(*args):
+            raise AssertionError("a table writer built a cell list")
+
+        monkeypatch.setattr(R, "_cells", unreachable)
+        monkeypatch.setattr(R, "_grid", unreachable)
+        report = build(job)
+        assert to_text(report) == want
+        out = io.StringIO()
+        to_text(report, out)
+        assert out.getvalue() == want
 
     def test_renderers_keep_bools_apart_from_equal_ints(self):
         # the text caches are keyed by identity: True == 1, but json.dumps
@@ -507,13 +534,52 @@ class TestTables:
         assert lines[start : start + len(branch)] == branch
 
 
-def assert_writers_match_run(job):
+def branch_column_maxima(walk, den):
+    """Reference: the branch text columns' widths, header included, as the
+    maxima over every component of the `_walk` result `walk`: each group's
+    prefix text plus the widest completion among its last-step entries."""
+    widths = list(map(len, R._BRANCH_COLUMNS))
+    ends, weights, kac_len, weight_len = {}, {}, {}, {}
+    for prefix, vir, hnum, last in walk():
+        if id(last) not in ends:
+            ends[id(last)] = [
+                max(len(str(b)) for b, _, _, _ in last),
+                max(len("(%s,%s,%s)" % lab) for _, lab, _, _ in last),
+                max(len(f"({pf.i},{pf.j})") for _, _, _, pf in last),
+            ]
+        if (hnum, id(last)) not in weights:
+            weights[hnum, id(last)] = max(
+                weight_len.get(num) or weight_len.setdefault(num, len(rat(Fraction(num, den))))
+                for num in (hnum + h for _, _, h, _ in last)
+            )
+        index, kac, pf = ends[id(last)]
+        cells = (
+            len(",".join(map(str, prefix))) + 1 + index,
+            sum(kac_len.get(lab) or kac_len.setdefault(lab, len("(%s,%s,%s) " % lab)) for lab in vir) + kac,
+            pf,
+            weights[hnum, id(last)],
+        )
+        widths = [max(w, cell) for w, cell in zip(widths, cells)]
+    return widths
+
+
+def assert_writers_match_run(job, layout=True):
     """`build(job)` and `run(job)` give the same text and JSON, and the JSON
-    is `json.dumps` of the `run` dict."""
+    is `json.dumps` of the `run` dict.  With `layout` false the JSON is
+    compared without its line breaks and indents, against the C encoder's
+    `json.dumps` of the `run` dict with the same separators: every value and
+    separator byte for byte, at a fraction of the indenting encoder's time."""
     plain, report = run(job), build(job)
-    want = json.dumps(plain, indent=2)
-    assert to_json(report) == to_json(plain) == want
-    assert to_text(report) == to_text(plain)
+    # compared as lists of pieces: pytest diffs two unequal strings with
+    # difflib, which takes minutes on a table of megabytes
+    assert to_text(report).split("\n") == to_text(plain).split("\n")
+    if layout:
+        want = json.dumps(plain, indent=2).split("\n")
+        assert to_json(report).split("\n") == to_json(plain).split("\n") == want
+    else:
+        # encoded strings hold no raw newline, so each one starts an indent
+        got = re.sub("\n *", "", to_json(report))
+        assert got.split(",") == json.dumps(plain, separators=(",", ": ")).split(",")
 
 
 def to_text_reference(report):
@@ -1042,6 +1108,24 @@ def cli_text(job, output=None):
     return code, out.getvalue(), err.getvalue()
 
 
+def written_through_main(monkeypatch, job):
+    """(bytes, tracemalloc peak) of `main` writing `job` to a digest sink;
+    the digest must match the text of the `run` path."""
+    want = dict_path_text(job).encode("utf-8")
+    size, digest = len(want), hashlib.sha256(want).hexdigest()
+    del want
+    sink = DigestSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(argv_of(job)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (sink.size, sink.sha.hexdigest()) == (size, digest)
+    return size, peak
+
+
 class DigestSink:
     """A text stdout that keeps only the byte count and sha256 of what it gets."""
 
@@ -1129,19 +1213,15 @@ class TestStreaming:
 
     def test_json_memory_stays_flat(self, monkeypatch):
         job = JobSpec(k=9, ell=1, analyses=("branch",), fmt="json")
-        want = dict_path_text(job).encode("utf-8")
-        size, digest = len(want), hashlib.sha256(want).hexdigest()
-        del want
-        sink = DigestSink()
-        monkeypatch.setattr(sys, "stdout", sink)
-        tracemalloc.start()
-        try:
-            assert main(argv_of(job)) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (sink.size, sink.sha.hexdigest()) == (size, digest)
+        size, peak = written_through_main(monkeypatch, job)
         assert size > 11 * 10**6  # the full 11.9 MB report went through
+        assert peak < 8 * 2**20
+
+    def test_text_memory_stays_flat(self, monkeypatch):
+        # the text table's widths are known before its first row
+        job = JobSpec(k=10, ell=1, analyses=("branch",), coset=(1, (1, 1) + (0,) * 8))
+        size, peak = written_through_main(monkeypatch, job)
+        assert size > 9 * 10**6  # the full 9.6 MB report went through
         assert peak < 8 * 2**20
 
     @pytest.mark.parametrize(
