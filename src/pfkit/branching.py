@@ -26,11 +26,10 @@ from math import lcm, prod
 from .errors import (
     InvalidInputError,
     VerificationError,
-    check_bits,
     check_cap,
-    check_level,
+    check_int,
+    check_ints,
     check_numerator,
-    check_tail_bit,
 )
 from .parafermion import PfLabel, pf_canonicalize, pf_weight, presentations
 
@@ -52,12 +51,9 @@ class VirasoroLabel:
 
 def _check_kac(m: int, r: int = 1, s: int = 1) -> None:
     """Reject a minimal-model index m < 1, or (r, s) outside its Kac table."""
-    if not isinstance(m, int) or m < 1:
-        raise InvalidInputError(f"minimal-model index must be >= 1, got {m!r}")
-    if not 1 <= r <= m + 1:
-        raise InvalidInputError(f"row must lie in [1, {m + 1}], got {r}")
-    if not 1 <= s <= m + 2:
-        raise InvalidInputError(f"column must lie in [1, {m + 2}], got {s}")
+    check_int(m, "minimal-model index", 1)
+    check_int(r, "row", 1, m + 1)
+    check_int(s, "column", 1, m + 2)
 
 
 def vir_c(m: int) -> Fraction:
@@ -110,8 +106,8 @@ def _step_choices(bits: tuple[int, ...]) -> tuple[range, ...]:
 def component_count(k: int, bits) -> int:
     """Number of components of any coset with these bits, without building
     them: the product of the allowed values per index."""
-    check_level(k)
-    return prod(len(c) for c in _step_choices(check_bits(k, bits)))
+    check_int(k, "level", 2)
+    return prod(len(c) for c in _step_choices(check_ints(bits, "bit vector", 2, k)))
 
 
 @dataclass(frozen=True)
@@ -151,17 +147,18 @@ def _walk(k: int, j: int, bits, kac) -> _Walk:
     entries prefix + (entry,) and the sum of the two numerators as its
     weight.
 
-    Every check runs before `_walk` returns: the level, the rank cap,
-    `check_bits`, and `check_numerator` on each step and tail.  So do the
+    Every check runs before `_walk` returns: the level, the rank cap, the
+    shift and the bits, and `check_numerator` on each step and tail.  So do the
     calls `kac(s, i_s + 1, i_{s+1} + 1)`, which build each step's Kac entry
     once, and each tail, built once per i_k.  The last step is merged with
     the tail into one entry list per i_{k-1}, which every group with that
     i_{k-1} shares, and a call holds only the prefixes.  Capped at rank 10;
     the count grows like prod(s/2).
     """
-    check_level(k)
+    check_int(k, "level", 2)
     check_cap("branching rank", k, BRANCH_MAX_LEVEL)
-    bits = check_bits(k, bits)
+    check_int(j, "coset shift")
+    bits = check_ints(bits, "bit vector", 2, k)
     choices = _step_choices(bits)
     den = weight_den(k)
     # per step s, i_s -> [(i_{s+1}, Kac entry, h numerator)]
@@ -202,8 +199,9 @@ def branch_tail(k: int, j: int, d: int) -> tuple[tuple[VirasoroLabel, PfLabel], 
     """Last-factor specialization: components of the coset (j, (0,...,0,d))
     visible as pairs (h^{k-1}_{1, i+1}, parafermion (i, j + (i-d)/2)) over
     i = d (mod 2), 0 <= i <= k.  No rank cap; the list has ~k/2 entries."""
-    check_level(k)
-    check_tail_bit(d)
+    check_int(k, "level", 2)
+    check_int(j, "coset shift")
+    check_int(d, "tail bit", 0, 1)
     return tuple(
         (
             vir_canonicalize(k - 1, 1, i + 1),
@@ -221,7 +219,7 @@ def locate_pf(x: PfLabel, d: int) -> int:
     whose first index matches the parity of d; when k is even and no
     representative matches, the parity obstruction is reported as an error.
     """
-    check_tail_bit(d)
+    check_int(d, "tail bit", 0, 1)
     k = x.k
     for i, j in sorted(presentations(x)):
         if i % 2 == d:

@@ -31,12 +31,11 @@ from .errors import (
     InvalidInputError,
     UnsupportedCodeError,
     VerificationError,
-    check_bits,
     check_cap,
-    check_level,
-    check_tail_bit,
+    check_int,
+    check_ints,
 )
-from .zkcodes import Case, Code, Codeword, _hermite_rows, check_word, inner
+from .zkcodes import Case, Code, Codeword, _hermite_rows, inner
 
 SEARCH_MAX_LEVEL = 12
 _WINDOW = range(-2, 4)
@@ -122,13 +121,11 @@ def canonicalize(k: int, j: int, bits) -> CosetLabel:
 def _pack(x: CosetLabel) -> int:
     """The checked label as j << k | mask, bits[0] the top bit: packed
     canonical labels sort as the labels do."""
-    check_level(x.k)
+    check_int(x.k, "level", 2)
     mask = 0
-    for b in check_bits(x.k, x.bits):
+    for b in check_ints(x.bits, "bit vector", 2, x.k):
         mask = mask << 1 | b
-    if not isinstance(x.j, int):
-        raise InvalidInputError(f"coset shift must be an integer, got {x.j!r}")
-    return x.j << x.k | mask
+    return check_int(x.j, "coset shift") << x.k | mask
 
 
 def _unpack(k: int, x: int) -> CosetLabel:
@@ -156,7 +153,7 @@ def identity_label(k: int) -> CosetLabel:
 @lru_cache(maxsize=8)
 def all_labels(k: int) -> tuple[CosetLabel, ...]:
     """All 2^(k-1) k canonical labels, sorted."""
-    check_level(k)
+    check_int(k, "level", 2)
     out = []
     for j in range(k):
         for bits in product((0, 1), repeat=k):
@@ -216,7 +213,7 @@ def coset_of_vector(v: LatticeVector) -> CosetLabel:
     must vanish and v must pair integrally with every beta_p.
     """
     k = v.k
-    check_level(k)
+    check_int(k, "level", 2)
     if sum(v.coords) != 0:
         raise InvalidInputError("not a dual vector: coordinate sum is nonzero")
     scaled = []
@@ -253,9 +250,9 @@ def min_norm_data(k: int, j: int, bits) -> tuple[Fraction, int]:
     it is (k(k - w) - (k + w - 2j)^2)/2k attained C(k - w, j - w) times.
     Both branches agree on the common coset under relabeling.
     """
-    check_level(k)
-    bits = check_bits(k, bits)
-    j %= k
+    check_int(k, "level", 2)
+    bits = check_ints(bits, "bit vector", 2, k)
+    j = check_int(j, "coset shift") % k
     w = sum(bits)
     if j < w:
         return Fraction(k * w - (w - 2 * j) ** 2, 2 * k), comb(w, j)
@@ -341,13 +338,13 @@ class ProductCoset:
     @classmethod
     def from_word(cls, k: int, word: Codeword) -> "ProductCoset":
         """Pure form: factor r is the coset (word_r, zero bits)."""
-        word = check_word(word, k, len(word))
+        word = check_ints(word, "codeword", k)
         return cls(k, tuple(canonicalize(k, p, (0,) * k) for p in word))
 
     @classmethod
     def from_tail(cls, k: int, eta, delta) -> "ProductCoset":
         """Tail form: factor r is the coset (eta_r, (0,...,0,delta_r))."""
-        eta, delta = tuple(eta), tuple(map(check_tail_bit, delta))
+        eta, delta = tuple(eta), tuple(check_int(d, "tail bit", 0, 1) for d in delta)
         if len(eta) != len(delta):
             raise InvalidInputError("eta and delta must have equal length")
         return cls(

@@ -2,6 +2,8 @@
 
 Each subclass corresponds to one failure mode of the public API and, through
 the command line front end, to the process exit code in its `exit_code`.
+Every integer input of the public API goes through `check_int` or
+`check_ints`: an int that is not a bool, in its range.
 """
 
 import sys
@@ -35,32 +37,42 @@ class VerificationError(PfkitError):
     exit_code = 5
 
 
-def check_level(k: int) -> None:
-    """Reject a level (modulus, rank) that is not an integer >= 2."""
-    if not isinstance(k, int) or k < 2:
-        raise InvalidInputError(f"level must be an integer >= 2, got {k!r}")
+def check_int(value, what: str, low: int | None = None, high: int | None = None) -> int:
+    """Return value if it is an int, not a bool, in [low, high] (None leaves
+    that end open); else InvalidInputError naming `what` and the value."""
+    if not _fits(value, low, high):
+        if high is None:
+            rule = "an integer" if low is None else f"an integer >= {low}"
+        else:
+            rule = "0 or 1" if (low, high) == (0, 1) else f"an integer in [{low}, {high}]"
+        raise InvalidInputError(f"{what} must be {rule}, got {value!r}")
+    return value
 
 
-def check_shape(k: int, ell: int) -> None:
-    """Reject a bad level or a length that is not an integer >= 1."""
-    check_level(k)
-    if not isinstance(ell, int) or ell < 1:
-        raise InvalidInputError(f"length must be an integer >= 1, got {ell!r}")
+def check_ints(values, what: str, modulus: int | None = None, length: int | None = None) -> tuple[int, ...]:
+    """`values` as a tuple of ints, not bools, each a residue in [0, modulus)
+    if a modulus is given, and `length` of them if a length is given; else
+    InvalidInputError naming `what` and the first entry that fails."""
+    values = tuple(values)
+    if length is not None and len(values) != length:
+        raise InvalidInputError(f"{what} {values} has length {len(values)}, expected {length}")
+    # the common case, tested in C: every type is int, and min and max are residues
+    if {int}.issuperset(map(type, values)) and (
+        modulus is None or not values or 0 <= min(values) and max(values) < modulus
+    ):
+        return values
+    low, high = (None, None) if modulus is None else (0, modulus - 1)
+    for x in values:
+        if not _fits(x, low, high):
+            rule = "an integer" if modulus is None else f"a residue mod {modulus}"
+            raise InvalidInputError(f"{what} entry {x!r} is not {rule}")
+    return values
 
 
-def check_bits(k: int, bits) -> tuple[int, ...]:
-    """Reject a bit vector that is not k entries of 0 or 1; return it as a tuple."""
-    bits = tuple(bits)
-    if len(bits) != k or any(b not in (0, 1) for b in bits):
-        raise InvalidInputError(f"expected {k} bits of 0/1, got {bits}")
-    return bits
-
-
-def check_tail_bit(d: int) -> int:
-    """Reject a tail bit that is not 0 or 1; return it."""
-    if d not in (0, 1):
-        raise InvalidInputError(f"tail bit must be 0 or 1, got {d}")
-    return d
+def _fits(value, low, high) -> bool:
+    if type(value) is not int and (not isinstance(value, int) or isinstance(value, bool)):
+        return False
+    return (low is None or low <= value) and (high is None or value <= high)
 
 
 # the default cap on label spaces and table sizes (`--orbit-cap`)

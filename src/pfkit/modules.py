@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import pairwise, product
 from operator import add, attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
@@ -27,8 +27,9 @@ from .errors import (
     InvalidInputError,
     VerificationError,
     check_cap,
+    check_int,
+    check_ints,
     check_numerator,
-    check_shape,
 )
 from .parafermion import (
     PfLabel,
@@ -47,7 +48,6 @@ from .zkcodes import (
     _dual_rows,
     _hermite_rows,
     binary_reduce,
-    check_word,
     code_from_words,  # noqa: F401 -- a module attribute perfbench/tracing.py wraps
     dual_code,  # noqa: F401 -- a module attribute perfbench/tracing.py wraps
     inner,
@@ -82,7 +82,8 @@ def label_text(factor_texts) -> str:
 
 def label_space_size(k: int, ell: int, cap: int = DEFAULT_ORBIT_CAP) -> int:
     """irr_count(k) ** ell; raises CapExceededError when it exceeds the cap."""
-    check_shape(k, ell)
+    check_int(k, "level", 2)
+    check_int(ell, "length", 1)
     return check_cap("label space of size", irr_count(k) ** ell, cap)
 
 
@@ -102,21 +103,21 @@ def tensor_weight(x: IrrLabel) -> Fraction:
 def sc_ext_weight(k: int, xi: Codeword) -> Fraction:
     """Conformal weight of the simple current attached to a codeword:
     sum(xi_r) - (xi|xi)/k with entries as residues in [0, k)."""
-    xi = check_word(xi, k, len(xi))
+    xi = check_ints(xi, "codeword", k)
     return sum(xi) - Fraction(sum(x * x for x in xi), k)
 
 
 def fuse(xi: Codeword, x: IrrLabel) -> IrrLabel:
     """Factorwise simple-current fusion of a codeword with a label; the
     codeword must be a word of residues mod x.k of the label's length."""
-    xi = check_word(xi, x.k, x.ell)
+    xi = check_ints(xi, "codeword", x.k, x.ell)
     return IrrLabel(x.k, tuple(sc_fuse(p, f) for p, f in zip(xi, x.factors)))
 
 
 def b_ext(xi: Codeword, x: IrrLabel) -> Fraction:
     """Fractional monodromy of the codeword current against the label:
     (xi | mu - 2 nu)/k mod 1, in [0, 1); `xi` is checked as in `fuse`."""
-    xi = check_word(xi, x.k, x.ell)
+    xi = check_ints(xi, "codeword", x.k, x.ell)
     k = x.k
     t = sum(p * (f.i - 2 * f.j) for p, f in zip(xi, x.factors))
     return Fraction(t % k, k)
@@ -529,20 +530,16 @@ def count_twisted(code: Code, chi, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP
     the `stabilizer_regime` irreducible counts summed over the orbits with
     that character, at least 1 as every character is realized.  The orbits
     are `orbit_list`, the code's records, or a walk under `cap` (`_records`).
-    The entries of a residue word are reduced mod k; one that is not an
-    `int`, or a `Character` of another level or length, raises
+    The entries of a residue word are reduced mod k; one that is a bool or
+    not an `int`, or a `Character` of another level or length, raises
     InvalidInputError."""
     if isinstance(chi, Character):
         if chi.k != code.k:
             raise InvalidInputError(f"character of level {chi.k} given for a code of level {code.k}")
         word = chi.rep
     else:
-        word = tuple(chi)
-        for c in word:
-            if not isinstance(c, int):
-                raise InvalidInputError(f"character entry {c!r} is not an integer")
-        word = tuple(c % code.k for c in word)
-    chi = _reduce(code, check_word(word, code.k, code.ell))
+        word = tuple(c % code.k for c in check_ints(chi, "character"))
+    chi = _reduce(code, check_ints(word, "codeword", code.k, code.ell))
     orbit_list = _records(code, orbit_list, cap)
     return sum(stabilizer_regime(o.stabilizer, code.k)[1] for o in orbit_list if o.character == chi)
 
@@ -640,11 +637,15 @@ def caseB_modules(code: Code, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP) -> 
     characters use (`zkcodes._coset_minimum`), to the smallest member of
     its orbit.  `orbit_list` holds the even part's orbit records, in orbit
     order; without it the even part is walked under `cap` (`_records`, which
-    raises InvalidInputError on the records of any other code).  Each record
-    emitted carries its orbit's `induced_decomposition`.
+    raises InvalidInputError on the records of any other code).  Records out
+    of orbit order would change which member of a pair comes first, so they
+    raise InvalidInputError too.  Each record emitted carries its orbit's
+    `induced_decomposition`.
     """
     even = even_part_code(code)
     orbit_list = _records(even, orbit_list, cap)
+    if any(a.index >= b.index for a, b in pairwise(orbit_list)):
+        raise InvalidInputError("the orbit records are not in orbit order")
     table = label_table(code.k)
     fuse, base, position = table.fuse, table.base, table.position
     odd = tuple(fuse[p] for p in min(code.odd_part))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvalidInputError, check_level
+from .errors import check_int
 
 SimpleCurrent = int
 
@@ -42,10 +42,9 @@ def pf_canonicalize(k: int, i: int, j: int) -> PfLabel:
     Reduces j mod k, then applies (i, j) -> (k - i, j - i) when j >= i.
     The result always satisfies 0 <= j < i <= k.
     """
-    check_level(k)
-    if not 0 <= i <= k:
-        raise InvalidInputError(f"first label index must lie in [0, {k}], got {i}")
-    j %= k
+    check_int(k, "level", 2)
+    check_int(i, "first label index", 0, k)
+    j = check_int(j, "second label index") % k
     if j < i:
         return PfLabel(k, i, j)
     return PfLabel(k, k - i, j - i)
@@ -67,8 +66,8 @@ def pf_weight(k: int, i: int, j: int) -> Fraction:
 
 def sc_weight(k: int, p: int) -> Fraction:
     """Conformal weight p(k - p)/k of the simple current indexed by p mod k."""
-    check_level(k)
-    p %= k
+    check_int(k, "level", 2)
+    p = check_int(p, "simple current") % k
     return Fraction(p * (k - p), k)
 
 
@@ -78,7 +77,7 @@ def sc_label(k: int, p: int) -> PfLabel:
 
 
 def vacuum(k: int) -> PfLabel:
-    check_level(k)
+    check_int(k, "level", 2)
     return PfLabel(k, k, 0)
 
 
@@ -98,7 +97,8 @@ def pf_b(p: int, x: PfLabel) -> Fraction:
     Closed form p(i - 2j)/k mod 1; equals h(fusion) - h(current) - h(x)
     mod 1.
     """
-    check_level(x.k)
+    check_int(x.k, "level", 2)
+    check_int(p, "simple current")
     return Fraction((p * (x.i - 2 * x.j)) % x.k, x.k)
 
 
@@ -112,8 +112,8 @@ def pf_fixed(p: int, x: PfLabel) -> bool:
 
     True exactly when p = 0 mod k, or k is even, p = k/2 mod k and i = k/2.
     """
-    check_level(x.k)
-    p %= x.k
+    check_int(x.k, "level", 2)
+    p = check_int(p, "simple current") % x.k
     if p == 0:
         return True
     return x.k % 2 == 0 and p == x.k // 2 and x.i == x.k // 2
@@ -121,20 +121,20 @@ def pf_fixed(p: int, x: PfLabel) -> bool:
 
 def central_charge(k: int) -> Fraction:
     """Central charge 2(k - 1)/(k + 2) of one parafermion factor."""
-    check_level(k)
+    check_int(k, "level", 2)
     return Fraction(2 * (k - 1), k + 2)
 
 
 def irr_count(k: int) -> int:
     """Number of irreducible modules: k(k + 1)/2."""
-    check_level(k)
+    check_int(k, "level", 2)
     return k * (k + 1) // 2
 
 
 @lru_cache(maxsize=8)
 def all_labels(k: int) -> tuple[PfLabel, ...]:
     """All canonical labels, sorted: (i, j) with 0 <= j < i <= k."""
-    check_level(k)
+    check_int(k, "level", 2)
     return tuple(
         PfLabel(k, i, j) for i in range(1, k + 1) for j in range(i)
     )

@@ -17,7 +17,6 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
@@ -26,7 +25,7 @@ from .errors import (
     InvalidInputError,
     UnsupportedCodeError,
     check_cap,
-    check_shape,
+    check_int,
 )
 from .parafermion import central_charge
 from .zkcodes import Case, Code, Codeword, span
@@ -73,7 +72,8 @@ def rat(x) -> str:
 
 
 def _validate(job: JobSpec) -> None:
-    check_shape(job.k, job.ell)
+    check_int(job.k, "level", 2)
+    check_int(job.ell, "length", 1)
     for name in job.analyses:
         if name not in ANALYSES:
             raise InvalidInputError(
@@ -81,8 +81,8 @@ def _validate(job: JobSpec) -> None:
             )
     if job.fmt not in ("text", "json"):
         raise InvalidInputError(f"format must be text or json, got {job.fmt!r}")
-    if job.orbit_cap < 1 or job.verify_max_k < 2:
-        raise InvalidInputError("caps must be positive (verify max level >= 2)")
+    check_int(job.orbit_cap, "orbit cap", 1)
+    check_int(job.verify_max_k, "verify max level", 2)
     if job.coset is not None:
         from . import cosets
 
@@ -106,9 +106,9 @@ class _Rows:
     yields the row dicts of the `run` dict.  The writers read `args` instead:
     `text(*args)` yields the table's text lines, its header and dash line
     first, and `writer(depth, *args)` each row's JSON at `depth`, without a
-    row dict.  With no `text`, or no `writer`, the rows are written one by one."""
+    row dict."""
 
-    def __init__(self, rows, *args, text=None, writer=None):
+    def __init__(self, rows, *args, text, writer):
         self.rows, self.args, self.text, self.writer = rows, args, text, writer
 
     def __iter__(self):
@@ -343,11 +343,8 @@ class _Texts(dict):
 def _rows(rows: _Rows, depth: int):
     """The chunks of a row source at `depth`, as `_dumps` writes the list of
     its rows, `_CHUNK_ROWS` rows each: written by the source's writer from
-    its arguments, or row by row by `_dumps` if it has none."""
-    if rows.writer:
-        texts = rows.writer(depth + 1, *rows.args)
-    else:
-        texts = map(partial(_dumps, depth=depth + 1), rows)
+    its arguments."""
+    texts = rows.writer(depth + 1, *rows.args)
     chunk = list(islice(texts, _CHUNK_ROWS))
     if not chunk:
         yield "[]"
@@ -396,7 +393,7 @@ def _grid(cells: list[list[str]], columns: tuple[str, ...]):
 def _lines(rows, columns: tuple[str, ...], render=None):
     """The lines of a table: a row source's `text` writes them from its
     arguments; other rows go through `_cells` and `_grid`."""
-    if type(rows) is _Rows and rows.text:
+    if type(rows) is _Rows:
         return rows.text(*rows.args)
     return _grid(_cells(rows, columns, render), columns)
 

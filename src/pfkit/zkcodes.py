@@ -21,7 +21,7 @@ from enum import Enum
 from itertools import product
 from math import isqrt
 
-from .errors import InvalidInputError, check_cap, check_shape
+from .errors import InvalidInputError, check_cap, check_int, check_ints
 
 Codeword = tuple[int, ...]
 BinaryCode = tuple[tuple[int, ...], ...]
@@ -35,17 +35,6 @@ class Case(Enum):
     A = "CaseA"
     B = "CaseB"
     UNSUPPORTED = "Unsupported"
-
-
-def check_word(word: Codeword, k: int, ell: int) -> Codeword:
-    """Validate one codeword; returns it as a tuple of ints in [0, k)."""
-    word = tuple(word)
-    if len(word) != ell:
-        raise InvalidInputError(f"codeword {word} has length {len(word)}, expected {ell}")
-    for x in word:
-        if not isinstance(x, int) or not 0 <= x < k:
-            raise InvalidInputError(f"codeword entry {x!r} is not a residue mod {k}")
-    return word
 
 
 def word_add(xi: Codeword, eta: Codeword, k: int) -> Codeword:
@@ -79,6 +68,10 @@ class Code:
     @property
     def size(self) -> int:
         return len(self.words)
+
+    def __hash__(self) -> int:
+        # equal codes have equal generators, so hashing the |D| words buys nothing
+        return hash((self.k, self.ell, self.generators))
 
 
 def _classify_words(words: tuple[Codeword, ...], k: int, generators: tuple[Codeword, ...]) -> tuple[Case, tuple[Codeword, ...] | None, tuple[Codeword, ...] | None]:
@@ -127,8 +120,9 @@ def span(generators, k: int, ell: int, cap: int = DEFAULT_ENUM_CAP) -> Code:
     Grows the closure by one generator at a time (`_grow`); raises
     CapExceededError as soon as the subgroup would exceed `cap` members.
     """
-    check_shape(k, ell)
-    gens = tuple(check_word(g, k, ell) for g in generators)
+    check_int(k, "level", 2)
+    check_int(ell, "length", 1)
+    gens = tuple(check_ints(g, "codeword", k, ell) for g in generators)
     words = {(0,) * ell}
     for g in gens:
         words = _grow(words, g, k, cap)
@@ -160,8 +154,9 @@ def code_from_words(k: int, ell: int, words) -> Code:
     closed under adding each generator is their span, so the list is closed
     exactly when no check fails.  Cost O(|C| * #generators).
     """
-    check_shape(k, ell)
-    member_set = {check_word(w, k, ell) for w in words}
+    check_int(k, "level", 2)
+    check_int(ell, "length", 1)
+    member_set = {check_ints(w, "codeword", k, ell) for w in words}
     zero = (0,) * ell
     if zero not in member_set:
         raise InvalidInputError("a code must contain the zero word")
@@ -206,18 +201,18 @@ def binary_reduce(words, k: int) -> tuple[Codeword, ...]:
     The map is a bijection onto its image; when k = 2 (mod 4) it also turns
     the Z_k pairing into the binary one via division by k/2.
     """
+    check_int(k, "level", 2)
     if k % 2:
         raise InvalidInputError(f"binary reduction needs an even modulus, got {k}")
     half = k // 2
     out = []
     for w in words:
-        w = tuple(w)
+        # a residue mod k is in {0, k/2} exactly when k/2 divides it
+        w = check_ints(w, "word", k)
         for x in w:
-            if x not in (0, half):
-                raise InvalidInputError(
-                    f"entry {x} is not in {{0, {half}}}; cannot reduce to binary"
-                )
-        out.append(tuple(0 if x == 0 else 1 for x in w))
+            if x % half:
+                raise InvalidInputError(f"entry {x} is not in {{0, {half}}}; cannot reduce to binary")
+        out.append(tuple(x // half for x in w))
     reduced = tuple(sorted(out))
     if len(set(reduced)) != len(out):
         raise InvalidInputError("binary reduction collapsed distinct words")
@@ -230,13 +225,12 @@ def radical_data(words) -> tuple[int, int]:
     The radical is the set of words pairing to zero mod 2 with the whole
     code.  The index [C : radical] must be a perfect square; its square
     root is the multiplicity that shows up in fixed-point decompositions.
+    The words must be 0/1 tuples of one length.
     """
-    members = tuple(tuple(w) for w in words)
+    members = tuple(map(tuple, words))
     if not members:
         raise InvalidInputError("empty word list has no radical")
-    for w in members:
-        if any(x not in (0, 1) for x in w):
-            raise InvalidInputError(f"word {w} is not binary")
+    members = tuple(check_ints(w, "binary word", 2, len(members[0])) for w in members)
     rad = [
         w
         for w in members

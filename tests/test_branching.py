@@ -34,19 +34,19 @@ from pfkit.branching import (
     component_count,
     weight_den,
 )
-from pfkit.errors import check_bits, check_level
+from pfkit.errors import check_int, check_ints
 from pfkit.parafermion import pf_weight
 
 
 def branch_by_product(k, j, bits):
     """Reference oracle: the per-component loop over the full index product,
     rebuilding every Kac label and weight sum for each component."""
-    check_level(k)
+    check_int(k, "level", 2)
     if k > BRANCH_MAX_LEVEL:
         raise CapExceededError(
             f"branching is capped at rank {BRANCH_MAX_LEVEL}, got {k}"
         )
-    bits = check_bits(k, bits)
+    bits = check_ints(bits, "bit vector", 2, k)
     partial = []
     total = 0
     for b in bits:

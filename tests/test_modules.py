@@ -498,7 +498,9 @@ def test_count_twisted_rejects_entries_that_are_not_ints(chi):
 def test_count_twisted_reduces_int_entries_mod_k():
     code = span([(2, 2)], 4, 2)
     assert count_twisted(code, (5, -3)) == count_twisted(code, (1, 1)) == 32
-    assert count_twisted(code, (True, 0)) == count_twisted(code, (1, 0)) == 24
+    # a bool is not an integer input, though it is an int subclass
+    with pytest.raises(InvalidInputError, match="^character entry True is not an integer$"):
+        count_twisted(code, (True, 0))
 
 
 @pytest.mark.parametrize(
@@ -559,6 +561,19 @@ def test_census_consumers_read_a_generator_of_the_right_records():
     assert len(caseB_modules(C6, iter(even))) == 516
     assert count_twisted(C5, TRIVIAL, iter(orbits(C5))) == 2025
     assert characters(C5, iter(orbits(C5))) == characters(C5)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [lambda even: even[::-1], lambda even: even[1::-1] + even[2:]],
+    ids=["reversed", "first-two-swapped"],
+)
+def test_caseB_modules_takes_the_records_in_orbit_order_only(order):
+    # reversed, the 516 pairs came out in another order, some with the larger
+    # member first, as ((2,1)x(1,0)x(3,2), (2,0)x(5,4)x(3,1))
+    even = orbits(even_part_code(C6))
+    with pytest.raises(InvalidInputError, match="^the orbit records are not in orbit order$"):
+        caseB_modules(C6, order(even))
 
 
 def test_realize_examples():

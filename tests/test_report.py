@@ -336,14 +336,14 @@ class TestJsonWriter:
         plain = run(JobSpec(k=2, ell=1, analyses=("lattice", "branch")))
         plain["lattice"]["min_norm_table"] = table
         plain["branch"]["components"] = components
-        assert to_json(sourced(plain)) == json.dumps(plain, indent=2)
+        assert to_json(plain) == json.dumps(plain, indent=2)
 
     def test_falls_back_on_other_row_shapes(self):
         plain = run(JobSpec(k=3, ell=1, analyses=("lattice", "branch")))
         plain["lattice"]["min_norm_table"][0]["extra"] = 1
         del plain["branch"]["components"][0]["pf"]
         plain["branch"]["components"][1] = ["not", "a", "row"]
-        assert to_json(sourced(plain)) == json.dumps(plain, indent=2)
+        assert to_json(plain) == json.dumps(plain, indent=2)
 
     def test_empty_and_null_sections(self):
         report = run(JobSpec(k=3, ell=1, analyses=("lattice", "branch")))
@@ -353,15 +353,6 @@ class TestJsonWriter:
         report["lattice"] = {}
         report["branch"] = None
         assert to_json(report) == json.dumps(report, indent=2)
-
-
-def sourced(plain):
-    """A copy of the `run` dict `plain` with its two table lists behind
-    writer-less row sources, whose rows `to_json` writes one at a time."""
-    report = dict(plain)
-    for section, name in (("lattice", "min_norm_table"), ("branch", "components")):
-        report[section] = {**plain[section], name: R._Rows(iter, plain[section][name])}
-    return report
 
 
 class WriterReached(Exception):
@@ -1209,7 +1200,7 @@ class TestStreaming:
         rows = plain[section][name]
         at %= len(rows)
         rows[at] = ["not", "a", "row"] if key is None else {**rows[at], key: value}
-        assert to_json(sourced(plain)) == json.dumps(plain, indent=2)
+        assert to_json(plain) == json.dumps(plain, indent=2)
 
     def test_json_memory_stays_flat(self, monkeypatch):
         job = JobSpec(k=9, ell=1, analyses=("branch",), fmt="json")

@@ -181,6 +181,15 @@ def test_label_count_past_the_sample_range_exits_four(capsys):
     assert f"exceeds the cap of {sys.maxsize}" in capsys.readouterr().err
 
 
+def test_the_largest_label_space_under_the_caps_verifies(capsys):
+    # 3^39 labels is the most sys.maxsize admits at k = 2, so the
+    # realization fold recurses at most 40 deep
+    argv = ["--k", "2", "--ell", "39", "--gen", "1,1" + ",0" * 37, "--analysis", "verify"]
+    assert main([*argv, "--orbit-cap", str(10**20)]) == 0
+    out = capsys.readouterr().out
+    assert out.count(": pass") == 7 and "FAIL" not in out
+
+
 def test_run_suites_order():
     results = run_suites(span([(1, 2)], 5, 2), CAP)
     assert [r.name for r in results] == [
