@@ -152,14 +152,19 @@ def identity_label(k: int) -> CosetLabel:
 
 @lru_cache(maxsize=8)
 def all_labels(k: int) -> tuple[CosetLabel, ...]:
-    """All 2^(k-1) k canonical labels, sorted."""
+    """All 2^(k-1) k canonical labels, sorted: `_all_packed(k)` unpacked."""
     check_int(k, "level", 2)
-    out = []
-    for j in range(k):
-        for bits in product((0, 1), repeat=k):
-            if j < sum(bits):
-                out.append(CosetLabel(k, j, bits))
-    return tuple(out)
+    bits = list(product((0, 1), repeat=k))  # bits[mask], bits[0] the top bit
+    full = (1 << k) - 1
+    return tuple(CosetLabel(k, x >> k, bits[x & full]) for x in _all_packed(k))
+
+
+@lru_cache(maxsize=8)
+def _all_packed(k: int) -> tuple[int, ...]:
+    """All canonical labels of level k packed, sorted: j << k | mask for
+    every j < popcount(mask)."""
+    weights = [mask.bit_count() for mask in range(1 << k)]
+    return tuple(j << k | mask for j in range(k) for mask, w in enumerate(weights) if j < w)
 
 
 def coset_add(x: CosetLabel, y: CosetLabel) -> CosetLabel:
@@ -200,7 +205,8 @@ def _residue_table(k: int) -> dict:
     distinct residue tuples, which makes coset identification a lookup; a
     collision raises VerificationError.
     """
-    table = {tuple(c % (2 * k) for c in _scaled(lab)): lab for lab in all_labels(k)}
+    m = 2 * k
+    table = {tuple([c % m for c in _scaled(lab)]): lab for lab in all_labels(k)}
     if len(table) != len(all_labels(k)):
         raise VerificationError("representative residues collided")
     return table
@@ -229,13 +235,15 @@ def coset_of_vector(v: LatticeVector) -> CosetLabel:
 
 
 def _coset_of_scaled(k: int, scaled) -> CosetLabel:
-    """The coset of a 2k-scaled vector with coordinate sum 0."""
-    for p in range(k - 1):
-        if (scaled[p] - scaled[p + 1]) % k:
-            raise InvalidInputError(
-                "not a dual vector: fractional pairing with a base generator"
-            )
-    key = tuple(s % (2 * k) for s in scaled)
+    """The coset of a 2k-scaled vector with coordinate sum 0.  It pairs
+    integrally with every beta_p when all coordinates agree mod k."""
+    m = 2 * k
+    key = tuple([s % m for s in scaled])
+    r = key[0] % k
+    if key.count(r) + key.count(r + k) != len(key):
+        raise InvalidInputError(
+            "not a dual vector: fractional pairing with a base generator"
+        )
     try:
         return _residue_table(k)[key]
     except KeyError:  # unreachable once the dual checks pass
@@ -252,8 +260,12 @@ def min_norm_data(k: int, j: int, bits) -> tuple[Fraction, int]:
     """
     check_int(k, "level", 2)
     bits = check_ints(bits, "bit vector", 2, k)
-    j = check_int(j, "coset shift") % k
-    w = sum(bits)
+    return _closed_norm(k, check_int(j, "coset shift") % k, sum(bits))
+
+
+@lru_cache(maxsize=1024)
+def _closed_norm(k: int, j: int, w: int) -> tuple[Fraction, int]:
+    """`min_norm_data` of the label (j, bits) with j in [0, k) and w = weight(bits)."""
     if j < w:
         return Fraction(k * w - (w - 2 * j) ** 2, 2 * k), comb(w, j)
     return (
@@ -281,27 +293,42 @@ def min_norm_oracle(x: CosetLabel) -> tuple[Fraction, int]:
 
     Every coset vector has the shape
         sum_{p in supp} (d + 1/2 - c_p) alpha_p + sum_{q notin supp} (d - c_q) alpha_q
-    with d = (2j - w)/2k and integers c summing to j; the search runs over
-    the window c_p in [-2, 3] by dynamic programming on partial sums, with
-    integer costs scaled by (2k)^2.  The window is asserted, not assumed:
-    the best tuple touching the window boundary must be strictly worse than
-    the optimum, otherwise a VerificationError reports the clipping.
+    with d = (2j - w)/2k and integers c summing to j.  Scaled by 2k,
+    coordinate p is u + k(b_p - 2c_p) with u = 2j - w, and when the c sum
+    to j the squares add up to k^2 Q - k u^2, Q = sum_p (b_p - 2c_p)^2.  So
+    the search does not depend on j: `_norm_search` minimizes Q over the
+    window c_p in [-2, 3], and the norm is (k Q - u^2)/2k.  The window is
+    asserted, not assumed: the best tuple touching the window boundary must
+    be strictly worse than the optimum, otherwise a VerificationError
+    reports the clipping.
     """
     k, j, bits = x.k, x.j, x.bits
     check_search_level(k)
-    w = sum(bits)
-    # scaled offsets: 2k*(d + 1/2) on the support, 2k*d off it
-    t_in = 2 * j - w + k
-    t_out = 2 * j - w
-    # partial-sum states: sum -> (best cost, count, best boundary-touching cost)
+    return _searched_norm(k, j, bits, _norm_search(bits, j, j))
+
+
+def _norm_search(bits, lo: int, hi: int) -> dict[int, tuple[int, int, int | None]]:
+    """For each final sum s in [lo, hi] that the window reaches: the least
+    Q = sum_p (b_p - 2c_p)^2 over the tuples c in `_WINDOW` with sum s, the
+    number of tuples attaining it, and the least Q over the tuples with an
+    entry at an end of the window (None when there is none).
+
+    Dynamic programming on partial sums, slot by slot in the order of
+    `bits`.  A partial sum that cannot reach [lo, hi] in the m slots left,
+    one outside [lo - 3m, hi + 2m] for the window [-2, 3], is dropped."""
+    first, last = _WINDOW[0], _WINDOW[-1]
     states: dict[int, tuple[int, int, int | None]] = {0: (0, 1, None)}
+    left = len(bits)
     for b in bits:
-        t = t_in if b else t_out
-        moves = [(c, (t - 2 * k * c) ** 2, c in (-2, 3)) for c in _WINDOW]
+        left -= 1
+        low, high = lo - last * left, hi - first * left
+        moves = [(c, (b - 2 * c) ** 2, c in (first, last)) for c in _WINDOW]
         fresh: dict[int, tuple[int, int, int | None]] = {}
         for s, (best, count, edge) in states.items():
             for c, f, on_edge in moves:
                 s2 = s + c
+                if s2 < low or s2 > high:
+                    continue
                 cost = best + f
                 e2 = cost if on_edge else (edge + f if edge is not None else None)
                 if s2 not in fresh:
@@ -316,12 +343,20 @@ def min_norm_oracle(x: CosetLabel) -> tuple[Fraction, int]:
                     old_edge = e2
                 fresh[s2] = (b2, n2, old_edge)
         states = fresh
+    return states
+
+
+def _searched_norm(k: int, j: int, bits, states) -> tuple[Fraction, int]:
+    """The minimal norm (k Q - u^2)/2k and count of the label (j, bits), u =
+    2j - weight, from `_norm_search` states that cover the sum j; the
+    clipping test compares Q with the least boundary-touching Q."""
     best, count, edge = states[j]
     if edge is not None and edge <= best:
         raise VerificationError(
             f"search window clipped a minimizer for rank {k}, label ({j}, {bits})"
         )
-    return Fraction(best, 2 * k * k), count
+    u = 2 * j - sum(bits)
+    return Fraction(k * best - u * u, 2 * k), count
 
 
 @dataclass(frozen=True)

@@ -47,13 +47,13 @@ from .zkcodes import (
     _coset_minimum,
     _dual_rows,
     _hermite_rows,
+    _inner,
+    _word_add,
     binary_reduce,
     code_from_words,  # noqa: F401 -- a module attribute perfbench/tracing.py wraps
     dual_code,  # noqa: F401 -- a module attribute perfbench/tracing.py wraps
-    inner,
     radical_data,
     span,
-    word_add,
 )
 
 if TYPE_CHECKING:
@@ -609,8 +609,8 @@ def even_part_code(code: Code) -> Code:
     if code.case is not Case.B:
         raise InvalidInputError("even-part analysis needs a half-period (Case B) code")
     k = code.k
-    g0 = next(g for g in code.generators if inner(g, g, k))
-    gens = [word_add(g, g0, k) if inner(g, g, k) else g for g in code.generators]
+    g0 = next(g for g in code.generators if _inner(g, g, k))
+    gens = [_word_add(g, g0, k) if _inner(g, g, k) else g for g in code.generators]
     even = span([g for g in gens if any(g)], k, code.ell)
     if even.words != code.even_part:
         raise VerificationError("kernel of the self-pairing is not the even part")

@@ -73,7 +73,8 @@ def sc_weight(k: int, p: int) -> Fraction:
 
 def sc_label(k: int, p: int) -> PfLabel:
     """Canonical label of the simple current indexed by p mod k."""
-    return pf_canonicalize(k, 0, p)
+    check_int(k, "level", 2)
+    return pf_canonicalize(k, 0, check_int(p, "simple current"))
 
 
 def vacuum(k: int) -> PfLabel:
@@ -88,7 +89,7 @@ def presentations(x: PfLabel) -> set[tuple[int, int]]:
 
 def sc_fuse(p: int, x: PfLabel) -> PfLabel:
     """Fusion of the simple current p with the module x: (i, j) -> (i, j + p)."""
-    return pf_canonicalize(x.k, x.i, x.j + p)
+    return pf_canonicalize(x.k, x.i, x.j + check_int(p, "simple current"))
 
 
 def pf_b(p: int, x: PfLabel) -> Fraction:

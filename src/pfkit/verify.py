@@ -22,13 +22,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import combinations_with_replacement
+from math import lcm
 
 from .cosets import (
     ProductCoset,
     _add_packed,
+    _all_packed,
     _coset_of_scaled,
+    _norm_search,
     _pack,
     _scaled,
+    _searched_norm,
     _unpack,
     all_labels,
     build_code_lattice,
@@ -57,7 +61,7 @@ from .modules import (
 from .parafermion import all_labels as pf_all_labels
 from .parafermion import pf_b
 from .parafermion import pf_weight, sc_fuse, sc_weight, vacuum
-from .zkcodes import Case, Code, Codeword, word_add
+from .zkcodes import Case, Code, Codeword, _word_add
 
 
 @dataclass(frozen=True)
@@ -85,15 +89,23 @@ def _suite(name: str):
 @_suite("minimal_norms")
 def verify_minimal_norms(k: int) -> str | None:
     """Closed-form minimal norms and counts vs exhaustive search, every
-    canonical coset.  The search depends only on (j, weight), so it runs
-    once per pair; a seeded sample of 64 labels must reproduce the memo."""
+    canonical coset.  The search is j-free (`cosets.min_norm_oracle`): with
+    u = 2j - w, the 2k-scaled squares of a vector whose shifts c sum to j
+    add up to k^2 sum (b - 2c)^2 - k u^2, so one window search over the bits
+    serves every shift.  Its result depends only on the weight, so each
+    weight's bit pattern is searched once per call, at the first label of
+    that weight; a seeded sample of 64 labels, each searched in its own bit
+    order, must reproduce the memo."""
     check_search_level(k)
     labels = all_labels(k)
-    memo = {}
+    searches, memo = {}, {}
     for lab in labels:
-        key = (lab.j, lab.weight)
+        w = lab.weight
+        key = (lab.j, w)
         if key not in memo:
-            memo[key] = min_norm_oracle(lab)
+            if w not in searches:
+                searches[w] = _norm_search(lab.bits, 0, w - 1)
+            memo[key] = _searched_norm(k, lab.j, lab.bits, searches[w])
         closed = min_norm_data(k, lab.j, lab.bits)
         if closed != memo[key]:
             return f"label ({lab.j}, {lab.bits}): closed form {closed}, search {memo[key]}"
@@ -111,11 +123,13 @@ def verify_group_laws(k: int) -> str | None:
     generator decomposition exhibiting invariant factors (2, ..., 2, 2k).
 
     Identity and inverses run on packed labels (`cosets._add_packed`) for
-    every label, the inverse oracle on 2k-scaled integers, and through the
-    public `coset_add`, `coset_neg`, `representative` and `coset_of_vector`
-    for a seeded sample of 64.  The pair laws run on packed labels, which 64
-    seeded pairs through `coset_add` must match.  A residue collision or a
-    vector outside the dual fails the suite with its message.
+    every label, taken from one packed enumeration of the level
+    (`cosets._all_packed`), the inverse oracle on 2k-scaled integers, and
+    through the public `coset_add`, `coset_neg`, `representative` and
+    `coset_of_vector` for a seeded sample of 64.  The pair laws run on
+    packed labels, which 64 seeded pairs through `coset_add` must match.  A
+    residue collision or a vector outside the dual fails the suite with its
+    message.
     """
     labels = all_labels(k)
     try:
@@ -126,12 +140,14 @@ def verify_group_laws(k: int) -> str | None:
 
 def _group_law_failure(k: int, labels) -> str | None:
     e = identity_label(k)
-    packed, one, full = [_pack(x) for x in labels], _pack(e), (1 << k) - 1
+    # `_all_packed(k)` is `labels` packed, in the same order
+    packed, one, full = _all_packed(k), _pack(e), (1 << k) - 1
+    label_of = dict(zip(packed, labels))
     for x, p in zip(labels, packed):
         if _add_packed(k, p, one) != p:
             return f"identity fails at {x}"
         neg = _add_packed(k, full - p, 0)
-        if _coset_of_scaled(k, [-c for c in _scaled(x)]) != _unpack(k, neg):
+        if _coset_of_scaled(k, [-c for c in _scaled(x)]) != label_of.get(neg):
             return f"inverse oracle fails at {x}"
         if _add_packed(k, p, neg) != one:
             return f"inverse fails at {x}"
@@ -158,7 +174,7 @@ def _group_law_failure(k: int, labels) -> str | None:
         if _add_packed(k, x, y) != _add_packed(k, y, x):
             return f"commutativity fails at {_unpack(k, x)}, {_unpack(k, y)}"
     for _ in range(2000):
-        x, y, z = (rng.choice(packed) for _ in range(3))
+        x, y, z = rng.choice(packed), rng.choice(packed), rng.choice(packed)
         if _add_packed(k, _add_packed(k, x, y), z) != _add_packed(k, x, _add_packed(k, y, z)):
             x, y, z = (_unpack(k, v) for v in (x, y, z))
             return f"associativity fails at {x}, {y}, {z}"
@@ -228,7 +244,8 @@ def verify_pairing_forms(k: int) -> str | None:
 @_suite("monodromy_laws")
 def verify_monodromy_laws(k: int) -> str | None:
     """Closed-form monodromy vs the weight bookkeeping
-    h(fusion) - h(current) - h(x) mod 1, plus additivity in the current."""
+    h(fusion) - h(current) - h(x) mod 1, plus additivity in the current,
+    compared on the table's integer numerators (`_numerators`)."""
     labels = pf_all_labels(k)
     b = [[pf_b(p, x) for x in labels] for p in range(k)]
     for p in range(k):
@@ -238,12 +255,20 @@ def verify_monodromy_laws(k: int) -> str | None:
             diff = pf_weight(k, fused.i, fused.j) - hp - pf_weight(k, x.i, x.j)
             if (lhs - diff) % 1 != 0:
                 return f"current {p} vs {x}: {lhs} != {diff}"
+    den, num = _numerators(b)
     for p in range(k):
         for q in range(k):
-            for x, lhs, bp, bq in zip(labels, b[(p + q) % k], b[p], b[q]):
-                if lhs != (bp + bq) % 1:
+            for x, lhs, bp, bq in zip(labels, num[(p + q) % k], num[p], num[q]):
+                if lhs != (bp + bq) % den:
                     return f"additivity fails at {p}, {q}, {x}"
     return None
+
+
+def _numerators(rows) -> tuple[int, list[list[int]]]:
+    """The lcm D of the denominators of a table of Fractions, and the table
+    times D: then a == (b + c) % 1 exactly when aD == (bD + cD) % D."""
+    den = lcm(*(v.denominator for row in rows for v in row))
+    return den, [[v.numerator * (den // v.denominator) for v in row] for row in rows]
 
 
 @_suite("realization_duality")
@@ -390,9 +415,10 @@ def verify_extension_monodromy(code: Code, cap: int) -> str | None:
     vanishing on the code itself when the code is even.
 
     The bookkeeping covers every label with integer rows over the level's
-    label table, checked per slot by `_first_failing`; a seeded sample of
-    64 labels must give the same fusion, weight and monodromy through the
-    public `fuse`, `tensor_weight` and `b_ext`.
+    label table, checked per slot by `_first_failing`, and additivity
+    compares integer numerators on an even spread of at most 65 labels; a
+    seeded sample of 64 labels must give the same fusion, weight and
+    monodromy through the public `fuse`, `tensor_weight` and `b_ext`.
     """
     k, ell = code.k, code.ell
     total = label_space_size(k, ell, cap)
@@ -401,7 +427,8 @@ def verify_extension_monodromy(code: Code, cap: int) -> str | None:
     step = max(1, total // 64)
     spread = [table.label(_digits(i, n, ell)) for i in range(0, total, step)]
     # the code is closed under addition, so xi + eta has its row here too
-    b_rows = {xi: [b_ext(xi, x) for x in spread] for xi in code.words}
+    b_den, b_num = _numerators([[b_ext(xi, x) for x in spread] for xi in code.words])
+    b_rows = dict(zip(code.words, b_num))
     for xi in code.words:
         rows = _monodromy_rows(k, xi)
         index = _first_failing([[(v,) for v in row] for row in rows], den)
@@ -412,9 +439,9 @@ def verify_extension_monodromy(code: Code, cap: int) -> str | None:
             ) - sum(sc_weight(k, p) for p in xi)
             return f"word {xi} vs {table.label(index)}: {got} vs {diff}"
         for eta in code.words:
-            merged = b_rows[word_add(xi, eta, k)]
+            merged = b_rows[_word_add(xi, eta, k)]
             for x, m, a, b in zip(spread, merged, b_rows[xi], b_rows[eta]):
-                if m != (a + b) % 1:
+                if m != (a + b) % b_den:
                     return f"additivity fails at {xi}, {eta}, {x}"
     for index in (_digits(i, n, ell) for i in _sample(range(total), k)):
         x = table.label(index)

@@ -38,13 +38,27 @@ class Case(Enum):
 
 
 def word_add(xi: Codeword, eta: Codeword, k: int) -> Codeword:
-    return tuple((x + y) % k for x, y in zip(xi, eta))
+    """Entrywise sum of two codewords of one length, reduced mod k."""
+    return _word_add(*_check_pair(xi, eta, k), k)
 
 
 def inner(xi: Codeword, eta: Codeword, k: int) -> int:
     """Standard inner product sum(xi_r * eta_r), reduced mod k."""
-    if len(xi) != len(eta):
-        raise InvalidInputError("inner product needs words of equal length")
+    return _inner(*_check_pair(xi, eta, k), k)
+
+
+def _check_pair(xi, eta, k: int) -> tuple[Codeword, Codeword]:
+    check_int(k, "level", 2)
+    xi = check_ints(xi, "codeword", k)
+    return xi, check_ints(eta, "codeword", k, len(xi))
+
+
+# The unchecked forms, for words the package built or checked itself.
+def _word_add(xi: Codeword, eta: Codeword, k: int) -> Codeword:
+    return tuple((x + y) % k for x, y in zip(xi, eta))
+
+
+def _inner(xi: Codeword, eta: Codeword, k: int) -> int:
     return sum(x * y for x, y in zip(xi, eta)) % k
 
 
@@ -82,14 +96,14 @@ def _classify_words(words: tuple[Codeword, ...], k: int, generators: tuple[Codew
     generator pairs into {0, k/2} with every word, then so does every pair
     of words.
     """
-    if all(inner(w, w, k) == 0 for w in words):
+    if all(_inner(w, w, k) == 0 for w in words):
         return Case.A, None, None
     if k % 2 == 0:
         half = k // 2
         pairs_ok = all(
-            inner(g, w, k) in (0, half) for g in generators for w in words
+            _inner(g, w, k) in (0, half) for g in generators for w in words
         )
-        diag = [inner(w, w, k) for w in words]
+        diag = [_inner(w, w, k) for w in words]
         if pairs_ok and all(d in (0, half) for d in diag):
             d0 = tuple(w for w, d in zip(words, diag) if d == 0)
             d1 = tuple(w for w, d in zip(words, diag) if d == half)
@@ -140,8 +154,8 @@ def _grow(spanned: set, x: Codeword, k: int, cap: int) -> set:
     multiple = x
     while multiple not in spanned:
         check_cap("span of size at least", len(grown) + len(spanned), cap)
-        grown.update(word_add(s, multiple, k) for s in spanned)
-        multiple = word_add(multiple, x, k)
+        grown.update(_word_add(s, multiple, k) for s in spanned)
+        multiple = _word_add(multiple, x, k)
     return grown
 
 
@@ -167,7 +181,7 @@ def code_from_words(k: int, ell: int, words) -> Code:
         if x in spanned:
             continue
         for y in members:
-            if word_add(x, y, k) not in member_set:
+            if _word_add(x, y, k) not in member_set:
                 raise InvalidInputError(
                     f"word list is not closed under addition: {x} + {y}"
                 )
@@ -190,7 +204,7 @@ def dual_code(code: Code, cap: int = DEFAULT_ENUM_CAP) -> Code:
     words = (
         w
         for w in product(range(code.k), repeat=code.ell)
-        if all(inner(g, w, code.k) == 0 for g in code.generators)
+        if all(_inner(g, w, code.k) == 0 for g in code.generators)
     )
     return code_from_words(code.k, code.ell, words)
 
@@ -205,18 +219,19 @@ def binary_reduce(words, k: int) -> tuple[Codeword, ...]:
     if k % 2:
         raise InvalidInputError(f"binary reduction needs an even modulus, got {k}")
     half = k // 2
-    out = []
+    out = set()
     for w in words:
         # a residue mod k is in {0, k/2} exactly when k/2 divides it
         w = check_ints(w, "word", k)
         for x in w:
             if x % half:
                 raise InvalidInputError(f"entry {x} is not in {{0, {half}}}; cannot reduce to binary")
-        out.append(tuple(x // half for x in w))
-    reduced = tuple(sorted(out))
-    if len(set(reduced)) != len(out):
-        raise InvalidInputError("binary reduction collapsed distinct words")
-    return reduced
+        # distinct words reduce to distinct binary words
+        reduced = tuple(x // half for x in w)
+        if reduced in out:
+            raise InvalidInputError(f"word {w} is repeated; binary reduction needs distinct words")
+        out.add(reduced)
+    return tuple(sorted(out))
 
 
 def radical_data(words) -> tuple[int, int]:

@@ -1,8 +1,9 @@
 """Coset labels, representatives, minimal norms, pairings, code lattices."""
 
 import random
+from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given
@@ -31,7 +32,10 @@ from pfkit import (
     span,
     vector,
 )
-from pfkit.cosets import _add_packed, _pack, _unpack
+from pfkit import cosets
+from pfkit.cosets import _add_packed, _all_packed, _norm_search, _pack, _unpack
+from pfkit.errors import VerificationError
+from pfkit.verify import verify_minimal_norms
 
 
 def test_canonicalize_examples():
@@ -172,6 +176,68 @@ def test_oracle_agrees_with_closed_form_small():
     for k in (2, 3, 4, 5):
         for lab in coset_labels(k):
             assert min_norm_oracle(lab) == (min_norm(lab), minimizer_count(lab))
+
+
+def brute_force_norms(k):
+    """(minimal norm, count) of every label of level k over the coset
+    vectors with each shift c_p in the search window, by enumeration:
+    coordinate p is d + b_p/2 - c_p with d = (2j - w)/2k and the c summing
+    to j, and the norm is twice the sum of the squared coordinates."""
+    by_sum = defaultdict(list)
+    for cs in product(cosets._WINDOW, repeat=k):
+        by_sum[sum(cs)].append(cs)
+    out = {}
+    for lab in coset_labels(k):
+        d = Fraction(2 * lab.j - lab.weight, 2 * k)
+        square = {(b, c): (d + Fraction(b, 2) - c) ** 2 for b in (0, 1) for c in cosets._WINDOW}
+        norms = [
+            2 * sum((square[b, c] for b, c in zip(lab.bits, cs)), Fraction(0))
+            for cs in by_sum[lab.j]
+        ]
+        best = min(norms)
+        out[lab] = (best, norms.count(best))
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_oracle_matches_brute_force_enumeration(k):
+    for lab, want in brute_force_norms(k).items():
+        assert min_norm_oracle(lab) == want, lab
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 6])
+def test_pruned_searches_keep_the_unpruned_states(k):
+    # the j-free search serves every shift; pruning to a target range only
+    # drops the sums outside it, whatever the bit order
+    for bits in product((0, 1), repeat=k):
+        full = _norm_search(bits, -2 * k, 3 * k)
+        assert _norm_search(bits, 0, k - 1) == {s: full[s] for s in range(k)}
+        for j in range(k):
+            assert _norm_search(bits, j, j) == {j: full[j]}
+        assert _norm_search(tuple(sorted(bits)), 0, k - 1) == _norm_search(bits, 0, k - 1)
+
+
+def test_a_narrowed_window_reports_the_clipping(monkeypatch):
+    # the true minimizers take c in {0, 1}, both ends of this window
+    monkeypatch.setattr(cosets, "_WINDOW", range(0, 2))
+    message = r"^search window clipped a minimizer for rank 4, label \(0, \(0, 0, 0, 1\)\)$"
+    with pytest.raises(VerificationError, match=message):
+        min_norm_oracle(CosetLabel(4, 0, (0, 0, 0, 1)))
+    with pytest.raises(VerificationError, match=message):
+        verify_minimal_norms(4)
+
+
+def test_a_window_one_wider_than_the_minimizers_suffices(monkeypatch):
+    monkeypatch.setattr(cosets, "_WINDOW", range(-1, 3))
+    for k in (2, 3, 4, 5):
+        for lab in coset_labels(k):
+            assert min_norm_oracle(lab) == min_norm_data(k, lab.j, lab.bits), lab
+
+
+def test_packed_enumeration_is_the_labels_packed():
+    for k in range(2, 9):
+        assert _all_packed(k) == tuple(_pack(x) for x in coset_labels(k))
+        assert [_unpack(k, x) for x in _all_packed(k)] == list(coset_labels(k))
 
 
 def test_oracle_rank_guard():

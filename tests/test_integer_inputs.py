@@ -18,16 +18,17 @@ import pytest
 from pfkit.branching import branch, branch_tail, component_count, locate_pf, vir_h
 from pfkit.cosets import ProductCoset, canonicalize, min_norm_data
 from pfkit.errors import InvalidInputError, check_int, check_ints
-from pfkit.parafermion import PfLabel, pf_b, pf_canonicalize, pf_fixed, sc_label, sc_weight
+from pfkit.parafermion import PfLabel, pf_b, pf_canonicalize, pf_fixed, sc_fuse, sc_label, sc_weight
 from pfkit.report import JobSpec, run
-from pfkit.zkcodes import binary_reduce, radical_data
+from pfkit.zkcodes import binary_reduce, inner, radical_data, word_add
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pfkit"
 
 MALFORMED = [
     (lambda: pf_canonicalize(4, 1.5, 0), "first label index must be an integer in [0, 4], got 1.5"),
     (lambda: pf_canonicalize(4, 2, 0.5), "second label index must be an integer, got 0.5"),
-    (lambda: sc_label(4, 0.5), "second label index must be an integer, got 0.5"),
+    (lambda: sc_label(4, 0.5), "simple current must be an integer, got 0.5"),
+    (lambda: sc_fuse(0.5, PfLabel(4, 2, 0)), "simple current must be an integer, got 0.5"),
     (lambda: canonicalize(2, 0, (1.0, 0)), "bit vector entry 1.0 is not a residue mod 2"),
     (lambda: min_norm_data(3, 0, (1.0, 0, 1)), "bit vector entry 1.0 is not a residue mod 2"),
     (lambda: component_count(3, (1.0, 0, 1)), "bit vector entry 1.0 is not a residue mod 2"),
@@ -45,6 +46,17 @@ MALFORMED = [
     (lambda: radical_data([(0, 1), (1, 2)]), "binary word entry 2 is not a residue mod 2"),
     (lambda: binary_reduce([(0, 0)], 0), "level must be an integer >= 2, got 0"),
     (lambda: binary_reduce([(0, 2.0)], 4), "word entry 2.0 is not a residue mod 4"),
+    (
+        lambda: binary_reduce([(0, 2), (0, 2)], 4),
+        "word (0, 2) is repeated; binary reduction needs distinct words",
+    ),
+    (lambda: inner((1.5, True), (1, 1), 4), "codeword entry 1.5 is not a residue mod 4"),
+    (lambda: inner((1, 1), (1, True), 4), "codeword entry True is not a residue mod 4"),
+    (lambda: inner((1,), (1, 0), 3), "codeword (1, 0) has length 2, expected 1"),
+    (lambda: inner((1, 1), (1, 1), 1), "level must be an integer >= 2, got 1"),
+    (lambda: word_add((1.5, 0), (1, 0), 4), "codeword entry 1.5 is not a residue mod 4"),
+    (lambda: word_add((1, 0), (1, 0, 0), 4), "codeword (1, 0, 0) has length 3, expected 2"),
+    (lambda: word_add((1, 4), (1, 0), 4), "codeword entry 4 is not a residue mod 4"),
     (lambda: run(JobSpec(k=4, ell=1, orbit_cap="10")), "orbit cap must be an integer >= 1, got '10'"),
     (lambda: run(JobSpec(k=4, ell=1, orbit_cap=2.5)), "orbit cap must be an integer >= 1, got 2.5"),
     (lambda: run(JobSpec(k=4, ell=1, verify_max_k=8.0)), "verify max level must be an integer >= 2, got 8.0"),

@@ -685,6 +685,8 @@ def test_per_code_and_per_level_caches_are_bounded():
         modules._dual_words,
         modules.label_table,
         cosets.all_labels,
+        cosets._all_packed,
+        cosets._closed_norm,
         cosets.representative,
         cosets._residue_table,
         parafermion.all_labels,
