@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 from .errors import (
     DEFAULT_ORBIT_CAP,
     InvalidInputError,
+    UnsupportedCodeError,
     VerificationError,
     check_cap,
     check_int,
@@ -483,7 +484,9 @@ class InducedReport:
 
 def induced_decomposition(orbit: OrbitRecord) -> InducedReport:
     """Split the induced module of an orbit of `orbit.code` into irreducibles,
-    as `stabilizer_regime` reads its stabilizer."""
+    as `stabilizer_regime` reads its stabilizer; the code must be Case A
+    (`_check_case_a`)."""
+    _check_case_a(orbit.code)
     return InducedReport(orbit, *stabilizer_regime(orbit.stabilizer, orbit.code.k))
 
 
@@ -506,6 +509,17 @@ def stabilizer_regime(stab: tuple[Codeword, ...], k: int) -> tuple[Regime, int, 
     if k % 4 == 0:
         return Regime.FIXED_K0MOD4, len(stab), 1
     return (Regime.FIXED_K2MOD4, *radical_data(binary_reduce(stab, k)))
+
+
+def _check_case_a(code: Code) -> None:
+    """Nothing on a Case A code.  A Case B code raises InvalidInputError, as
+    its modules are counted on `even_part_code(code)`, and an unsupported one
+    UnsupportedCodeError; the report's census checks the code it walks, the
+    code or its even part, by this rule too."""
+    if code.case is Case.B:
+        raise InvalidInputError("a half-period (Case B) code acts through its even part: pass even_part_code(code)")
+    if code.case is Case.UNSUPPORTED:
+        raise UnsupportedCodeError("the module census is defined for even or half-period codes only")
 
 
 def _records(code: Code, orbit_list, cap: int) -> tuple[OrbitRecord, ...]:
@@ -532,7 +546,9 @@ def count_twisted(code: Code, chi, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP
     are `orbit_list`, the code's records, or a walk under `cap` (`_records`).
     The entries of a residue word are reduced mod k; one that is a bool or
     not an `int`, or a `Character` of another level or length, raises
-    InvalidInputError."""
+    InvalidInputError.  The code must be Case A (`_check_case_a`), which is
+    checked before anything else."""
+    _check_case_a(code)
     if isinstance(chi, Character):
         if chi.k != code.k:
             raise InvalidInputError(f"character of level {chi.k} given for a code of level {code.k}")
@@ -639,20 +655,29 @@ def caseB_modules(code: Code, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP) -> 
     order; without it the even part is walked under `cap` (`_records`, which
     raises InvalidInputError on the records of any other code).  Records out
     of orbit order would change which member of a pair comes first, so they
-    raise InvalidInputError too.  Each record emitted carries its orbit's
-    `induced_decomposition`.
+    raise InvalidInputError too.  The pairing loop is `_mates`; each record
+    emitted carries its orbit's `induced_decomposition`.
     """
     even = even_part_code(code)
     orbit_list = _records(even, orbit_list, cap)
     if any(a.index >= b.index for a, b in pairwise(orbit_list)):
         raise InvalidInputError("the orbit records are not in orbit order")
+    label = label_table(code.k).label
+    return tuple(
+        CaseBRecord((label(orbit_list[n].index), label(mate)), induced_decomposition(orbit_list[n]), verdict)
+        for n, mate, verdict in _mates(code, even, orbit_list)
+    )
+
+
+def _mates(code: Code, even: Code, records):
+    """The pairing loop of `caseB_modules` over the even part's `records`, in orbit
+    order: each paired record's position in `records`, its mate's index tuple and the verdict."""
     table = label_table(code.k)
     fuse, base, position = table.fuse, table.base, table.position
     odd = tuple(fuse[p] for p in min(code.odd_part))
     bases: dict[tuple[int, ...], list[list[int]]] = {}  # moduli -> `_echelon`
-    out = []
     mates = set()
-    for orb in orbit_list:
+    for n, orb in enumerate(records):
         rep = orb.index
         # odd + odd is even: the odd coset pairs orbits, so a mate is not fused again
         if not orb.character.trivial or rep in mates:
@@ -669,5 +694,4 @@ def caseB_modules(code: Code, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP) -> 
             verdict = Verdict.SPLIT
         else:
             verdict = Verdict.INDETERMINATE
-        out.append(CaseBRecord((table.label(rep), table.label(mate)), induced_decomposition(orb), verdict))
-    return tuple(out)
+        yield n, mate, verdict

@@ -14,7 +14,6 @@ denominator.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -23,7 +22,6 @@ from json.encoder import encode_basestring_ascii
 from .errors import (
     DEFAULT_ORBIT_CAP,
     InvalidInputError,
-    UnsupportedCodeError,
     check_cap,
     check_int,
 )
@@ -118,11 +116,8 @@ class _Rows:
 def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None]:
     from . import modules
 
-    if code.case is Case.UNSUPPORTED:
-        raise UnsupportedCodeError(
-            "the module census is defined for even or half-period codes only"
-        )
     basis = modules.even_part_code(code) if code.case is Case.B else code
+    modules._check_case_a(basis)  # an unsupported code raises UnsupportedCodeError
     orbit_list = modules.orbits(basis, job.orbit_cap)
     table = modules.label_table(basis.k)
     # rows are rendered from index tuples: one string per factor label (the
@@ -132,7 +127,7 @@ def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None
     # count are kept once per object, keyed by identity
     weights = _Texts(lambda num: rat(Fraction(num, table.weight_den)))
     regimes: dict[int, tuple] = {}  # id -> (Regime, num_irreducibles, multiplicity)
-    chis: dict[int, list] = {}  # id -> [Character, text, count]
+    chis: dict[int, list] = {}  # id -> [text, count]
     rows = []
     for orb in orbit_list:
         stab, chi = orb.stabilizer, orb.character
@@ -142,38 +137,30 @@ def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None
         regime, num, mult = triple
         entry = chis.get(id(chi))
         if entry is None:
-            entry = chis[id(chi)] = [chi, str(chi), 0]
-        entry[2] += num
+            entry = chis[id(chi)] = [str(chi), 0]
+        entry[1] += num
         rows.append(
             {
                 "representative": table.text(orb.index),
                 "size": orb.size,
                 "stabilizer_order": len(stab),
-                "character": entry[1],
+                "character": entry[0],
                 "min_weight": weights[orb.weight],
                 "regime": regime.value,
                 "num_irreducibles": num,
                 "multiplicity": mult,
             }
         )
-    totals = Counter()
-    for chi, _, count in chis.values():
-        totals[chi] += count
-    counts = [
-        {"character": str(chi), "count": totals[chi]}
-        for chi in modules.characters(basis, orbit_list)
-    ]
+    counts = [dict(zip(_COUNT_COLUMNS, chis[id(chi)])) for chi in modules.characters(basis, orbit_list)]
     case_b: list | None = None
     if code.case is Case.B:
         case_b = [
             {
-                "pair": [str(rec.pair[0]), str(rec.pair[1])],
-                "verdict": rec.verdict.value,
-                "regime": rec.induced.regime.value,
-                "num_irreducibles": rec.induced.num_irreducibles,
-                "multiplicity": rec.induced.multiplicity,
+                "pair": [rows[n]["representative"], table.text(mate)],
+                "verdict": verdict.value,
+                **{c: rows[n][c] for c in _CASE_B_COLUMNS[2:]},
             }
-            for rec in modules.caseB_modules(code, orbit_list)
+            for n, mate, verdict in modules._mates(code, basis, orbit_list)
         ]
     scope = "even_part" if code.case is Case.B else "code"
     return (

@@ -1,4 +1,5 @@
-"""pfkit runs on the Python standard library alone."""
+"""pfkit runs on the Python standard library alone, and its report renders
+the census from the integer label engine."""
 
 import ast
 import sys
@@ -26,3 +27,24 @@ def test_every_absolute_import_names_a_standard_library_module():
         if name not in sys.stdlib_module_names
     }
     assert not outside
+
+
+# The public census records, which the report's census does not build.
+PUBLIC_RECORDS = {"caseB_modules", "induced_decomposition", "IrrLabel", "CaseBRecord", "InducedReport"}
+
+
+def named(path):
+    """Every name, attribute, imported name and string constant in the file."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_the_report_names_no_public_census_record():
+    assert not PUBLIC_RECORDS & set(named(PACKAGE / "report.py"))

@@ -17,6 +17,7 @@ from pfkit import (
     IrrLabel,
     ProductCoset,
     Regime,
+    UnsupportedCodeError,
     VerificationError,
     Verdict,
     all_irr_labels,
@@ -515,6 +516,32 @@ def test_count_twisted_rejects_a_character_of_another_shape(chi, message):
     # the level-6 character once counted as the k=4 word (1, 1): 32
     with pytest.raises(InvalidInputError, match=message):
         count_twisted(span([(2, 2)], 4, 2), chi)
+
+
+@pytest.mark.parametrize(
+    "gens, k, error, message",
+    [
+        ([(3,)], 6, InvalidInputError, "^a half-period \\(Case B\\) code acts through its even part: pass even_part_code\\(code\\)$"),
+        ([(1,)], 3, UnsupportedCodeError, "^the module census is defined for even or half-period codes only$"),
+    ],
+    ids=["case-b", "unsupported"],
+)
+def test_count_twisted_and_induced_decomposition_take_case_a_codes_only(gens, k, error, message, monkeypatch):
+    # on the Case B code both once walked the orbits, then failed at a fixed
+    # point with "radical index 2 is not a perfect square"; with (0,)
+    # count_twisted returned 6
+    code = span(gens, k, 1)
+    record = next(o for o in orbits(code) if len(o.stabilizer) > 1 or k % 2)
+
+    def walk(*args):
+        raise AssertionError("the code was walked")
+
+    monkeypatch.setattr(modules, "orbits", walk)
+    for chi in [(0,), (1,)]:
+        with pytest.raises(error, match=message):
+            count_twisted(code, chi)
+    with pytest.raises(error, match=message):
+        induced_decomposition(record)
 
 
 def test_character_of_lists_no_dual_word():

@@ -305,6 +305,30 @@ class TestOrbitSweep:
         records = orbits(even_part_code(code))
         assert caseB_modules(code, records) == caseB_modules(code)
 
+    @settings(max_examples=40, deadline=None)
+    @given(walk_codes(st.sampled_from(range(2, 13, 2))).filter(lambda code: code.case is Case.B))
+    def test_report_case_b_rows_match_caseB_modules(self, code):
+        # the report builds its pairing rows from its orbit rows and the
+        # pairing loop `caseB_modules` shares, not from the public records
+        job = JobSpec(k=code.k, ell=code.ell, generators=code.generators, analyses=("modules",))
+        assert run(job)["case_b"] == [
+            {
+                "pair": [str(rec.pair[0]), str(rec.pair[1])],
+                "verdict": rec.verdict.value,
+                "regime": rec.induced.regime.value,
+                "num_irreducibles": rec.induced.num_irreducibles,
+                "multiplicity": rec.induced.multiplicity,
+            }
+            for rec in caseB_modules(code)
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(walk_codes())
+    def test_a_walk_holds_one_object_per_character(self, code):
+        # the report tallies each character's count by object identity
+        recs = orbits(code)
+        assert len({id(o.character) for o in recs}) == len({o.character for o in recs})
+
     @pytest.mark.parametrize("k", range(2, 41))
     def test_label_order_is_position_order_in_each_class(self, k):
         # the fact the walk rests on: the currents act on each fusion class

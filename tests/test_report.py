@@ -18,6 +18,7 @@ import re
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import product
@@ -178,19 +179,25 @@ class TestRunSchema:
             for rec in alone
         ]
 
-    def test_case_b_builds_one_induced_report_per_pairing_row(self, monkeypatch):
-        # the report hands the even part's records to `caseB_modules`, which
-        # decomposes only the orbits it pairs: 1,650 of the 3,025 here
-        built = []
-        real = modules.InducedReport
+    def test_case_b_census_builds_no_public_record(self, monkeypatch):
+        # the report pairs its own orbit rows (`modules._mates`): it builds no
+        # label, decomposition or pairing record, and spans its even part
+        # once; `caseB_modules` alone decomposes only the orbits it pairs,
+        # 1,650 of the 3,025 here
+        built = Counter()
+        for name in ("IrrLabel", "InducedReport", "CaseBRecord", "even_part_code"):
 
-        def counted(*args):
-            built.append(args)
-            return real(*args)
+            def counted(*args, name=name, real=getattr(modules, name)):
+                built[name] += 1
+                return real(*args)
 
-        monkeypatch.setattr(modules, "InducedReport", counted)
-        report = run(JobSpec(k=10, ell=2, generators=((5, 0),), analyses=("modules",)))
-        assert 0 < len(built) <= len(report["case_b"]) == 1650
+            monkeypatch.setattr(modules, name, counted)
+        report = build(JobSpec(k=10, ell=2, generators=((5, 0),), analyses=("modules",)))
+        assert len(report["case_b"]) == 1650
+        assert built == Counter(even_part_code=1)
+        built.clear()
+        assert len(modules.caseB_modules(span([(5, 0)], 10, 2))) == 1650
+        assert 1 <= built["InducedReport"] <= 1650
 
     def test_verify_section_and_gate(self):
         report = run(JobSpec(k=3, ell=1, analyses=("verify",)))
