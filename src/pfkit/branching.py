@@ -110,6 +110,11 @@ def component_count(k: int, bits) -> int:
     return prod(len(c) for c in _step_choices(check_ints(bits, "bit vector", 2, k)))
 
 
+def _one(x) -> tuple:
+    """The default walk piece: a 1-tuple."""
+    return (x,)
+
+
 @dataclass(frozen=True)
 class _Walk:
     """The step tables of a coset module's components, and a call that walks
@@ -123,17 +128,34 @@ class _Walk:
     steps: tuple[dict, ...]
     last: dict
 
-    def __call__(self):
-        walk = [((i,), (), 0) for i in self.first]
+    def __call__(self, index=_one, kac=_one, start=((), ())):
+        """Yield each group (prefix payload, Kac payload, weight numerator,
+        last-step entries).  A payload is its parent's plus one piece:
+        `index(i_s)` per index and `kac(entry)` per Kac entry, each built
+        once per step table, after the start values `start`.  By default
+        the pieces are 1-tuples, so the payloads are the prefix's index
+        tuple and Kac-entry tuple.  Each step is a generator over the one
+        before, so a call holds one node per step, not a list of prefixes."""
+        tup, vir = start
+        walk = [(i, tup + index(i), vir, 0) for i in self.first]
         for step in self.steps:
-            walk = [
-                (tup + (b,), vir + (lab,), hnum + h)
-                for tup, vir, hnum in walk
-                for b, lab, h in step[tup[-1]]
-            ]
+            pieces = {
+                a: [(b, index(b), kac(lab), h) for b, lab, h in entries] for a, entries in step.items()
+            }
+            walk = _extend(walk, pieces)
         last = self.last
-        for tup, vir, hnum in walk:
-            yield tup, vir, hnum, last[tup[-1]]
+        for a, tup, vir, hnum in walk:
+            yield tup, vir, hnum, last[a]
+
+
+def _extend(walk, pieces: dict):
+    """The nodes one step below those of `walk`, lazily: each node
+    (i_s, payloads, numerator) extended by its entries in `pieces[i_s]`."""
+    return (
+        (b, tup + i, vir + lab, hnum + h)
+        for a, tup, vir, hnum in walk
+        for b, i, lab, h in pieces[a]
+    )
 
 
 def _walk(k: int, j: int, bits, kac) -> _Walk:
@@ -152,7 +174,9 @@ def _walk(k: int, j: int, bits, kac) -> _Walk:
     calls `kac(s, i_s + 1, i_{s+1} + 1)`, which build each step's Kac entry
     once, and each tail, built once per i_k.  The last step is merged with
     the tail into one entry list per i_{k-1}, which every group with that
-    i_{k-1} shares, and a call holds only the prefixes.  Capped at rank 10;
+    i_{k-1} shares, and a call holds one node per step.  A call with piece
+    functions yields other prefix payloads, such as the writers' texts,
+    from the same loop (`_Walk.__call__`).  Capped at rank 10;
     the count grows like prod(s/2).
     """
     check_int(k, "level", 2)

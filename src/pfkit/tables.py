@@ -5,9 +5,12 @@ section and the components of the branch section.
 section and return it with its table as a `report._Rows` row source.
 Iterated, a source builds the row dicts of the `run` dict afresh; its text
 and JSON writers write the same rows with no row dict, each row one
-concatenation of pieces that are built once.  In text the pieces are
-already padded: the column widths are known before the first row, from
-the lattice's (j, weight) cells and from the walk's step tables.  `report`
+concatenation of pieces that are built once.  A branch row's prefix texts
+come from the walk itself, which builds each node's index text and Kac
+text from its parent's with one concatenation; a lattice row's tail is
+read by weight from one list per j.  In text the pieces are already
+padded: the column widths are known before the first row, from the
+lattice's (j, weight) cells and from the walk's step tables.  `report`
 imports this module only for a job that asks for one of the two tables.
 """
 
@@ -68,43 +71,56 @@ def _lattice_rows(k: int, cell: dict):
                 yield dict(zip(_LATTICE_COLUMNS, (f"{j}:{text}", *cell[j, w])))
 
 
-def _lattice_lines(k: int, heads: list[str], tails: dict):
+def _lattice_lines(k: int, heads: list[str], tails: list[list]):
     """Each row's text, in the order of `cosets.all_labels(k)`: the coset
-    (j, bits) is `heads[j]` + its bits text + `tails[j, weight]`, and each
+    (j, bits) is `heads[j]` + its bits text + `tails[j][weight]`, and each
     bits text is built once per pass."""
     words = _bit_words(k)
-    for j, head in enumerate(heads):
-        yield from [head + text + tails[j, w] for text, w in words if j < w]
+    for j, (head, ends) in enumerate(zip(heads, tails)):
+        yield from [f"{head}{text}{ends[w]}" for text, w in words if j < w]
+
+
+def _by_weight(k: int, cell: dict, piece) -> list[list]:
+    """`piece(j, value text, count)` of each (j, weight) cell, as one list
+    per j indexed by weight; the weights w <= j hold None."""
+    return [[piece(j, *cell[j, w]) if j < w else None for w in range(k + 1)] for j in range(k)]
 
 
 def _lattice_text(k: int, cell: dict):
     """The lines of the lattice text table.  Its widths are known before the
     first row: the widest coset is (k - 1, 1...1), and each other column is
     its widest (j, weight) cell, as every cell is some row's."""
-    texts = {key: (value, str(n)) for key, (value, n) in cell.items()}
     widths = [max(len(_LATTICE_COLUMNS[0]), len(f"{k - 1}:") + k)]
-    for column, col in zip(_LATTICE_COLUMNS[1:], zip(*texts.values())):
-        widths.append(max(len(column), *map(len, col)))
+    for column, col in zip(_LATTICE_COLUMNS[1:], zip(*cell.values())):
+        widths.append(max(len(column), *(len(str(x)) for x in col)))
     yield _header(_LATTICE_COLUMNS, widths)
     heads = [f"{j}:" for j in range(k)]
     rest = f"  %-{widths[1]}s  %-{widths[2]}s\n"
-    # the coset's padding depends on j only
-    tails = {key: " " * (widths[0] - len(heads[key[0]]) - k) + rest % pair for key, pair in texts.items()}
-    yield from _lattice_lines(k, heads, tails)
+
+    def tail(j: int, value: str, n: int) -> str:
+        # the coset's padding depends on j only
+        return " " * (widths[0] - len(heads[j]) - k) + rest % (value, n)
+
+    yield from _lattice_lines(k, heads, _by_weight(k, cell, tail))
 
 
 def _lattice_json(depth: int, k: int, cell: dict):
     before, after = _template(_LATTICE_COLUMNS, depth).split("%s", 1)
     heads = [f'{before}"{j}:' for j in range(k)]
     # the rationals hold no JSON escapes
-    tails = {key: '"' + after % (f'"{value}"', n) for key, (value, n) in cell.items()}
+    tails = _by_weight(k, cell, lambda j, value, n: '"' + after % (f'"{value}"', n))
     return _lattice_lines(k, heads, tails)
 
 
 def branch_section(code: Code, job: JobSpec) -> dict:
     """The branch section: the components of the job's coset, by default the
-    identity coset, in `branching._walk` order."""
-    from . import branching, cosets
+    identity coset, in `branching._walk` order.  The rank cap is checked
+    first: past it the table's size can have more digits than `str` of an
+    int allows."""
+    from . import branching
+
+    check_cap("branching rank", code.k, branching.BRANCH_MAX_LEVEL)
+    from . import cosets
 
     if job.coset is not None:
         j, bits = job.coset
@@ -140,15 +156,16 @@ def _branch_lines(walk, kac, end, weights, head=("", ","), mid=("", " ")):
     prefix's indices, after `head`'s opening and each followed by its
     separator), the last-step entry's end piece, the mid (the prefix's Kac
     texts `kac[entry]`, likewise by `mid`), the entry's Kac piece, and
-    `weights[numerator]`.  `end(entries, head length, mid length)` gives
-    each last-step entry's (end piece, Kac piece, numerator); it runs once
-    per (i_{k-1}, head length, mid length)."""
+    `weights[numerator]`.  The walk carries the head and the mid, each
+    node's built from its parent's with one concatenation.  `end(entries,
+    head length, mid length)` gives each last-step entry's (end piece, Kac
+    piece, numerator); it runs once per (i_{k-1}, head length, mid length),
+    as each i_{k-1} has its own entry list."""
     (start, comma), (open_mid, space) = head, mid
     ends: dict = {}
-    for prefix, vir, hnum, last in walk():
-        first = start + comma.join(map(str, prefix)) + comma
-        middle = open_mid + "".join([kac[lab] + space for lab in vir])
-        key = prefix[-1], len(first), len(middle)
+    groups = walk(lambda i: f"{i}{comma}", lambda lab: kac[lab] + space, (start, open_mid))
+    for first, middle, hnum, last in groups:
+        key = id(last), len(first), len(middle)
         if (pieces := ends.get(key)) is None:
             pieces = ends[key] = end(last, len(first), len(middle))
         yield from [f"{first}{b}{middle}{lab}{weights[hnum + h]}" for b, lab, h in pieces]

@@ -219,6 +219,23 @@ def test_branch_shares_labels_and_weights():
     assert len({id(c.weight) for c in comps}) == len({c.weight for c in comps})
 
 
+@pytest.mark.parametrize("k", range(2, 8))
+def test_walk_with_text_pieces_is_the_join_of_the_default_walk(k):
+    # one walk for rows and writers: the payloads built piece by piece from
+    # each parent equal the joins of the default call's tuples
+    for lab in coset_labels(k):
+        walk = pfkit.branching._walk(k, lab.j, lab.bits, vir_canonicalize)
+        texts = walk(lambda i: f"{i},", lambda v: f"({v.m},{v.r},{v.s}) ", ("<", "["))
+        rows = 0
+        for (prefix, vir, hnum, last), (head, mid, num, entries) in zip(walk(), texts, strict=True):
+            assert type(prefix) is type(vir) is tuple and len(prefix) == k - 1
+            assert head == "<" + "".join(f"{i}," for i in prefix)
+            assert mid == "[" + "".join(f"({v.m},{v.r},{v.s}) " for v in vir)
+            assert num == hnum and entries is last
+            rows += len(last)
+        assert rows == component_count(k, lab.bits)
+
+
 def test_component_count_matches_branch():
     for k in range(2, 8):
         for bits in product((0, 1), repeat=k):

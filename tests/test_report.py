@@ -14,6 +14,7 @@ block, on random reports with empty tables and null sections.
 import hashlib
 import io
 import json
+import random
 import re
 import sys
 import tempfile
@@ -472,6 +473,18 @@ class TestTables:
             job = JobSpec(k=k, ell=1, analyses=("branch",), coset=(lab.j, lab.bits))
             assert_writers_match_run(job, layout=k < 7)
 
+    @pytest.mark.parametrize("k", (8, 9, 10))
+    def test_branch_writers_match_run_at_depth(self, k):
+        # a seeded sample of cosets, with both branch cosets of the benchmark:
+        # the identity at k=9 and 1:1100000000 at k=10 (86,400 rows)
+        if k == 10:
+            sample = [(1, (1, 1) + (0,) * 8)]
+        else:
+            drawn = random.Random(k).sample(all_labels(k), 4 if k == 8 else 1)
+            sample = [None] + [(lab.j, lab.bits) for lab in drawn]
+        for coset in sample:
+            assert_writers_match_run(JobSpec(k=k, ell=1, analyses=("branch",), coset=coset), layout=False)
+
     @pytest.mark.parametrize("k", range(2, 15))
     def test_lattice_writers_match_run(self, k):
         assert_writers_match_run(JobSpec(k=k, ell=1, analyses=("lattice",)))
@@ -890,6 +903,11 @@ class TestCli:
                 "branching table of size 144 exceeds the cap of 143",
             ),
             ("--k 11 --ell 1 --analysis branch", "branching rank 11 exceeds the cap of 10"),
+            # the rank trips before the table is sized: at k = 14 the size
+            # passes the orbit cap, at k = 5000 it has more digits than str
+            # of an int allows
+            ("--k 14 --ell 1 --analysis branch", "branching rank 14 exceeds the cap of 10"),
+            ("--k 5000 --ell 1 --analysis branch", "branching rank 5000 exceeds the cap of 10"),
             (
                 "--k 13 --ell 1 --analysis verify --verify-max-k 13",
                 "exhaustive norm search rank 13 exceeds the cap of 12",
@@ -906,6 +924,8 @@ class TestCli:
             "lattice",
             "branch-table",
             "branch-rank",
+            "branch-rank-14",
+            "branch-rank-5000",
             "search-rank",
             "verify-level",
             "label-space-index-range",
@@ -913,7 +933,7 @@ class TestCli:
     )
     def test_each_cap_exits_four_and_names_itself(self, capsys, argv, message):
         assert main(argv.split()) == 4
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_fusion_table_cap_trips_before_the_label_table(self, capsys, monkeypatch):
         # at ell = 1 the label space passes the default cap up to k = 4,471,
@@ -1383,6 +1403,20 @@ TABLE_DIGESTS = [
         "json",
         101_843,
         "46756c81f119255d11a96baf64a17c5586b40a56a083d453a7a4609a7d496731",
+    ),
+    # a non-identity coset whose prefixes are seven indices deep, recorded
+    # before the walk carried each prefix's text
+    (
+        "--k 8 --ell 1 --analysis branch --coset 1:11010000",
+        "text",
+        101_677,
+        "d45bf50de266a7b295d295f806e916f75aff842e961b6fca1d34386d81c4c54a",
+    ),
+    (
+        "--k 8 --ell 1 --analysis branch --coset 1:11010000",
+        "json",
+        859_843,
+        "b227c55c8ccfad43ec9a9e417e32e878d380570805e7569ec46d5ea2eb007c69",
     ),
 ]
 
