@@ -81,11 +81,18 @@ DEFAULT_ORBIT_CAP = 10**7
 
 def check_cap(what: str, value: int, cap: int) -> int:
     """Return value; CapExceededError when it passes the cap, or sys.maxsize,
-    the most a list, set, bytearray or `random.sample` can index."""
+    the most a list, set, bytearray or `random.sample` can index.  A value of
+    more than `_PRINTED_BITS` bits is named by its bit length B, as "at least
+    2^(B-1)": `str` of an int of more than 4,300 digits raises ValueError."""
     cap = min(cap, sys.maxsize)
     if value > cap:
-        raise CapExceededError(f"{what} {value} exceeds the cap of {cap}")
+        bits = value.bit_length()
+        size = value if bits <= _PRINTED_BITS else f"at least 2^{bits - 1}"
+        raise CapExceededError(f"{what} {size} exceeds the cap of {cap}")
     return value
+
+
+_PRINTED_BITS = 1024  # about 309 digits
 
 
 def check_numerator(x, den: int) -> int:

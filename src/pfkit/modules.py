@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import pairwise, product
-from operator import add, attrgetter, itemgetter
+from operator import add, attrgetter, getitem, itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -76,9 +76,9 @@ class IrrLabel:
         return label_text(map(str, self.factors))
 
 
-def label_text(factor_texts) -> str:
-    """The text of a tensor label, from the texts of its factors in order."""
-    return "x".join(factor_texts)
+# The text of a tensor label, from the texts of its factors in order; a
+# builtin, so a writer that calls it per row runs no Python frame.
+label_text = "x".join
 
 
 def label_space_size(k: int, ell: int, cap: int = DEFAULT_ORBIT_CAP) -> int:
@@ -671,23 +671,30 @@ def caseB_modules(code: Code, orbit_list=None, cap: int = DEFAULT_ORBIT_CAP) -> 
 
 def _mates(code: Code, even: Code, records):
     """The pairing loop of `caseB_modules` over the even part's `records`, in orbit
-    order: each paired record's position in `records`, its mate's index tuple and the verdict."""
+    order: each paired record's position in `records`, its mate's index tuple and the verdict.
+    A trivial-character orbit is paired when its mate is not smaller, so the
+    loop holds nothing per pair."""
     table = label_table(code.k)
-    fuse, base, position = table.fuse, table.base, table.position
-    odd = tuple(fuse[p] for p in min(code.odd_part))
+    fuse, base, position, modulus = table.fuse, table.base, table.position, table.modulus
+    # per slot, the position of each factor fused with the odd word's entry
+    # there; per factor, the member of its fusion class at each position
+    shifted = [[position[a] for a in fuse[p]] for p in min(code.odd_part)]
+    members = [[row[b] for row in fuse] for b in base]
     bases: dict[tuple[int, ...], list[list[int]]] = {}  # moduli -> `_echelon`
-    mates = set()
     for n, orb in enumerate(records):
-        rep = orb.index
-        # odd + odd is even: the odd coset pairs orbits, so a mate is not fused again
-        if not orb.character.trivial or rep in mates:
+        if not orb.character.trivial:
             continue
-        moduli = tuple(map(table.modulus.__getitem__, rep))
-        if moduli not in bases:
-            bases[moduli] = _echelon(even, moduli)
-        point = _coset_minimum(bases[moduli], (position[row[a]] for row, a in zip(odd, rep)))
-        mate = tuple(fuse[p][base[a]] for p, a in zip(point, rep))
-        mates.add(mate)
+        rep = orb.index
+        moduli = tuple(map(modulus.__getitem__, rep))
+        rows = bases.get(moduli)
+        if rows is None:
+            rows = bases[moduli] = _echelon(even, moduli)
+        point = _coset_minimum(rows, map(getitem, shifted, rep))
+        mate = tuple(map(getitem, map(members.__getitem__, rep), point))
+        # odd + odd is even: the odd coset is an involution on the orbits, so
+        # the pair of a smaller mate was emitted at the mate's own record
+        if mate < rep:
+            continue
         if mate != rep:
             verdict = Verdict.FUSED
         elif len(orb.stabilizer) == 1:

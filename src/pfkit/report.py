@@ -2,11 +2,12 @@
 
 A job names a code (level, length, generators) and a set of analyses; `run`
 returns a plain dict whose JSON and text renderings are byte-deterministic.
-`build` returns the same report with its two large tables as row sources
-(`tables`), which `to_json` and `to_text` write to a handle in chunks, each
-row one concatenation of pieces built once.  Each section imports its
-module (`tables`, `cosets`, `branching`, `modules`, `verify`) when it runs,
-so a job loads only the analyses it asks for.
+`build` returns the same report with its tables as row sources (`tables`
+for the lattice and branch tables, `census` for the orbits, counts and
+sector pairing), which `to_json` and `to_text` write to a handle in
+chunks, each row one concatenation of pieces built once.  Each section
+imports its module (`tables`, `census`, `cosets`, `branching`, `modules`,
+`verify`) when it runs, so a job loads only the analyses it asks for.
 Rationals are serialized as "p/q" strings, always with an explicit
 denominator.
 """
@@ -113,68 +114,12 @@ class _Rows:
         return self.rows(*self.args)
 
 
-def _modules_sections(code: Code, job: JobSpec) -> tuple[dict, dict, list | None]:
-    from . import modules
-
-    basis = modules.even_part_code(code) if code.case is Case.B else code
-    modules._check_case_a(basis)  # an unsupported code raises UnsupportedCodeError
-    orbit_list = modules.orbits(basis, job.orbit_cap)
-    table = modules.label_table(basis.k)
-    # rows are rendered from index tuples: one string per factor label (the
-    # table's) and one per distinct weight numerator.  The records share
-    # their stabilizer and character objects, so the regime triple is read
-    # once per stabilizer object, and each character's text and irreducible
-    # count are kept once per object, keyed by identity
-    weights = _Texts(lambda num: rat(Fraction(num, table.weight_den)))
-    regimes: dict[int, tuple] = {}  # id -> (Regime, num_irreducibles, multiplicity)
-    chis: dict[int, list] = {}  # id -> [text, count]
-    rows = []
-    for orb in orbit_list:
-        stab, chi = orb.stabilizer, orb.character
-        triple = regimes.get(id(stab))
-        if triple is None:
-            triple = regimes[id(stab)] = modules.stabilizer_regime(stab, basis.k)
-        regime, num, mult = triple
-        entry = chis.get(id(chi))
-        if entry is None:
-            entry = chis[id(chi)] = [str(chi), 0]
-        entry[1] += num
-        rows.append(
-            {
-                "representative": table.text(orb.index),
-                "size": orb.size,
-                "stabilizer_order": len(stab),
-                "character": entry[0],
-                "min_weight": weights[orb.weight],
-                "regime": regime.value,
-                "num_irreducibles": num,
-                "multiplicity": mult,
-            }
-        )
-    counts = [dict(zip(_COUNT_COLUMNS, chis[id(chi)])) for chi in modules.characters(basis, orbit_list)]
-    case_b: list | None = None
-    if code.case is Case.B:
-        case_b = [
-            {
-                "pair": [rows[n]["representative"], table.text(mate)],
-                "verdict": verdict.value,
-                **{c: rows[n][c] for c in _CASE_B_COLUMNS[2:]},
-            }
-            for n, mate, verdict in modules._mates(code, basis, orbit_list)
-        ]
-    scope = "even_part" if code.case is Case.B else "code"
-    return (
-        {"acting_code": scope, "rows": rows},
-        {"acting_code": scope, "rows": counts},
-        case_b,
-    )
-
-
 def build(job: JobSpec) -> dict:
-    """Execute the requested analyses; returns the report dict with the two
-    large tables, `lattice.min_norm_table` and `branch.components`, as row
-    sources: iterated, they build their row dicts afresh; `to_json` and
-    `to_text` write them from their walk prefixes and lattice cells.
+    """Execute the requested analyses; returns the report dict with its
+    tables, `lattice.min_norm_table`, `branch.components`, `orbits.rows`,
+    `counts.rows` and `case_b`, as row sources: iterated, they build their
+    row dicts afresh; `to_json` and `to_text` write them from their walk
+    prefixes, lattice cells and orbit records.
 
     Every validation, cap and cross-check runs before `build` returns, so
     writing the report with `to_json` or `to_text` cannot raise a
@@ -217,10 +162,9 @@ def build(job: JobSpec) -> dict:
 
         report["branch"] = tables.branch_section(code, job)
     if "modules" in want:
-        orbits_sec, counts_sec, case_b = _modules_sections(code, job)
-        report["orbits"] = orbits_sec
-        report["counts"] = counts_sec
-        report["case_b"] = case_b
+        from . import census
+
+        report["orbits"], report["counts"], report["case_b"] = census.census_sections(code, job)
     if "verify" in want:
         check_cap("verification level", job.k, job.verify_max_k)
         from . import verify
@@ -236,8 +180,10 @@ def build(job: JobSpec) -> dict:
 def run(job: JobSpec) -> dict:
     """`build`, with every row source turned into a list: a plain dict."""
     report = build(job)
-    for section in report.values():
-        if type(section) is dict:
+    for name, section in report.items():
+        if type(section) is _Rows:  # the Case B pairing
+            report[name] = list(section)
+        elif type(section) is dict:
             for key, value in section.items():
                 if type(value) is _Rows:
                     section[key] = list(value)
@@ -425,9 +371,10 @@ def to_text(report: dict, out=None) -> str | None:
     returns None.  A row source's `text` writes its table from the source's
     structure, with no row dict and no cell list: its column widths are
     known before the first row, and each row is one concatenation of padded
-    pieces built once.  Every other table, each list of a `run` dict
-    included, is rendered row by row, and holds its cell strings, column by
-    column, until its widths are known.
+    pieces built once.  Every table of a `build` report is a row source;
+    only a list, as each table of a `run` dict is, is rendered row by row,
+    and holds its cell strings, column by column, until its widths are
+    known.
     """
     return _emit(_text(report), out)
 

@@ -35,3 +35,14 @@ def test_the_default_orbit_cap_is_one_object():
     assert modules.DEFAULT_ORBIT_CAP is DEFAULT_ORBIT_CAP
     assert report.DEFAULT_ORBIT_CAP is DEFAULT_ORBIT_CAP
     assert cli.build_parser().get_default("orbit_cap") is DEFAULT_ORBIT_CAP
+
+
+def test_a_value_too_long_to_print_is_named_by_its_bit_length():
+    # past 1,024 bits the value is written as a power of two below it; str
+    # of an int of more than 4,300 digits would raise ValueError
+    with pytest.raises(CapExceededError, match=f"^table of size {2**1024 - 1} exceeds the cap of 12$"):
+        check_cap("table of size", 2**1024 - 1, 12)
+    with pytest.raises(CapExceededError, match=r"^table of size at least 2\^1024 exceeds the cap of 12$"):
+        check_cap("table of size", 2**1024, 12)
+    with pytest.raises(CapExceededError, match=r"^table of size at least 2\^99999 exceeds the cap of 12$"):
+        check_cap("table of size", 2**100000 - 1, 12)

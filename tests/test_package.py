@@ -93,9 +93,9 @@ JOBS = [
     ("--k 2 --ell 1", 0, CLASSIFY),
     ("--k 2 --ell 0", 2, CLASSIFY),
     ("--k 10 --ell 1 --analysis verify", 4, CLASSIFY),
-    ("--k 5 --ell 2 --gen 1,2 --analysis modules", 0, CLASSIFY | {"modules"}),
-    ("--k 6 --ell 3 --gen 1,1,1 --analysis modules", 0, CLASSIFY | {"modules"}),
-    ("--k 5 --ell 6 --analysis modules", 4, CLASSIFY | {"modules"}),
+    ("--k 5 --ell 2 --gen 1,2 --analysis modules", 0, CLASSIFY | {"census", "modules"}),
+    ("--k 6 --ell 3 --gen 1,1,1 --analysis modules", 0, CLASSIFY | {"census", "modules"}),
+    ("--k 5 --ell 6 --analysis modules", 4, CLASSIFY | {"census", "modules"}),
     ("--k 4 --ell 1 --analysis branch", 0, CLASSIFY | {"branching", "cosets", "tables"}),
     ("--k 4 --ell 1 --analysis lattice", 0, CLASSIFY | {"cosets", "tables"}),
     ("--k 4 --ell 1 --analysis verify", 0, set(SUBMODULES) - {"branching"}),

@@ -8,7 +8,9 @@ is biadditive and consistent with conformal weights.  The orbit walk is
 compared with three references: the integer seen-map sweep it replaced,
 the sweep on frozen dataclasses before that, and an enumerator that
 rebuilds the orbit of every label; its Case B mates with the smallest
-fusion of each pair.  A character, reduced along the Hermite basis of the
+fusion of each pair.  The census writers of `build` are compared with the
+row dicts of `run`, and permuting a code's slots must keep its census
+tallies.  A character, reduced along the Hermite basis of the
 dual code's lattice, is compared with the minimum over the brute-force dual
 code.  The
 integer label table behind the realization and extension-monodromy suites is
@@ -17,12 +19,14 @@ enumeration of every index tuple, on one-residue states and on the
 several-residue states of the realization predicate.
 """
 
+import json
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pfkit.cosets import (
@@ -55,6 +59,7 @@ from pfkit.modules import (
     realize,
     sc_ext_weight,
     stabilizer,
+    stabilizer_regime,
     tensor_weight,
 )
 from pfkit.parafermion import (
@@ -68,7 +73,7 @@ from pfkit.parafermion import (
     theta_act,
     vacuum,
 )
-from pfkit.report import JobSpec, run
+from pfkit.report import JobSpec, build, run, to_json, to_text
 from pfkit.verify import (
     _digits,
     _first_failing,
@@ -365,6 +370,88 @@ class TestOrbitSweep:
     )
     def test_matches_reference_on_fixed_point_codes(self, code):
         assert_census_matches_reference(code)
+
+
+@st.composite
+def fixed_point_codes(draw, residue):
+    """Codes at a level k = residue (mod 4) whose acting code holds a
+    half-word: an even number of k/2 entries, so the orbit of k/2-class
+    labels is a fixed point.  One more generator may make the code Case B;
+    it is then its even part that holds the half-word."""
+    k = draw(st.sampled_from([k for k in range(2, 13) if k % 4 == residue]))
+    ell = draw(st.integers(2, 4 if k <= 4 else 3 if k <= 6 else 2))
+    half = draw(st.lists(st.sampled_from(range(ell)), min_size=2, max_size=ell, unique=True).filter(lambda s: len(s) % 2 == 0))
+    gens = [tuple(k // 2 if s in half else 0 for s in range(ell))]
+    gens += draw(st.lists(st.tuples(*[st.integers(0, k - 1)] * ell), max_size=1))
+    return span(gens, k, ell)
+
+
+def assert_built_census_matches_run(code):
+    """`build` writes the census tables from the walk's records: the same
+    text and JSON as the row dicts of `run`."""
+    job = JobSpec(k=code.k, ell=code.ell, generators=code.generators, analyses=("modules",))
+    plain, built = run(job), build(job)
+    assert to_json(built) == json.dumps(plain, indent=2)
+    assert to_text(built) == to_text(plain)
+    return plain
+
+
+class TestCensusWriters:
+    @settings(max_examples=40, deadline=None)
+    @given(walk_codes().filter(lambda code: code.case is Case.A))
+    def test_match_run_on_case_a_codes(self, code):
+        assert_built_census_matches_run(code)
+
+    @settings(max_examples=40, deadline=None)
+    @given(walk_codes(st.sampled_from(range(2, 13, 2))).filter(lambda code: code.case is Case.B))
+    def test_match_run_on_case_b_codes(self, code):
+        assert assert_built_census_matches_run(code)["case_b"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    @pytest.mark.parametrize("residue, regime", [(0, "Fixed_k0mod4"), (2, "Fixed_k2mod4")])
+    def test_match_run_on_fixed_points(self, residue, regime, data):
+        code = data.draw(fixed_point_codes(residue).filter(lambda code: code.case is not Case.UNSUPPORTED))
+        plain = assert_built_census_matches_run(code)
+        assert regime in {row["regime"] for row in plain["orbits"]["rows"]}
+
+
+def census_tallies(code):
+    """The multiset of (size, stabilizer order, weight numerator, regime
+    triple, trivial) over the orbits of the acting code, and the Case B
+    (verdict, stabilizer order) tally."""
+    basis = even_part_code(code) if code.case is Case.B else code
+    orbit_tally = Counter(
+        (o.size, len(o.stabilizer), o.weight, stabilizer_regime(o.stabilizer, code.k), o.character.trivial)
+        for o in orbits(basis)
+    )
+    pairs = caseB_modules(code) if code.case is Case.B else ()
+    return orbit_tally, Counter((rec.verdict, len(rec.induced.orbit.stabilizer)) for rec in pairs)
+
+
+@st.composite
+def permuted_codes(draw):
+    """A supported code with k <= 8, ell <= 4 and at most 20,000 labels, and
+    the code with its slots permuted."""
+    k = draw(st.integers(2, 8))
+    n = k * (k + 1) // 2
+    ell = draw(st.integers(1, max(e for e in range(1, 5) if n**e <= 20_000)))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, k - 1)] * ell), max_size=2))
+    code = span(gens, k, ell)
+    assume(code.case is not Case.UNSUPPORTED)
+    order = draw(st.permutations(range(ell)))
+    return code, span([tuple(g[s] for s in order) for g in gens], k, ell)
+
+
+class TestCensusMetamorphic:
+    @settings(max_examples=60, deadline=None)
+    @given(permuted_codes())
+    def test_permuting_the_slots_keeps_the_census_tallies(self, codes):
+        # the walk's pivots depend on slot order, so this exercises it from
+        # another side than the reference sweeps
+        code, permuted = codes
+        assert permuted.case is code.case
+        assert census_tallies(permuted) == census_tallies(code)
 
 
 @st.composite

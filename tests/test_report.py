@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfkit import branching, cosets, modules, tables, zkcodes
+from pfkit import branching, census, cosets, modules, tables, zkcodes
 from pfkit import report as R
 from pfkit.cli import main
 from pfkit.cosets import all_labels, min_norm_data
@@ -194,7 +194,7 @@ class TestRunSchema:
 
             monkeypatch.setattr(modules, name, counted)
         report = build(JobSpec(k=10, ell=2, generators=((5, 0),), analyses=("modules",)))
-        assert len(report["case_b"]) == 1650
+        assert len(list(report["case_b"])) == 1650  # a row source: its row dicts
         assert built == Counter(even_part_code=1)
         built.clear()
         assert len(modules.caseB_modules(span([(5, 0)], 10, 2))) == 1650
@@ -376,14 +376,18 @@ def raising_writer(name):
 
 class TestTrustBoundary:
     """The table writers write the row sources of `build` from their walk
-    prefixes and lattice cells, unchecked; every value of a `run` dict, its
-    table lists included, goes to `json.dumps` or is rendered row by row."""
+    prefixes, lattice cells and orbit records, unchecked; every value of a
+    `run` dict, its table lists included, goes to `json.dumps` or is
+    rendered row by row."""
 
     @staticmethod
     def writers_raise(monkeypatch):
         for table in ("lattice", "branch"):
             monkeypatch.setattr(tables, f"_{table}_json", raising_writer(table))
             monkeypatch.setattr(tables, f"_{table}_text", raising_writer(table))
+        for table in ("orbit", "count", "pair"):
+            monkeypatch.setattr(census, f"_{table}_json", raising_writer("modules"))
+            monkeypatch.setattr(census, f"_{table}_text", raising_writer("modules"))
 
     @pytest.mark.parametrize("job", TEST_JOBS)
     def test_run_reports_reach_no_row_writer(self, monkeypatch, job):
@@ -392,7 +396,7 @@ class TestTrustBoundary:
         assert to_json(report) == json.dumps(report, indent=2)
         assert to_text(report) == to_text_reference(report)
 
-    @pytest.mark.parametrize("analysis", ["lattice", "branch"])
+    @pytest.mark.parametrize("analysis", ["lattice", "branch", "modules"])
     def test_build_reports_reach_each_row_writer(self, monkeypatch, analysis):
         self.writers_raise(monkeypatch)
         report = build(JobSpec(k=3, ell=1, analyses=(analysis,), fmt="json"))
@@ -543,6 +547,56 @@ class TestTables:
         assert lines[start : start + len(lattice)] == lattice
         start = lines.index(branch[0])
         assert lines[start : start + len(branch)] == branch
+
+
+# Census jobs: fixed points at k = 0 (mod 4), a Case B code whose even part
+# has fixed points at k = 2 (mod 4), and a Case B code with two-digit labels
+CENSUS_JOBS = [
+    JobSpec(k=4, ell=3, generators=((2, 2, 0), (0, 2, 2)), analyses=("modules",)),
+    JobSpec(k=6, ell=2, generators=((3, 0), (0, 3)), analyses=("modules",), fmt="json"),
+    JobSpec(k=10, ell=1, generators=((5,),), analyses=("modules",)),
+]
+
+
+class TestCensus:
+    def test_writing_a_built_report_builds_no_row_dict(self, monkeypatch):
+        wants = []
+        for job in CENSUS_JOBS:
+            plain = run(job)
+            wants.append((json.dumps(plain, indent=2), to_text(plain)))
+
+        def unreachable(*args):
+            raise AssertionError("a census writer built a row dict or a cell list")
+
+        for name in ("_orbit_rows", "_count_rows", "_pair_rows"):
+            monkeypatch.setattr(census, name, unreachable)
+        monkeypatch.setattr(R, "_cells", unreachable)
+        monkeypatch.setattr(R, "_grid", unreachable)
+        for job, want in zip(CENSUS_JOBS, wants):
+            report = build(job)
+            for write, text in zip((to_json, to_text), want):
+                assert write(report) == text
+                out = io.StringIO()
+                write(report, out)
+                assert out.getvalue() == text
+
+    @pytest.mark.parametrize("job", CENSUS_JOBS[1:])  # the Case B jobs
+    def test_run_lists_every_census_row_source(self, job):
+        # the pairing is a row source at the top level of the report, the
+        # other two inside their sections
+        built, plain = build(job), run(job)
+        paths = [("orbits", "rows"), ("counts", "rows"), ("case_b",)]
+        for path in paths:
+            source, rows = built, plain
+            for key in path:
+                source, rows = source[key], rows[key]
+            assert type(source) is R._Rows and type(rows) is list and rows == list(source)
+        assert plain["case_b"]  # each job pairs its orbits
+        assert to_json(built) == json.dumps(plain, indent=2)
+
+    def test_census_writers_match_run_at_depth(self):
+        # 1,650 pairs at k = 10, with label texts of two lengths
+        assert_writers_match_run(JobSpec(k=10, ell=2, generators=((5, 0),), analyses=("modules",)))
 
 
 def branch_column_maxima(walk, den):
@@ -918,6 +972,16 @@ class TestCli:
                 f"--k 2 --ell 41 --analysis modules --orbit-cap {10**200}",
                 f"label space of size {3**41} exceeds the cap of {sys.maxsize}",
             ),
+            # sizes with more digits than str of an int allows are named by
+            # their bit length: 500500^1000 and 2^99999 * 100000
+            (
+                "--k 1000 --ell 1000 --analysis modules",
+                "label space of size at least 2^18933 exceeds the cap of 10000000",
+            ),
+            (
+                "--k 100000 --ell 1 --analysis lattice",
+                "minimal-norm table of size at least 2^100015 exceeds the cap of 10000000",
+            ),
         ],
         ids=[
             "label-space",
@@ -929,6 +993,8 @@ class TestCli:
             "search-rank",
             "verify-level",
             "label-space-index-range",
+            "label-space-past-str",
+            "lattice-past-str",
         ],
     )
     def test_each_cap_exits_four_and_names_itself(self, capsys, argv, message):
